@@ -1,6 +1,7 @@
 """Exact eta-quotient arithmetic on Gamma0(N) and the modular equations of
 the order-six continued fraction's hauptmodul w(tau) = X(tau) X(3*tau)."""
 
+from .arith import psi_index
 from .cusps import Cusp, INFINITY, ZERO, are_equivalent, canonical, cusp_set, width
 from .eta import (
     EtaQuotient,
@@ -20,7 +21,6 @@ from .modeq import (
     check_symmetry,
     predict_coefficient_pattern,
     predict_degrees,
-    psi,
     solve_modular_equation,
 )
 from .series import QSeries, euler_product
@@ -54,7 +54,7 @@ __all__ = [
     "check_pattern",
     "check_kronecker",
     "check_symmetry",
-    "psi",
+    "psi_index",
     "CheckReport",
     "run_checks",
     "__version__",

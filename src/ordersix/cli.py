@@ -4,9 +4,9 @@ Every command emits a versioned output document (json, plain, or latex
 rendering).  Big integers are serialized as decimal strings so any JSON
 parser round-trips them exactly.  Solved equations are cached one JSON file
 per level under --cache-dir (or $ORDERSIX_CACHE_DIR, default
-~/.cache/ordersix); writes are atomic and corrupt cache entries are
-recomputed with a warning.  Exit codes: 0 ok, 1 verification failure,
-2 usage error, 3 internal solver error.
+~/.cache/ordersix); writes are atomic, a failed write only warns, and
+corrupt cache entries are recomputed with a warning.  Exit codes: 0 ok,
+1 verification failure, 2 usage error, 3 internal solver error.
 """
 
 from __future__ import annotations
@@ -318,7 +318,11 @@ def cmd_modeq(args) -> int:
     if doc is None:
         doc = modeq_document(args.level)
         if not args.no_cache:
-            _write_atomic(path, json.dumps(doc, indent=2))
+            try:
+                _write_atomic(path, json.dumps(doc, indent=2))
+            except OSError as exc:
+                print(f"warning: cache entry {path} not written ({exc})",
+                      file=sys.stderr)
     if not args.no_timing:
         doc = dict(doc)
         doc["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
@@ -413,7 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     except BadSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NullspaceEmptyError, NullspaceAmbiguousError) as exc:
+    except (NullspaceEmptyError, NullspaceAmbiguousError, RuntimeError) as exc:
+        # RuntimeError: kernel_int_crt ran out of primes or did not converge
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import divisors, euler_phi, psi_index
+from .arith import divisors, euler_phi
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,6 @@ def width_sum(level: int) -> int:
     return sum(width(level, x) for x in cusp_set(level))
 
 
-def index_gamma0(level: int) -> int:
-    """Index of Gamma0(level) in SL2(Z)."""
-    return psi_index(level)
-
-
 __all__ = [
     "Cusp",
     "INFINITY",
@@ -151,5 +146,4 @@ __all__ = [
     "denominator_in_level",
     "width",
     "width_sum",
-    "index_gamma0",
 ]

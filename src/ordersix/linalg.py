@@ -1,18 +1,17 @@
 """Exact kernels of integer/rational matrices.
 
-Two routes to the same answer:
-
+* kernel_int_crt -- the solver's kernel: row reduction modulo 30-bit primes
+  (vectorized with numpy) combined by CRT and rational reconstruction, for
+  integer matrices whose kernel is expected to be one-dimensional;
 * nullspace_exact -- Gaussian elimination over Fraction with partial
   pivoting on the bit length of numerator*denominator, usable on any
-  rational matrix;
-* kernel_int_crt -- row reduction modulo 30-bit primes (vectorized with
-  numpy) combined by CRT and rational reconstruction, for large integer
-  matrices whose kernel is expected to be one-dimensional.
+  rational matrix; the solver does not call it, the tests compare
+  kernel_int_crt against it.
 
-The CRT route certifies its output: a prime with nullity k bounds the
+kernel_int_crt certifies its output: a prime with nullity k bounds the
 rational nullity by k from above, and the reconstructed vector is accepted
 only after an exact integer residual check, so the result is exact despite
-the modular detour.  Both routes are deterministic and pure.
+the modular detour.  Both functions are deterministic and pure.
 """
 
 from __future__ import annotations

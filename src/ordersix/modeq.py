@@ -2,8 +2,9 @@
 
 The solver predicts the bidegree from total pole degrees on Gamma0(18n),
 builds the coefficient matrix of the monomials W^i V^j from exact
-q-expansions, computes the one-dimensional exact kernel, and normalizes to
-a primitive integer polynomial with a deterministic sign rule.  Structural
+q-expansions, computes its one-dimensional kernel with the multimodular
+CRT solver (which certifies the dimension and returns a primitive integer
+vector), and normalizes the sign with a deterministic rule.  Structural
 checks cover the forced zero/nonzero coefficient pattern, X<->Y symmetry
 for levels coprime to 6, and the Kronecker congruence at prime levels.
 """
@@ -11,16 +12,16 @@ for levels coprime to 6, and the Kronecker congruence at prime levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
-from .arith import is_prime, psi_index
-from .cusps import cusp_set
-from .eta import divisor, named_w, total_pole_degree
-from .linalg import kernel_int_crt, nullspace_exact
+from .arith import is_prime
+from .eta import divisor, named_w
+# nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
+from .linalg import kernel_int_crt, nullspace_exact  # noqa: F401
 from .series import QSeries
 
-_EXACT_UNKNOWN_LIMIT = 50
 _BASE_MARGIN = 32
 
 
@@ -121,7 +122,7 @@ class ModEqResult:
     precision_used: int
     nullspace_dim: int
     normalization: str
-    method: str
+    method: str  # always "crt"; bench/gate.py still passes method="crt"
 
 
 @dataclass(frozen=True)
@@ -135,14 +136,26 @@ class CoeffPattern:
             raise AssertionError("forced zero and nonzero positions overlap")
 
 
+@lru_cache(maxsize=None)
+def _cusp_orders(n: int) -> tuple[MappingProxyType, MappingProxyType]:
+    """Read-only {cusp: order} maps of w and w(n*tau) on Gamma0(18n)."""
+    w = named_w()
+    return tuple(
+        MappingProxyType({co.cusp: co.order for co in divisor(f)})
+        for f in (w.lift(18 * n), w.rescale(n))
+    )
+
+
+def _pole_degree(orders) -> int:
+    return -sum(o for o in orders.values() if o < 0)
+
+
 def predict_degrees(n: int) -> tuple[int, int]:
     """(d1, d2) = total pole degrees of w and w(n*tau) on Gamma0(18n)."""
     if n < 2:
         raise ValueError("level must be at least 2")
-    w = named_w()
-    d1 = total_pole_degree(w.lift(18 * n))
-    d2 = total_pole_degree(w.rescale(n))
-    return d1, d2
+    ord1, ord2 = _cusp_orders(n)
+    return _pole_degree(ord1), _pole_degree(ord2)
 
 
 def _monomial_matrix(n: int, d1: int, d2: int, margin: int):
@@ -185,50 +198,32 @@ def _monomial_matrix(n: int, d1: int, d2: int, margin: int):
     return rows, order, height
 
 
-def _solve_kernel(rows, method: str):
-    """Returns (rational/int vector or None, kernel dimension)."""
-    if method == "exact":
-        basis = nullspace_exact(rows)
-        if not basis:
-            return None, 0
-        return (basis[0], len(basis))
-    result = kernel_int_crt(rows)
-    return result.vector, result.dimension
-
-
-def solve_modular_equation(n: int, method: str = "auto") -> ModEqResult:
+def solve_modular_equation(n: int) -> ModEqResult:
     """Derive, verify, and normalize the level-n modular equation for w.
 
     Precision starts at d2 + n*d1 + #unknowns + 32 rows; if the kernel is
-    not one-dimensional the margin is doubled once before giving up.
+    not one-dimensional the margin is doubled once before giving up.  The
+    kernel comes from kernel_int_crt, so it is already a primitive integer
+    vector and only the sign rule remains to apply.
     """
     d1, d2 = predict_degrees(n)
-    unknowns = (d1 + 1) * (d2 + 1)
-    if method == "auto":
-        method = "exact" if unknowns <= _EXACT_UNKNOWN_LIMIT else "crt"
     margin = _BASE_MARGIN
     for _attempt in range(2):
         rows, order, height = _monomial_matrix(n, d1, d2, margin)
-        vec, dim = _solve_kernel(rows, method)
-        if dim == 0:
+        kernel = kernel_int_crt(rows)
+        if kernel.dimension == 0:
             raise NullspaceEmptyError(
                 f"level {n}: no kernel at bidegree ({d2}, {d1}), precision {height}"
             )
-        if dim == 1:
+        if kernel.dimension == 1:
             break
         margin *= 2
     else:
         raise NullspaceAmbiguousError(
-            f"level {n}: kernel dimension {dim} persists at precision {height}"
+            f"level {n}: kernel dimension {kernel.dimension} persists at "
+            f"precision {height}"
         )
-    raw = {ij: c for ij, c in zip(order, vec) if c}
-    cleared = 1
-    if any(isinstance(c, Fraction) for c in raw.values()):
-        for c in raw.values():
-            d = Fraction(c).denominator
-            cleared = cleared * d // gcd(cleared, d)
-        raw = {ij: int(c * cleared) for ij, c in raw.items()}
-    poly = BivarPoly(raw)
+    poly = BivarPoly(dict(zip(order, kernel.vector)))
     g = poly.content()
     poly, flipped = poly.normalized()
     if poly.degx != d2 or poly.degy != d1:
@@ -236,8 +231,10 @@ def solve_modular_equation(n: int, method: str = "auto") -> ModEqResult:
             f"level {n}: kernel polynomial has bidegree ({poly.degx}, {poly.degy}), "
             f"expected ({d2}, {d1})"
         )
+    # the "denominators cleared" clause stays so output documents are
+    # byte-stable across versions
     norm_note = (
-        f"denominators cleared by {cleared}, content {g} removed"
+        f"denominators cleared by 1, content {g} removed"
         f"{', sign flipped' if flipped else ''}"
     )
     result = ModEqResult(
@@ -248,7 +245,7 @@ def solve_modular_equation(n: int, method: str = "auto") -> ModEqResult:
         precision_used=height,
         nullspace_dim=1,
         normalization=norm_note,
-        method=method,
+        method="crt",
     )
     res = residual_series(result)
     if not res.is_zero:
@@ -276,21 +273,12 @@ def predict_coefficient_pattern(n: int) -> CoeffPattern:
     f2 pole or zero, and the i = 0 column exactly Y^b when every f1 zero is.
     The same statements with the roles swapped give the row constraints.
     """
-    if n < 2:
-        raise ValueError("level must be at least 2")
-    N = 18 * n
-    w = named_w()
-    f1 = w.lift(N)
-    f2 = w.rescale(n)
-    ord1 = {co.cusp: co.order for co in divisor(f1)}
-    ord2 = {co.cusp: co.order for co in divisor(f2)}
-    d1 = -sum(o for o in ord1.values() if o < 0)
-    d2 = -sum(o for o in ord2.values() if o < 0)
-    cusps = cusp_set(N)
+    d1, d2 = predict_degrees(n)
+    ord1, ord2 = _cusp_orders(n)
 
     def sets(orders):
-        zeros = {x for x in cusps if orders[x] > 0}
-        poles = {x for x in cusps if orders[x] < 0}
+        zeros = {x for x, o in orders.items() if o > 0}
+        poles = {x for x, o in orders.items() if o < 0}
         return zeros, poles
 
     z1, p1 = sets(ord1)
@@ -353,13 +341,6 @@ def check_symmetry(result: ModEqResult) -> bool:
         raise LevelNotCoprimeTo6Error(f"level {n} shares a factor with 6")
     c = result.poly.coeffs
     return all(c.get((j, i), 0) == v for (i, j), v in c.items())
-
-
-def psi(n: int) -> int:
-    """n * prod_{p | n} (1 + 1/p)."""
-    if n < 1:
-        raise ValueError("psi expects n >= 1")
-    return psi_index(n)
 
 
 def extract_inner_factor(poly: BivarPoly, p: int) -> BivarPoly:
@@ -425,5 +406,4 @@ __all__ = [
     "kronecker_frame",
     "extract_inner_factor",
     "format_polynomial",
-    "psi",
 ]

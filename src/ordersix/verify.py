@@ -318,8 +318,8 @@ def check_j_identity(prec: int = 100, p_coeffs=None) -> CheckReport:
 def check_golden_tables(levels=(2, 3, 5, 7, 11, 13), fail_fast: bool = False,
                         golden=None) -> list[CheckReport]:
     """Solve each level and compare with the golden grid coefficient by
-    coefficient; prime levels >= 5 additionally run the pattern, Kronecker,
-    and symmetry checks."""
+    coefficient; every level then runs the pattern check, and prime levels
+    >= 5 also the Kronecker and symmetry checks."""
     out = []
     checksum = golden_checksum()
     for n in levels:
@@ -333,17 +333,13 @@ def check_golden_tables(levels=(2, 3, 5, 7, 11, 13), fail_fast: bool = False,
             if a != b:
                 witness = f"C{ij}: solved {a}, golden {b}"
                 break
+        if not witness and not check_pattern(solved, predict_coefficient_pattern(n)):
+            witness = "forced coefficient pattern violated"
         if not witness and n >= 5:
-            pattern = predict_coefficient_pattern(n)
-            if not check_pattern(solved, pattern):
-                witness = "forced coefficient pattern violated"
-            elif not check_kronecker(solved):
+            if not check_kronecker(solved):
                 witness = "Kronecker congruence violated"
             elif not check_symmetry(solved):
                 witness = "X/Y symmetry violated"
-        elif not witness:
-            if not check_pattern(solved, predict_coefficient_pattern(n)):
-                witness = "forced coefficient pattern violated"
         out.append(CheckReport(
             name,
             FAIL if witness else PASS,

@@ -9,7 +9,8 @@ import random
 import time
 from math import gcd
 
-from ordersix.cusps import Cusp, are_equivalent, cusp_set, width_sum, index_gamma0
+from ordersix.arith import psi_index
+from ordersix.cusps import Cusp, are_equivalent, cusp_set, width_sum
 from ordersix.eta import (
     divisor,
     named_w,
@@ -23,7 +24,6 @@ from ordersix.modeq import (
     check_symmetry,
     extract_inner_factor,
     predict_coefficient_pattern,
-    psi,
     solve_modular_equation,
 )
 from ordersix.series import euler_product
@@ -101,7 +101,7 @@ def test_criterion_06_kronecker_symmetry_degrees(solved):
         r = solved(p)
         ok = ok and check_kronecker(r) and check_symmetry(r)
         ok = ok and all(isinstance(c, int) for c in r.poly.coeffs.values())
-        ok = ok and r.poly.degx == r.poly.degy == psi(p) == p + 1
+        ok = ok and r.poly.degx == r.poly.degy == psi_index(p) == p + 1
     report(6, ok, "Kronecker congruence, symmetry, integrality, degree psi(p)")
 
 
@@ -170,7 +170,7 @@ def _degree_balance_and_pole_zero_classes():
 def test_criterion_09_property_suites():
     ok = _ring_axioms()
     ok = ok and _pentagonal_oracle()
-    ok = ok and width_sum(60) == index_gamma0(60)
+    ok = ok and width_sum(60) == psi_index(60)
     ok = ok and _cusp_partition()
     ok = ok and _degree_balance_and_pole_zero_classes()
     report(9, ok, "ring axioms (200 cases), pentagonal oracle (s<=20, P<=200), "

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import ordersix.cli as cli
+import ordersix.modeq as modeq
 import ordersix.verify as verify
 from ordersix.modeq import NullspaceEmptyError
 from ordersix.verify import GOLDEN_INNER
@@ -156,6 +157,28 @@ def test_modeq_usage_and_solver_errors(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
                            "--no-cache")
     assert code == 3 and "synthetic failure" in err
+
+
+def test_modeq_kernel_runtime_error_exits_3(capsys, tmp_path, monkeypatch):
+    def exhausted(rows):
+        raise RuntimeError("prime supply exhausted")
+
+    monkeypatch.setattr(modeq, "kernel_int_crt", exhausted)
+    code, out, err = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
+                             "--no-cache")
+    assert code == 3 and out == ""
+    assert err == "solver error: prime supply exhausted\n"
+
+
+def test_modeq_cache_write_failure_warns(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, doc, err = run_json(capsys, "modeq", "2", "--cache-dir",
+                              str(blocker / "sub"), "--no-timing")
+    assert code == 0
+    assert doc["result"]["level"] == 2
+    assert err.count("\n") == 1 and err.startswith("warning: cache entry")
+    assert "Traceback" not in err
 
 
 def test_verify_identities_exit_zero(capsys):

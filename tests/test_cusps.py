@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from ordersix.arith import psi_index
 from ordersix.cusps import (
     Cusp,
     INFINITY,
@@ -11,7 +12,6 @@ from ordersix.cusps import (
     canonical,
     cusp_count,
     cusp_set,
-    index_gamma0,
     width,
     width_sum,
 )
@@ -133,4 +133,4 @@ def test_width_examples():
 
 def test_width_sum_equals_index():
     for n in range(1, 201):
-        assert width_sum(n) == index_gamma0(n), n
+        assert width_sum(n) == psi_index(n), n

@@ -2,6 +2,9 @@ from math import gcd
 
 import pytest
 
+from ordersix import modeq
+from ordersix.arith import psi_index
+from ordersix.linalg import kernel_int_crt, nullspace_exact
 from ordersix.modeq import (
     BivarPoly,
     LevelNotCoprimeTo6Error,
@@ -15,11 +18,12 @@ from ordersix.modeq import (
     kronecker_frame,
     predict_coefficient_pattern,
     predict_degrees,
-    psi,
     residual_series,
     solve_modular_equation,
 )
 from ordersix.verify import golden_poly
+
+from helpers import primitive
 
 
 def test_predict_degrees():
@@ -44,12 +48,21 @@ def test_prime_levels_match_golden_tables(solved):
         assert solved(p).poly == golden_poly(p), p
 
 
-def test_exact_and_crt_methods_agree():
+def test_crt_agrees_with_exact_oracle():
     for n in (2, 3, 5):
-        a = solve_modular_equation(n, method="exact")
-        b = solve_modular_equation(n, method="crt")
-        assert a.poly == b.poly
-        assert a.nullspace_dim == b.nullspace_dim == 1
+        d1, d2 = predict_degrees(n)
+        rows, _, _ = modeq._monomial_matrix(n, d1, d2, modeq._BASE_MARGIN)
+        basis = nullspace_exact(rows)
+        assert len(basis) == 1, n
+        assert primitive(basis[0]) == primitive(kernel_int_crt(rows).vector), n
+
+
+def test_normalization_notes(solved):
+    flipped = "denominators cleared by 1, content 1 removed, sign flipped"
+    kept = "denominators cleared by 1, content 1 removed"
+    expected = {2: flipped, 3: flipped, 4: flipped, 5: kept, 6: flipped, 7: kept}
+    for n, note in expected.items():
+        assert solved(n).normalization == note, n
 
 
 def test_degrees_match_pole_degrees(solved):
@@ -74,7 +87,7 @@ def test_nullspace_dimension_is_one(solved):
 @pytest.mark.slow
 def test_level25_spot_check():
     r = solve_modular_equation(25)
-    assert r.poly.degx == r.poly.degy == psi(25) == 30
+    assert r.poly.degx == r.poly.degy == psi_index(25) == 30
     assert r.nullspace_dim == 1
     assert residual_series(r).is_zero
     assert check_symmetry(r)
@@ -114,7 +127,7 @@ def test_check_pattern(solved):
         level=2, d1=2, d2=2,
         poly=BivarPoly({(2, 0): 1, (0, 1): -1, (1, 1): 2, (2, 1): -3,
                         (0, 2): 1, (0, 0): 1}),
-        precision_used=0, nullspace_dim=1, normalization="", method="exact",
+        precision_used=0, nullspace_dim=1, normalization="", method="crt",
     )
     assert not check_pattern(bad, predict_coefficient_pattern(2))
 
@@ -125,7 +138,7 @@ def test_check_kronecker(solved):
     perturbed = ModEqResult(
         level=5, d1=6, d2=6,
         poly=BivarPoly({**kronecker_frame(5).coeffs, (0, 0): 1}),
-        precision_used=0, nullspace_dim=1, normalization="", method="exact",
+        precision_used=0, nullspace_dim=1, normalization="", method="crt",
     )
     assert not check_kronecker(perturbed)
     with pytest.raises(NotPrimeLevelError):
@@ -142,16 +155,16 @@ def test_check_symmetry(solved):
 
 
 def test_psi():
-    assert psi(1) == 1
-    assert psi(5) == 6
-    assert psi(25) == 30
+    assert psi_index(1) == 1
+    assert psi_index(5) == 6
+    assert psi_index(25) == 30
     for p in (5, 7, 11, 13):
-        assert psi(p) == p + 1
+        assert psi_index(p) == p + 1
 
 
 def test_psi_equals_degree_for_coprime_levels(solved):
     for p in (5, 7, 11, 13):
-        assert solved(p).poly.degx == psi(p)
+        assert solved(p).poly.degx == psi_index(p)
 
 
 def test_coefficients_are_integral_and_primitive(solved):
