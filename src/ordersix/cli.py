@@ -4,8 +4,9 @@ Every command emits a versioned output document (json, plain, or latex
 rendering).  Big integers are serialized as decimal strings so any JSON
 parser round-trips them exactly.  Solved equations are cached one JSON file
 per level under --cache-dir (or $ORDERSIX_CACHE_DIR, default
-~/.cache/ordersix); writes are atomic, a failed write only warns, and
-corrupt cache entries are recomputed with a warning.  Exit codes: 0 ok,
+~/.cache/ordersix); writes are atomic, a failed write only warns, and a
+cache entry is served only after it passes the solver's exact certificate
+again (corrupt entries are recomputed with a warning).  Exit codes: 0 ok,
 1 verification failure, 2 usage error, 3 internal solver error.
 """
 
@@ -23,8 +24,10 @@ from .cusps import cusp_set, width
 from .eta import EtaQuotient, NAMED_QUOTIENTS, named_j
 from .modeq import (
     BivarPoly,
+    ModEqResult,
     NullspaceAmbiguousError,
     NullspaceEmptyError,
+    certificate_failure,
     extract_inner_factor,
     format_polynomial,
     solve_modular_equation,
@@ -164,13 +167,16 @@ def validate_document(doc, command: str | None = None) -> None:
             result = doc["result"]
             coeffs = result["coefficients"]
             for entry in coeffs:
-                if not isinstance(entry["i"], int) or not isinstance(entry["j"], int):
-                    raise ValueError("coefficient indices must be integers")
+                i, j = entry["i"], entry["j"]
+                if not isinstance(i, int) or not isinstance(j, int) or min(i, j) < 0:
+                    raise ValueError("coefficient indices must be non-negative integers")
                 int(entry["value"])
             for key in ("level", "degree_x", "degree_y", "d1", "d2",
                         "precision_used", "nullspace_dimension"):
                 if not isinstance(result.get(key), int):
                     raise ValueError(f"result field {key} missing or not an integer")
+            if not isinstance(result.get("normalization"), str):
+                raise ValueError("result field normalization missing or not a string")
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheCorruptError(str(exc)) from None
 
@@ -276,8 +282,8 @@ def _write_atomic(path: Path, payload: str) -> None:
         raise
 
 
-def modeq_document(level: int) -> dict:
-    res = solve_modular_equation(level)
+def _equation_document(res: ModEqResult) -> dict:
+    level = res.level
     result = {
         "level": level,
         "degree_x": res.poly.degx,
@@ -298,6 +304,38 @@ def modeq_document(level: int) -> dict:
     return make_document("modeq", {"level": level}, result, None)
 
 
+def modeq_document(level: int) -> dict:
+    return _equation_document(solve_modular_equation(level))
+
+
+def _doc_poly(doc: dict) -> BivarPoly:
+    return BivarPoly({
+        (e["i"], e["j"]): int(e["value"]) for e in doc["result"]["coefficients"]
+    })
+
+
+def _check_cached_equation(doc: dict, level: int) -> None:
+    """Serve a validated cache entry only if its equation passes the
+    solver's exact certificate again and every other field is the one that
+    equation yields; raises CacheCorruptError otherwise."""
+    result = doc["result"]
+    res = ModEqResult(
+        level=level,
+        d1=result["d1"],
+        d2=result["d2"],
+        poly=_doc_poly(doc),
+        precision_used=result["precision_used"],
+        nullspace_dim=result["nullspace_dimension"],
+        normalization=result["normalization"],
+        method="crt",
+    )
+    reason = certificate_failure(res)
+    if reason is None and _equation_document(res) != doc:
+        reason = "fields differ from those of the certified equation"
+    if reason:
+        raise CacheCorruptError(reason)
+
+
 def cmd_modeq(args) -> int:
     t0 = time.perf_counter()
     if args.level < 2:
@@ -310,6 +348,7 @@ def cmd_modeq(args) -> int:
             validate_document(cached, "modeq")
             if cached["inputs"].get("level") != args.level:
                 raise CacheCorruptError("cached level mismatch")
+            _check_cached_equation(cached, args.level)
             doc = cached
         except (OSError, json.JSONDecodeError, CacheCorruptError) as exc:
             print(f"warning: cache entry {path} is corrupt ({exc}); recomputing",
@@ -326,9 +365,7 @@ def cmd_modeq(args) -> int:
     if not args.no_timing:
         doc = dict(doc)
         doc["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-    poly = BivarPoly({
-        (e["i"], e["j"]): int(e["value"]) for e in doc["result"]["coefficients"]
-    })
+    poly = _doc_poly(doc)
     emit(doc, args.format, format_polynomial(poly, "plain"),
          format_polynomial(poly, "latex"))
     return 0

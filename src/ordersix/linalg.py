@@ -8,10 +8,13 @@
   rational matrix; the solver does not call it, the tests compare
   kernel_int_crt against it.
 
-kernel_int_crt certifies its output: a prime with nullity k bounds the
-rational nullity by k from above, and the reconstructed vector is accepted
-only after an exact integer residual check, so the result is exact despite
-the modular detour.  Both functions are deterministic and pure.
+kernel_int_crt reads its matrix only through reductions mod p and one
+exact acceptance check (``mod(p)`` and ``annihilates(vec)``), so a caller
+can hand it a matrix that never exists over Z; plain integer rows are
+wrapped in IntMatrix.  It certifies its output: a prime with nullity k
+bounds the rational nullity by k from above, and the reconstructed vector
+is accepted only when the exact check passes, so the result is exact
+despite the modular detour.  Both functions are deterministic and pure.
 """
 
 from __future__ import annotations
@@ -101,24 +104,25 @@ def _echelon_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _kernel_mod(mat: np.ndarray, p: int) -> list[np.ndarray]:
-    """Right kernel basis mod p (one vector per free column)."""
+    """Right kernel basis mod p (one vector per free column).
+
+    Back-substitution runs for all free columns at once.  acc[r] holds the
+    sum of m[r, c] * v[c] over the columns assigned so far, reduced after
+    every update; entries of m, v and acc are below p < 2^30, so each
+    update stays below p^2 + p < 2^61.
+    """
     m, pivots = _echelon_mod(mat, p)
     ncols = m.shape[1]
     pivset = set(pivots)
-    out = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
-        v = np.zeros(ncols, dtype=np.int64)
-        v[fc] = 1
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            if c > fc:
-                continue
-            s = int(np.dot(m[r, c + 1 :].astype(object), v[c + 1 :].astype(object))) % p
-            v[c] = (-s) % p
-        out.append(v)
-    return out
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = np.zeros((ncols, len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    acc = m[: len(pivots), free].copy()
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        basis[c] = (-acc[r]) % p
+        acc[:r] = (acc[:r] + np.outer(m[:r, c], basis[c])) % p
+    return list(basis.T)
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
@@ -153,28 +157,49 @@ class KernelResult:
         self.primes_used = primes_used
 
 
-def kernel_int_crt(rows: list[list[int]], max_primes: int = 64) -> KernelResult:
+class IntMatrix:
+    """Plain integer rows seen through the interface kernel_int_crt reads."""
+
+    def __init__(self, rows: list[list[int]]):
+        self.rows = rows
+
+    def mod(self, p: int) -> np.ndarray:
+        return np.array([[x % p for x in row] for row in self.rows], dtype=np.int64)
+
+    def annihilates(self, vec: list[int]) -> bool:
+        if not any(vec):
+            return False
+        return all(sum(a * b for a, b in zip(row, vec) if b) == 0 for row in self.rows)
+
+
+def kernel_primes():
+    """The primes kernel_int_crt reduces modulo, in the order it tries them."""
+    return primes_below(_PRIME_START)
+
+
+def kernel_int_crt(matrix, max_primes: int = 64) -> KernelResult:
     """Kernel of an integer matrix expected to have nullity one.
 
-    Each good prime certifies an upper bound on the rational nullity; when
-    that bound is one, residues of the normalized kernel vector are CRT
-    combined and rationally reconstructed until the lifted vector passes an
-    exact residual check over the integers.
+    ``matrix`` is either a list of integer rows or an object with
+    ``mod(p)`` (the matrix reduced mod p as an int64 array) and
+    ``annihilates(vec)`` (the exact check of an integer vector).  Each good
+    prime certifies an upper bound on the rational nullity; when that bound
+    is one, residues of the normalized kernel vector are CRT combined and
+    rationally reconstructed until ``annihilates`` accepts the lifted
+    vector.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    prime_iter = primes_below(_PRIME_START)
+    if not hasattr(matrix, "mod"):
+        matrix = IntMatrix(matrix)
     modulus = None
     residues = None
     anchor = None
     dims_seen = []
     used = 0
-    for p in prime_iter:
+    for p in kernel_primes():
         used += 1
         if used > max_primes:
             raise RuntimeError("kernel reconstruction did not converge")
-        reduced = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-        kern = _kernel_mod(reduced, p)
+        kern = _kernel_mod(matrix.mod(p), p)
         dims_seen.append(len(kern))
         if len(kern) == 0:
             return KernelResult(0, None, used)
@@ -202,7 +227,7 @@ def kernel_int_crt(rows: list[list[int]], max_primes: int = 64) -> KernelResult:
         if any(f is None for f in lifted):
             continue
         ints = _clear_denominators(lifted)
-        if _is_kernel_vector(rows, ints):
+        if matrix.annihilates(ints):
             return KernelResult(1, ints, used)
     raise RuntimeError("prime supply exhausted")
 
@@ -218,13 +243,4 @@ def _clear_denominators(vec: list[Fraction]) -> list[int]:
     return [x // g for x in ints] if g else ints
 
 
-def _is_kernel_vector(rows: list[list[int]], vec: list[int]) -> bool:
-    if not any(vec):
-        return False
-    for row in rows:
-        if sum(a * b for a, b in zip(row, vec) if b) != 0:
-            return False
-    return True
-
-
-__all__ = ["nullspace_exact", "kernel_int_crt", "KernelResult"]
+__all__ = ["nullspace_exact", "kernel_int_crt", "kernel_primes", "IntMatrix", "KernelResult"]

@@ -1,28 +1,37 @@
 """Modular equations F_n(w(tau), w(n*tau)) = 0 for the hauptmodul w.
 
-The solver predicts the bidegree from total pole degrees on Gamma0(18n),
-builds the coefficient matrix of the monomials W^i V^j from exact
-q-expansions, computes its one-dimensional kernel with the multimodular
-CRT solver (which certifies the dimension and returns a primitive integer
-vector), and normalizes the sign with a deterministic rule.  Structural
-checks cover the forced zero/nonzero coefficient pattern, X<->Y symmetry
-for levels coprime to 6, and the Kronecker congruence at prime levels.
+The solver predicts the bidegree from total pole degrees on Gamma0(18n)
+and computes the one-dimensional kernel of the coefficient matrix of the
+monomials W^i V^j with the multimodular CRT solver.  That matrix never
+exists over Z: MonomialMatrix keeps the exact expansion of w and builds
+the matrix modulo each prime in int64 numpy arrays.  Exactly one check
+over Z accepts the lifted vector: the Horner-rule residual
+F_n(w, w(n*tau)) vanishing below q^precision_used.  The kernel is then a
+certified primitive integer vector, and a deterministic rule fixes its
+sign.  Structural checks cover the forced zero/nonzero coefficient
+pattern, X<->Y symmetry for levels coprime to 6, and the Kronecker
+congruence at prime levels.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from types import MappingProxyType
+
+import numpy as np
 
 from .arith import is_prime
 from .eta import divisor, named_w
 # nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
-from .linalg import kernel_int_crt, nullspace_exact  # noqa: F401
+from .linalg import kernel_int_crt, kernel_primes, nullspace_exact  # noqa: F401
 from .series import QSeries
 
 _BASE_MARGIN = 32
+_LIMB_BITS = 15
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 class NullspaceEmptyError(Exception):
@@ -158,62 +167,128 @@ def predict_degrees(n: int) -> tuple[int, int]:
     return _pole_degree(ord1), _pole_degree(ord2)
 
 
-def _monomial_matrix(n: int, d1: int, d2: int, margin: int):
-    """Integer coefficient rows of the monomials W^i V^j, exponents 0..R-1;
-    columns ordered by (i, j) lexicographic."""
-    prec = d2 + n * d1 + (d1 + 1) * (d2 + 1) + margin
-    w = named_w()
-    ws = w.expand(prec)
-    vs = w.rescale(n).expand(prec)
-    if ws.h != 1 or vs.h != 1:
-        raise AssertionError("hauptmodul expansions must have integer exponents")
-    wpow = [ws ** 0]
-    for _ in range(d2):
-        wpow.append(wpow[-1] * ws)
-    vpow = [vs ** 0]
-    for _ in range(d1):
-        vpow.append(vpow[-1] * vs)
-    cols = []
-    order = []
-    for i in range(d2 + 1):
+def _row_count(n: int, d1: int, d2: int, margin: int) -> int:
+    """Rows of the monomial matrix: exponents q^0 .. q^(count - 1).
+
+    The count is d2 + n*d1 + #unknowns + margin - 1; the "- 1" keeps
+    precision_used, which the output documents carry, at its established
+    value.
+    """
+    return d2 + n * d1 + (d1 + 1) * (d2 + 1) + margin - 1
+
+
+def _check_int64_bound(terms: int, p: int) -> None:
+    """Raise unless limb sums mod p fit in int64.
+
+    A sum of ``terms`` products of a residue mod p with a 15-bit limb, plus
+    one residue shifted left by 15 bits, is at most
+    (terms + 1) * (p - 1) * 2^15, which must stay below 2^63.
+    """
+    if (terms + 1) * (p - 1) << _LIMB_BITS >= 1 << 63:
+        raise OverflowError(f"{terms} limb products mod {p} overflow int64")
+
+
+def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return a & _LIMB_MASK, a >> _LIMB_BITS
+
+
+class MonomialMatrix(Sequence):
+    """Coefficient matrix of the monomials W^i V^j, W = w and V = w(n*tau).
+
+    Row e holds the coefficients of q^e for e < height; columns are ordered
+    by (i, j) lexicographic, 0 <= i <= d2, 0 <= j <= d1.  Only the exact
+    expansion of w below q^height is stored: ``mod(p)`` builds the matrix
+    reduced mod p in int64 numpy arrays, which is exactly the integer
+    matrix reduced mod p, and ``annihilates`` is the one exact check.  As a
+    sequence, its rows are the residues mod the kernel's first prime, as
+    Python ints (bench/tracing.py reads the kernel's matrix as rows).
+    """
+
+    def __init__(self, n: int, d1: int, d2: int, height: int):
+        self.level, self.d1, self.d2, self.height = n, d1, d2, height
+        self.order = [(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]
+        ws = named_w().expand(height)
+        if ws.h != 1 or ws.val < 0:
+            raise AssertionError("w must expand in integer powers of q")
+        self._w = [0] * ws.val + list(ws.coeffs)
+        self._w += [0] * (height - len(self._w))
+
+    def mod(self, p: int) -> np.ndarray:
+        """The matrix mod p, shape (height, #unknowns), entries in [0, p).
+
+        The powers W^k mod p come from truncated convolutions with w split
+        into 15-bit limbs.  V^j = w^j(q^n) is nonzero only at multiples of
+        n, so column (i, j) is a sum of about height/n shifted copies of
+        W^i scaled by coefficients of w^j, accumulated per limb as well.
+        """
+        h, n, d1, d2 = self.height, self.level, self.d1, self.d2
+        _check_int64_bound(h, p)
+        w_lo, w_hi = _limbs(np.array([c % p for c in self._w], dtype=np.int64))
+        powers = np.zeros((max(d1, d2) + 1, h), dtype=np.int64)
+        powers[0, 0] = 1
+        for k in range(1, len(powers)):
+            lo = np.convolve(powers[k - 1], w_lo)[:h]
+            hi = np.convolve(powers[k - 1], w_hi)[:h] % p
+            powers[k] = (lo + (hi << _LIMB_BITS)) % p
+        wblock = powers[: d2 + 1]
+        out = np.empty((h, len(self.order)), dtype=np.int64)
         for j in range(d1 + 1):
-            if j == 0:
-                s = wpow[i]
-            elif i == 0:
-                s = vpow[j]
-            else:
-                s = wpow[i] * vpow[j]
-            cols.append(s)
-            order.append((i, j))
-    height = min(s.prec for s in cols)
-    arrays = []
-    for s in cols:
-        arr = [0] * height
-        for k, c in enumerate(s.coeffs):
-            e = s.val + k
-            if 0 <= e < height:
-                arr[e] = c
-        arrays.append(arr)
-    rows = [list(row) for row in zip(*arrays)]
-    return rows, order, height
+            acc_lo = np.zeros_like(wblock)
+            acc_hi = np.zeros_like(wblock)
+            vj = powers[j, : -(-h // n)]
+            for t in np.nonzero(vj)[0]:
+                s = n * int(t)
+                c_lo, c_hi = _limbs(vj[t])
+                acc_lo[:, s:] += c_lo * wblock[:, : h - s]
+                acc_hi[:, s:] += c_hi * wblock[:, : h - s]
+            out[:, j :: d1 + 1] = ((acc_lo + (acc_hi % p << _LIMB_BITS)) % p).T
+        return out
+
+    def annihilates(self, vec: list[int]) -> bool:
+        """Exact check: sum of vec[k] * W^i V^j, (i, j) = order[k], vanishes
+        below q^height."""
+        if not any(vec):
+            return False
+        candidate = ModEqResult(
+            level=self.level,
+            d1=self.d1,
+            d2=self.d2,
+            poly=BivarPoly(dict(zip(self.order, vec))),
+            precision_used=self.height,
+            nullspace_dim=1,
+            normalization="",
+            method="crt",
+        )
+        return residual_series(candidate).is_zero
+
+    @cached_property
+    def _first_residues(self) -> np.ndarray:
+        return self.mod(next(kernel_primes()))
+
+    def __len__(self) -> int:
+        return self.height
+
+    def __getitem__(self, e: int) -> list[int]:
+        return self._first_residues[e].tolist()
 
 
 def solve_modular_equation(n: int) -> ModEqResult:
     """Derive, verify, and normalize the level-n modular equation for w.
 
-    Precision starts at d2 + n*d1 + #unknowns + 32 rows; if the kernel is
-    not one-dimensional the margin is doubled once before giving up.  The
-    kernel comes from kernel_int_crt, so it is already a primitive integer
-    vector and only the sign rule remains to apply.
+    The matrix has d2 + n*d1 + #unknowns + 31 rows; if the kernel is not
+    one-dimensional the margin is doubled once before giving up.  The
+    kernel comes from kernel_int_crt, which accepts it only after the exact
+    residual check, so it is already a certified primitive integer vector
+    and only the sign rule remains to apply.
     """
     d1, d2 = predict_degrees(n)
     margin = _BASE_MARGIN
     for _attempt in range(2):
-        rows, order, height = _monomial_matrix(n, d1, d2, margin)
-        kernel = kernel_int_crt(rows)
+        matrix = MonomialMatrix(n, d1, d2, _row_count(n, d1, d2, margin))
+        kernel = kernel_int_crt(matrix)
         if kernel.dimension == 0:
             raise NullspaceEmptyError(
-                f"level {n}: no kernel at bidegree ({d2}, {d1}), precision {height}"
+                f"level {n}: no kernel at bidegree ({d2}, {d1}), precision {matrix.height}"
             )
         if kernel.dimension == 1:
             break
@@ -221,9 +296,9 @@ def solve_modular_equation(n: int) -> ModEqResult:
     else:
         raise NullspaceAmbiguousError(
             f"level {n}: kernel dimension {kernel.dimension} persists at "
-            f"precision {height}"
+            f"precision {matrix.height}"
         )
-    poly = BivarPoly(dict(zip(order, kernel.vector)))
+    poly = BivarPoly(dict(zip(matrix.order, kernel.vector)))
     g = poly.content()
     poly, flipped = poly.normalized()
     if poly.degx != d2 or poly.degy != d1:
@@ -237,31 +312,69 @@ def solve_modular_equation(n: int) -> ModEqResult:
         f"denominators cleared by 1, content {g} removed"
         f"{', sign flipped' if flipped else ''}"
     )
-    result = ModEqResult(
+    return ModEqResult(
         level=n,
         d1=d1,
         d2=d2,
         poly=poly,
-        precision_used=height,
+        precision_used=matrix.height,
         nullspace_dim=1,
         normalization=norm_note,
         method="crt",
     )
-    res = residual_series(result)
-    if not res.is_zero:
-        raise NullspaceEmptyError(
-            f"level {n}: residual is nonzero at exponent {res.valuation()}"
-        )
-    return result
 
 
 def residual_series(result: ModEqResult) -> QSeries:
-    """F_n evaluated on fresh expansions of w and w(n*tau)."""
-    prec = result.precision_used + result.level
+    """F_n(w, w(n*tau)) below q^precision_used, by Horner's rule in W.
+
+    With P_i(Y) = sum_j c_ij Y^j, F = (...(P_d2(V) W + P_(d2-1)(V)) W + ...)
+    + P_0(V).  P_i(V) is P_i(w) with q -> q^n, so the inner sums need w
+    only below q^(precision/n); just the d2 multiplications by W run at
+    full length.
+    """
+    n, prec = result.level, result.precision_used
     w = named_w()
     ws = w.expand(prec)
-    vs = w.rescale(result.level).expand(prec)
-    return result.poly.evaluate(ws, vs).truncate(result.precision_used)
+    short = -(-prec // n)
+    w_short = ws.truncate(short)
+    ypow = [QSeries.one(short)]
+    for _ in range(result.poly.degy):
+        ypow.append(ypow[-1] * w_short)
+    total = QSeries.zero(prec)
+    for i in range(result.poly.degx, -1, -1):
+        inner = QSeries.zero(short)
+        for j, y in enumerate(ypow):
+            c = result.poly.coeff(i, j)
+            if c:
+                inner = inner + y * c
+        total = total * ws + inner.rescale(n)
+    return total.truncate(prec)
+
+
+def certificate_failure(result: ModEqResult) -> str | None:
+    """Why ``result`` is not the certified level-n equation, or None.
+
+    The bidegree must equal predict_degrees, the polynomial must be in
+    normal form with a one-dimensional kernel recorded, precision_used must
+    be a row count the solver uses (base or doubled margin), and the exact
+    residual must vanish below q^precision_used.
+    """
+    n = result.level
+    d1, d2 = predict_degrees(n)
+    poly = result.poly
+    if (result.d1, result.d2, poly.degy, poly.degx) != (d1, d2, d1, d2):
+        return (
+            f"bidegree ({poly.degx}, {poly.degy}) differs from the predicted ({d2}, {d1})"
+        )
+    if poly.normalized()[0] != poly or result.nullspace_dim != 1:
+        return "not a primitive, sign-normalized kernel vector of dimension one"
+    lo = _row_count(n, d1, d2, _BASE_MARGIN)
+    hi = _row_count(n, d1, d2, 2 * _BASE_MARGIN)
+    if not lo <= result.precision_used <= hi:
+        return f"precision {result.precision_used} outside the solver's range [{lo}, {hi}]"
+    if not residual_series(result).is_zero:
+        return "residual F_n(w, w(n*tau)) does not vanish"
+    return None
 
 
 def predict_coefficient_pattern(n: int) -> CoeffPattern:
@@ -399,6 +512,8 @@ __all__ = [
     "predict_degrees",
     "solve_modular_equation",
     "residual_series",
+    "certificate_failure",
+    "MonomialMatrix",
     "predict_coefficient_pattern",
     "check_pattern",
     "check_kronecker",

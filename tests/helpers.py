@@ -1,7 +1,10 @@
 """Independent brute-force oracles and generators shared by the tests.
 
-Nothing here may call back into ordersix arithmetic: these are the second
-route that the library is checked against.
+Nothing here may call back into the code it checks: these are the second
+route that the library is checked against.  monomial_matrix builds the
+solver's matrix exactly over Z from QSeries products and eta expansions
+(themselves checked against the schoolbook oracles here), never from the
+solver's assembly mod p.
 """
 
 from fractions import Fraction
@@ -91,3 +94,65 @@ def primitive(vec):
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
+
+
+def monomial_matrix(n, d1, d2, margin):
+    """Exact integer coefficient rows of the monomials W^i V^j (W = w,
+    V = w(n*tau)), built from QSeries products; columns ordered by (i, j)
+    lexicographic.  Returns (rows, order, height)."""
+    from ordersix.eta import named_w
+
+    prec = d2 + n * d1 + (d1 + 1) * (d2 + 1) + margin
+    w = named_w()
+    ws = w.expand(prec)
+    vs = w.rescale(n).expand(prec)
+    assert ws.h == vs.h == 1
+    wpow = [ws ** 0]
+    for _ in range(d2):
+        wpow.append(wpow[-1] * ws)
+    vpow = [vs ** 0]
+    for _ in range(d1):
+        vpow.append(vpow[-1] * vs)
+    cols = []
+    order = []
+    for i in range(d2 + 1):
+        for j in range(d1 + 1):
+            if j == 0:
+                s = wpow[i]
+            elif i == 0:
+                s = vpow[j]
+            else:
+                s = wpow[i] * vpow[j]
+            cols.append(s)
+            order.append((i, j))
+    height = min(s.prec for s in cols)
+    arrays = []
+    for s in cols:
+        arr = [0] * height
+        for k, c in enumerate(s.coeffs):
+            e = s.val + k
+            if 0 <= e < height:
+                arr[e] = c
+        arrays.append(arr)
+    rows = [list(row) for row in zip(*arrays)]
+    return rows, order, height
+
+
+def back_substitute(m, pivots, p):
+    """Kernel basis mod p of a row-echelon matrix with unit pivots, one
+    free column at a time with exact Python-integer dot products."""
+    ncols = len(m[0])
+    out = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            if c > fc:
+                continue
+            s = sum(int(a) * b for a, b in zip(m[r][c + 1:], v[c + 1:])) % p
+            v[c] = (-s) % p
+        out.append(v)
+    return out

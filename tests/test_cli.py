@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -122,6 +123,43 @@ def test_modeq_corrupt_cache_recomputes(capsys, tmp_path):
     cli.validate_document(json.loads(path.read_text()), "modeq")
 
 
+def test_modeq_edited_cache_coefficient_recomputes(capsys, tmp_path):
+    code, out1, _ = run_cli(capsys, "modeq", "7", "--cache-dir", str(tmp_path),
+                            "--no-timing")
+    assert code == 0
+    path = next(tmp_path.glob("modeq-level7-*.json"))
+    doc = json.loads(path.read_text())
+    entry = doc["result"]["coefficients"][3]
+    entry["value"] = str(int(entry["value"]) + 1)
+    path.write_text(json.dumps(doc, indent=2))
+    code, out2, err = run_cli(capsys, "modeq", "7", "--cache-dir", str(tmp_path),
+                              "--no-timing")
+    assert code == 0
+    assert err.startswith("warning: cache entry") and "residual" in err
+    assert out1 == out2
+    assert json.loads(path.read_text()) == json.loads(out1)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.update(precision_used=10 ** 9),
+    lambda r: r.update(degree_x=99),
+    lambda r: r.update(nullspace_dimension=2),
+    lambda r: r["coefficients"].append({"i": -1, "j": 0, "value": "5"}),
+    lambda r: r["factored"]["inner_coefficients"].pop(),
+])
+def test_modeq_cache_fields_are_checked(capsys, tmp_path, edit):
+    code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                            "--no-timing")
+    path = next(tmp_path.glob("modeq-level5-*.json"))
+    doc = json.loads(path.read_text())
+    edit(doc["result"])
+    path.write_text(json.dumps(doc, indent=2))
+    code, out2, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                              "--no-timing")
+    assert code == 0 and "corrupt" in err
+    assert out1 == out2
+
+
 def test_modeq_no_cache_writes_nothing(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
                          "--no-cache", "--no-timing")
@@ -168,6 +206,38 @@ def test_modeq_kernel_runtime_error_exits_3(capsys, tmp_path, monkeypatch):
                              "--no-cache")
     assert code == 3 and out == ""
     assert err == "solver error: prime supply exhausted\n"
+
+
+def test_modeq_exact_check_always_failing_exits_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(modeq.MonomialMatrix, "annihilates", lambda self, vec: False)
+    code, out, err = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
+                             "--no-cache")
+    assert code == 3 and out == ""
+    assert err.startswith("solver error:")
+
+
+# sha256 of `python -m ordersix modeq N --no-cache --no-timing` (json)
+MODEQ_JSON_SHA256 = {
+    2: "a040ff048df59011112d465c931ab57a300bd46799d37a18071d6899a70ee8e0",
+    3: "b4c77640eb477666f5ef995f682930056a00ac2a47f735585678dcf0114ad76f",
+    4: "78f6324a55cf077a4d6bd9929f693713aa0e423debf32af8693e4330f28d0898",
+    5: "f922dc43f683456cbead1b271e912767b9322b93b969bcf86679a8b455161c84",
+    6: "7a9a6038bbcfe91be54bb8f43865101d2cadd6b7d10c9ba3c5eaa7e40240532f",
+    7: "07e1eb23becdaa86e8c8f6874e3efe39130a9c80c76df3b3d68ea945be253a20",
+    8: "ff0a64f2e1de69ca6714b0416daf577a2582f966f0df42ec0b9c7313f70aabd4",
+    9: "6883a6b951d1d3addb71676acf3ac6767862e29fa086c05ad4a4e7823ab3ae20",
+    10: "7df9fb2c4ec0fba8dc247b2c60ee7c099b5b01cc6ef7b16741dc3bd574a89366",
+    11: "4ad8c938bf4b0222e5378154d2130b49e286ffe6f06b91f9569afc0ff97abfda",
+    12: "545587dcb897d1c94f6126fb72477a8c4b71aeda66e25fdf25549b0bb1bcacea",
+    13: "a5410b60170fe9e17f62c9d16b1868ba600fd4cd670812baaca4b99d63b3efa1",
+}
+
+
+def test_modeq_json_output_is_byte_stable(capsys):
+    for n, digest in MODEQ_JSON_SHA256.items():
+        code, out, _ = run_cli(capsys, "modeq", str(n), "--no-cache", "--no-timing")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
 
 
 def test_modeq_cache_write_failure_warns(capsys, tmp_path):

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
-from ordersix.linalg import kernel_int_crt, nullspace_exact
+import numpy as np
 
-from helpers import primitive
+from ordersix import linalg
+from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
+
+from helpers import back_substitute, primitive
 
 
 def rand_matrix_with_kernel(rng, rows, cols, mag=50):
@@ -87,3 +90,27 @@ def test_crt_kernel_rational_vector_reconstruction():
     v = out.vector
     for row in m:
         assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+def test_kernel_mod_matches_loop_back_substitution():
+    """The vectorized back-substitution gives bit-identical kernel vectors
+    to one exact dot product per pivot row, with several free columns and
+    ranks high enough that unreduced sums of residues near p would overflow
+    int64."""
+    rng = random.Random(31)
+    p = next(kernel_primes())
+    for _ in range(12):
+        rows, cols = rng.randint(3, 60), rng.randint(4, 64)
+        rank = rng.randint(1, min(rows, cols))
+        left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+        mat = np.array(
+            [[sum(a * b for a, b in zip(lr, col)) % p for col in zip(*right)] for lr in left],
+            dtype=np.int64,
+        )
+        echelon, pivots = linalg._echelon_mod(mat, p)
+        expected = back_substitute(echelon.tolist(), pivots, p)
+        got = [v.tolist() for v in linalg._kernel_mod(mat, p)]
+        assert got == expected
+        for v in got:
+            assert not (mat.astype(object).dot(v) % p).any()

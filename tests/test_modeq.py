@@ -1,15 +1,21 @@
+import dataclasses
+from itertools import islice
 from math import gcd
 
+import numpy as np
 import pytest
 
 from ordersix import modeq
 from ordersix.arith import psi_index
-from ordersix.linalg import kernel_int_crt, nullspace_exact
+from ordersix.eta import named_w
+from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
 from ordersix.modeq import (
     BivarPoly,
     LevelNotCoprimeTo6Error,
     ModEqResult,
+    MonomialMatrix,
     NotPrimeLevelError,
+    certificate_failure,
     check_kronecker,
     check_pattern,
     check_symmetry,
@@ -23,7 +29,7 @@ from ordersix.modeq import (
 )
 from ordersix.verify import golden_poly
 
-from helpers import primitive
+from helpers import monomial_matrix, primitive
 
 
 def test_predict_degrees():
@@ -49,12 +55,79 @@ def test_prime_levels_match_golden_tables(solved):
 
 
 def test_crt_agrees_with_exact_oracle():
-    for n in (2, 3, 5):
+    """The matrix mod p equals the exact QSeries-product matrix reduced mod
+    two primes, and the kernel agrees with fraction elimination on it."""
+    primes = list(islice(kernel_primes(), 2))
+    for n in range(2, 8):
         d1, d2 = predict_degrees(n)
-        rows, _, _ = modeq._monomial_matrix(n, d1, d2, modeq._BASE_MARGIN)
+        rows, order, height = monomial_matrix(n, d1, d2, modeq._BASE_MARGIN)
+        matrix = MonomialMatrix(n, d1, d2, modeq._row_count(n, d1, d2, modeq._BASE_MARGIN))
+        assert (matrix.height, matrix.order) == (height, order), n
+        for p in primes:
+            reduced = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+            assert np.array_equal(matrix.mod(p), reduced), (n, p)
         basis = nullspace_exact(rows)
         assert len(basis) == 1, n
-        assert primitive(basis[0]) == primitive(kernel_int_crt(rows).vector), n
+        assert primitive(basis[0]) == primitive(kernel_int_crt(matrix).vector), n
+
+
+def test_matrix_rows_are_residues_mod_the_first_prime():
+    d1, d2 = predict_degrees(7)
+    matrix = MonomialMatrix(7, d1, d2, 176)
+    first = matrix.mod(next(kernel_primes()))
+    assert len(matrix) == 176 and len(matrix[0]) == 81
+    rows = list(matrix)
+    assert all(type(x) is int for x in rows[5])
+    assert np.array_equal(np.array(rows, dtype=np.int64), first)
+
+
+def test_int64_bound_is_checked():
+    p = next(kernel_primes())
+    modeq._check_int64_bound(4000, p)
+    with pytest.raises(OverflowError):
+        modeq._check_int64_bound(1 << 18, p)
+    # mod() checks before it allocates anything of size height
+    d1, d2 = predict_degrees(2)
+    matrix = MonomialMatrix(2, d1, d2, 46)
+    matrix.height = 1 << 40
+    with pytest.raises(OverflowError):
+        matrix.mod(p)
+
+
+def test_residual_detects_one_perturbed_coefficient(solved):
+    for n in (7, 13, 19):
+        r = solved(n)
+        coeffs = dict(r.poly.coeffs)
+        coeffs[(3, 2)] = coeffs.get((3, 2), 0) + 1
+        bad = dataclasses.replace(r, poly=BivarPoly(coeffs))
+        res = residual_series(bad)
+        assert not res.is_zero, n
+        assert res.prec == r.precision_used
+        # the generic evaluation on fresh expansions of w and w(n*tau)
+        prec = r.precision_used + n
+        w = named_w()
+        generic = bad.poly.evaluate(w.expand(prec), w.rescale(n).expand(prec))
+        generic = generic.truncate(r.precision_used)
+        assert generic.prec == res.prec and generic == res, n
+
+
+def test_solve_fails_when_exact_check_always_fails(monkeypatch):
+    monkeypatch.setattr(MonomialMatrix, "annihilates", lambda self, vec: False)
+    with pytest.raises(RuntimeError):
+        solve_modular_equation(2)
+
+
+def test_certificate_failure(solved):
+    r = solved(5)
+    assert certificate_failure(r) is None
+    coeffs = dict(r.poly.coeffs)
+    coeffs[(1, 1)] += 1
+    assert "residual" in certificate_failure(dataclasses.replace(r, poly=BivarPoly(coeffs)))
+    doubled = BivarPoly({ij: 2 * c for ij, c in r.poly.coeffs.items()})
+    assert "primitive" in certificate_failure(dataclasses.replace(r, poly=doubled))
+    assert "bidegree" in certificate_failure(dataclasses.replace(r, d1=5))
+    assert "precision" in certificate_failure(dataclasses.replace(r, precision_used=20))
+    assert "precision" in certificate_failure(dataclasses.replace(r, precision_used=10 ** 9))
 
 
 def test_normalization_notes(solved):
