@@ -3,9 +3,9 @@
 Every command emits a versioned output document (json, plain, or latex
 rendering).  Big integers are serialized as decimal strings so any JSON
 parser round-trips them exactly.  Solved equations are cached one JSON file
-per level under --cache-dir (or $ORDERSIX_CACHE_DIR, default
-~/.cache/ordersix); writes are atomic, a failed write only warns, and a
-cache entry is served only after it passes the solver's exact certificate
+per level and solver version under --cache-dir (or $ORDERSIX_CACHE_DIR,
+default ~/.cache/ordersix); writes are atomic, a failed write only warns,
+and an entry is served only after it passes the solver's exact certificate
 again (corrupt entries are recomputed with a warning).  Exit codes: 0 ok,
 1 verification failure, 2 usage error, 3 internal solver error.
 """
@@ -27,6 +27,7 @@ from .modeq import (
     ModEqResult,
     NullspaceAmbiguousError,
     NullspaceEmptyError,
+    SOLVER_VERSION,
     certificate_failure,
     extract_inner_factor,
     format_polynomial,
@@ -266,7 +267,8 @@ def _cache_dir(args) -> Path:
 
 
 def _cache_path(args, level: int) -> Path:
-    return _cache_dir(args) / f"modeq-level{level}-schema{SCHEMA_VERSION}.json"
+    return (_cache_dir(args)
+            / f"modeq-level{level}-schema{SCHEMA_VERSION}-solver{SOLVER_VERSION}.json")
 
 
 def _write_atomic(path: Path, payload: str) -> None:

@@ -6,11 +6,11 @@ monomials W^i V^j with the multimodular CRT solver.  That matrix never
 exists over Z: MonomialMatrix keeps the exact expansion of w and builds
 the matrix modulo each prime in int64 numpy arrays.  Exactly one check
 over Z accepts the lifted vector: the Horner-rule residual
-F_n(w, w(n*tau)) vanishing below q^precision_used.  The kernel is then a
-certified primitive integer vector, and a deterministic rule fixes its
-sign.  Structural checks cover the forced zero/nonzero coefficient
-pattern, X<->Y symmetry for levels coprime to 6, and the Kronecker
-congruence at prime levels.
+F_n(w, w(n*tau)) vanishing below q^valence_bound(n), which proves it is 0.
+The kernel is then a certified primitive integer vector, and a
+deterministic rule fixes its sign.  Structural checks cover the forced
+zero/nonzero coefficient pattern, X<->Y symmetry for levels coprime to 6,
+and the Kronecker congruence at prime levels.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .eta import divisor, named_w
 from .linalg import kernel_int_crt, kernel_primes, nullspace_exact  # noqa: F401
 from .series import QSeries
 
-_BASE_MARGIN = 32
+SOLVER_VERSION = 2  # part of the cache key: bump when solver output changes
 _LIMB_BITS = 15
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
@@ -39,7 +39,7 @@ class NullspaceEmptyError(Exception):
 
 
 class NullspaceAmbiguousError(Exception):
-    """Kernel dimension stayed above one after the precision retry."""
+    """Kernel dimension above one at the valence bound; indicates a bug."""
 
 
 class NotPrimeLevelError(ValueError):
@@ -167,14 +167,14 @@ def predict_degrees(n: int) -> tuple[int, int]:
     return _pole_degree(ord1), _pole_degree(ord2)
 
 
-def _row_count(n: int, d1: int, d2: int, margin: int) -> int:
-    """Rows of the monomial matrix: exponents q^0 .. q^(count - 1).
-
-    The count is d2 + n*d1 + #unknowns + margin - 1; the "- 1" keeps
-    precision_used, which the output documents carry, at its established
-    value.
-    """
-    return d2 + n * d1 + (d1 + 1) * (d2 + 1) + margin - 1
+def valence_bound(n: int) -> int:
+    """Rows of the monomial matrix: F(w, w(n*tau)), F in the (d2, d1) box,
+    has no pole at infinity and at most d2*d1 + d1*d2 poles at the other
+    cusps of Gamma0(18n), so by the valence formula (Sturm 1987) it is zero
+    once it vanishes below q^(2*d1*d2 + 1).  The exact kernel of the matrix
+    is then exactly the set of relations in the box."""
+    d1, d2 = predict_degrees(n)
+    return 2 * d1 * d2 + 1
 
 
 def _check_int64_bound(terms: int, p: int) -> None:
@@ -275,28 +275,21 @@ class MonomialMatrix(Sequence):
 def solve_modular_equation(n: int) -> ModEqResult:
     """Derive, verify, and normalize the level-n modular equation for w.
 
-    The matrix has d2 + n*d1 + #unknowns + 31 rows; if the kernel is not
-    one-dimensional the margin is doubled once before giving up.  The
-    kernel comes from kernel_int_crt, which accepts it only after the exact
-    residual check, so it is already a certified primitive integer vector
-    and only the sign rule remains to apply.
+    At valence_bound(n) rows the exact kernel is the space of true
+    relations, so a dimension other than one is an error, never a retry.
+    kernel_int_crt accepts the kernel only after the exact residual check,
+    so only the sign rule remains to apply.
     """
     d1, d2 = predict_degrees(n)
-    margin = _BASE_MARGIN
-    for _attempt in range(2):
-        matrix = MonomialMatrix(n, d1, d2, _row_count(n, d1, d2, margin))
-        kernel = kernel_int_crt(matrix)
-        if kernel.dimension == 0:
-            raise NullspaceEmptyError(
-                f"level {n}: no kernel at bidegree ({d2}, {d1}), precision {matrix.height}"
-            )
-        if kernel.dimension == 1:
-            break
-        margin *= 2
-    else:
+    matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
+    kernel = kernel_int_crt(matrix)
+    if kernel.dimension == 0:
+        raise NullspaceEmptyError(
+            f"level {n}: no kernel at bidegree ({d2}, {d1}), precision {matrix.height}"
+        )
+    if kernel.dimension > 1:
         raise NullspaceAmbiguousError(
-            f"level {n}: kernel dimension {kernel.dimension} persists at "
-            f"precision {matrix.height}"
+            f"level {n}: kernel dimension {kernel.dimension} at precision {matrix.height}"
         )
     poly = BivarPoly(dict(zip(matrix.order, kernel.vector)))
     g = poly.content()
@@ -356,8 +349,8 @@ def certificate_failure(result: ModEqResult) -> str | None:
 
     The bidegree must equal predict_degrees, the polynomial must be in
     normal form with a one-dimensional kernel recorded, precision_used must
-    be a row count the solver uses (base or doubled margin), and the exact
-    residual must vanish below q^precision_used.
+    be valence_bound(n), and the exact residual must vanish below
+    q^precision_used.
     """
     n = result.level
     d1, d2 = predict_degrees(n)
@@ -368,10 +361,9 @@ def certificate_failure(result: ModEqResult) -> str | None:
         )
     if poly.normalized()[0] != poly or result.nullspace_dim != 1:
         return "not a primitive, sign-normalized kernel vector of dimension one"
-    lo = _row_count(n, d1, d2, _BASE_MARGIN)
-    hi = _row_count(n, d1, d2, 2 * _BASE_MARGIN)
-    if not lo <= result.precision_used <= hi:
-        return f"precision {result.precision_used} outside the solver's range [{lo}, {hi}]"
+    bound = valence_bound(n)
+    if result.precision_used != bound:
+        return f"precision {result.precision_used} differs from the valence bound {bound}"
     if not residual_series(result).is_zero:
         return "residual F_n(w, w(n*tau)) does not vanish"
     return None
@@ -510,6 +502,8 @@ __all__ = [
     "NotPrimeLevelError",
     "LevelNotCoprimeTo6Error",
     "predict_degrees",
+    "valence_bound",
+    "SOLVER_VERSION",
     "solve_modular_equation",
     "residual_series",
     "certificate_failure",

@@ -96,13 +96,13 @@ def primitive(vec):
     return tuple(ints)
 
 
-def monomial_matrix(n, d1, d2, margin):
-    """Exact integer coefficient rows of the monomials W^i V^j (W = w,
-    V = w(n*tau)), built from QSeries products; columns ordered by (i, j)
-    lexicographic.  Returns (rows, order, height)."""
+def monomial_matrix(n, d1, d2, height):
+    """Exact integer coefficient rows q^0 .. q^(height - 1) of the monomials
+    W^i V^j (W = w, V = w(n*tau)), built from QSeries products; columns
+    ordered by (i, j) lexicographic.  Returns (rows, order)."""
     from ordersix.eta import named_w
 
-    prec = d2 + n * d1 + (d1 + 1) * (d2 + 1) + margin
+    prec = height + n  # vs ** 0 is known only below q^(prec - n + 1)
     w = named_w()
     ws = w.expand(prec)
     vs = w.rescale(n).expand(prec)
@@ -125,7 +125,7 @@ def monomial_matrix(n, d1, d2, margin):
                 s = wpow[i] * vpow[j]
             cols.append(s)
             order.append((i, j))
-    height = min(s.prec for s in cols)
+    assert min(s.prec for s in cols) >= height
     arrays = []
     for s in cols:
         arr = [0] * height
@@ -135,7 +135,7 @@ def monomial_matrix(n, d1, d2, margin):
                 arr[e] = c
         arrays.append(arr)
     rows = [list(row) for row in zip(*arrays)]
-    return rows, order, height
+    return rows, order
 
 
 def back_substitute(m, pivots, p):

@@ -8,7 +8,8 @@ import pytest
 import ordersix.cli as cli
 import ordersix.modeq as modeq
 import ordersix.verify as verify
-from ordersix.modeq import NullspaceEmptyError
+from ordersix.linalg import KernelResult
+from ordersix.modeq import NullspaceEmptyError, valence_bound
 from ordersix.verify import GOLDEN_INNER
 
 
@@ -140,6 +141,22 @@ def test_modeq_edited_cache_coefficient_recomputes(capsys, tmp_path):
     assert json.loads(path.read_text()) == json.loads(out1)
 
 
+def test_modeq_entry_of_an_earlier_solver_is_a_plain_miss(capsys, tmp_path):
+    # named and filled as before the solver version joined the cache key,
+    # when level 5 was solved at 116 rows
+    doc = cli.modeq_document(5)
+    doc["result"]["precision_used"] = 116
+    old = tmp_path / "modeq-level5-schema1.json"
+    old.write_text(json.dumps(doc, indent=2))
+    code, out, err = run_json(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                              "--no-timing")
+    assert code == 0 and err == ""
+    assert out["result"]["precision_used"] == valence_bound(5)
+    new = tmp_path / f"modeq-level5-schema1-solver{modeq.SOLVER_VERSION}.json"
+    assert json.loads(new.read_text()) == out
+    assert json.loads(old.read_text()) == doc
+
+
 @pytest.mark.parametrize("edit", [
     lambda r: r.update(precision_used=10 ** 9),
     lambda r: r.update(degree_x=99),
@@ -216,20 +233,34 @@ def test_modeq_exact_check_always_failing_exits_3(capsys, tmp_path, monkeypatch)
     assert err.startswith("solver error:")
 
 
+def test_modeq_ambiguous_kernel_is_not_retried(capsys, monkeypatch):
+    heights = []
+
+    def ambiguous(matrix):
+        heights.append(matrix.height)
+        return KernelResult(2, None, 1)
+
+    monkeypatch.setattr(modeq, "kernel_int_crt", ambiguous)
+    code, out, err = run_cli(capsys, "modeq", "5", "--no-cache")
+    assert code == 3 and out == ""
+    assert err.startswith("solver error:") and "kernel dimension 2" in err
+    assert heights == [valence_bound(5)]
+
+
 # sha256 of `python -m ordersix modeq N --no-cache --no-timing` (json)
 MODEQ_JSON_SHA256 = {
-    2: "a040ff048df59011112d465c931ab57a300bd46799d37a18071d6899a70ee8e0",
-    3: "b4c77640eb477666f5ef995f682930056a00ac2a47f735585678dcf0114ad76f",
-    4: "78f6324a55cf077a4d6bd9929f693713aa0e423debf32af8693e4330f28d0898",
-    5: "f922dc43f683456cbead1b271e912767b9322b93b969bcf86679a8b455161c84",
-    6: "7a9a6038bbcfe91be54bb8f43865101d2cadd6b7d10c9ba3c5eaa7e40240532f",
-    7: "07e1eb23becdaa86e8c8f6874e3efe39130a9c80c76df3b3d68ea945be253a20",
-    8: "ff0a64f2e1de69ca6714b0416daf577a2582f966f0df42ec0b9c7313f70aabd4",
-    9: "6883a6b951d1d3addb71676acf3ac6767862e29fa086c05ad4a4e7823ab3ae20",
-    10: "7df9fb2c4ec0fba8dc247b2c60ee7c099b5b01cc6ef7b16741dc3bd574a89366",
-    11: "4ad8c938bf4b0222e5378154d2130b49e286ffe6f06b91f9569afc0ff97abfda",
-    12: "545587dcb897d1c94f6126fb72477a8c4b71aeda66e25fdf25549b0bb1bcacea",
-    13: "a5410b60170fe9e17f62c9d16b1868ba600fd4cd670812baaca4b99d63b3efa1",
+    2: "dd833a14e244dd20a5739eb8321a201f4e3867912727ba2e14b75a5b7f688dcb",
+    3: "43581e18dbc8a48c30044afebec69444e69531141ba468e21284168ca1ee0e78",
+    4: "278d37c7499a54a0271b8c66c91db4f8a40e0e4ff1b6d872e69b05cad60ad87b",
+    5: "ea2c6a63f7e10bcbb52bc252c1e7e6ff9c929c6841780249ae34c0079be76e71",
+    6: "3af71409d1e9df77409129ac5d0182a3970eca9cde77c29f37bfe95e1fa626fd",
+    7: "a316c2349cacf25a425a2203b83ba265959108c94c91af04bbd91cee62aced1c",
+    8: "ede47108628fd0f2b7d09e3ee636c3a0785a9e785c5fe44a88ee220d051a3d41",
+    9: "d2cd2a54e9f3033c4a2d2754413a468e07bafd35176e4afa1f0568b87332f110",
+    10: "06160cad4286c4ded23f6f75bcdddb8eb69b3333439ae7a8927a2539c0497e0e",
+    11: "76ba95bb16c6afba91ebef173b1ae502674d4967848f7ef478826faa2e0debf7",
+    12: "f2a9f40426a6556135ddf19d220c52319d8cc98c7608a4af84afb7d66d178527",
+    13: "b2978b5e5df5c9e3cb4d163f31ec440cc9e50022d64baa8b1bb9e84a871cbfef",
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from ordersix import modeq
 from ordersix.arith import psi_index
+from ordersix.cusps import INFINITY
 from ordersix.eta import named_w
 from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
 from ordersix.modeq import (
@@ -26,6 +27,7 @@ from ordersix.modeq import (
     predict_degrees,
     residual_series,
     solve_modular_equation,
+    valence_bound,
 )
 from ordersix.verify import golden_poly
 
@@ -60,9 +62,9 @@ def test_crt_agrees_with_exact_oracle():
     primes = list(islice(kernel_primes(), 2))
     for n in range(2, 8):
         d1, d2 = predict_degrees(n)
-        rows, order, height = monomial_matrix(n, d1, d2, modeq._BASE_MARGIN)
-        matrix = MonomialMatrix(n, d1, d2, modeq._row_count(n, d1, d2, modeq._BASE_MARGIN))
-        assert (matrix.height, matrix.order) == (height, order), n
+        rows, order = monomial_matrix(n, d1, d2, valence_bound(n))
+        matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
+        assert (matrix.height, matrix.order) == (len(rows), order), n
         for p in primes:
             reduced = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
             assert np.array_equal(matrix.mod(p), reduced), (n, p)
@@ -127,6 +129,10 @@ def test_certificate_failure(solved):
     assert "primitive" in certificate_failure(dataclasses.replace(r, poly=doubled))
     assert "bidegree" in certificate_failure(dataclasses.replace(r, d1=5))
     assert "precision" in certificate_failure(dataclasses.replace(r, precision_used=20))
+    # the residual still vanishes one row short of the bound, which proves nothing
+    short = dataclasses.replace(r, precision_used=valence_bound(5) - 1)
+    assert residual_series(short).is_zero
+    assert "valence bound" in certificate_failure(short)
     assert "precision" in certificate_failure(dataclasses.replace(r, precision_used=10 ** 9))
 
 
@@ -136,6 +142,32 @@ def test_normalization_notes(solved):
     expected = {2: flipped, 3: flipped, 4: flipped, 5: kept, 6: flipped, 7: kept}
     for n, note in expected.items():
         assert solved(n).normalization == note, n
+
+
+def test_valence_bound_from_divisor_data():
+    """The row count is the valence bound: both divisors have degree zero
+    and no pole at infinity, and the pole degree of F(w, w(n*tau)) summed
+    over the other cusps, for F in the (d2, d1) box, is 2*d1*d2."""
+    for n in range(2, 32):
+        ord_w, ord_v = modeq._cusp_orders(n)
+        assert sum(ord_w.values()) == sum(ord_v.values()) == 0, n
+        assert (ord_w[INFINITY], ord_v[INFINITY]) == (1, n), n
+        d1 = -sum(min(0, o) for o in ord_w.values())
+        d2 = -sum(min(0, o) for o in ord_v.values())
+        assert (d1, d2) == predict_degrees(n), n
+        # i*ord_x(w) + j*ord_x(v) is linear in (i, j), so its minimum over
+        # the box is at a corner
+        poles = -sum(
+            min(i * ord_w[x] + j * ord_v[x] for i in (0, d2) for j in (0, d1))
+            for x in ord_w
+            if x != INFINITY
+        )
+        assert poles == valence_bound(n) - 1 == 2 * d1 * d2, n
+
+
+def test_precision_used_is_the_valence_bound(solved):
+    for n in range(2, 14):
+        assert solved(n).precision_used == valence_bound(n), n
 
 
 def test_degrees_match_pole_degrees(solved):
@@ -162,6 +194,7 @@ def test_level25_spot_check():
     r = solve_modular_equation(25)
     assert r.poly.degx == r.poly.degy == psi_index(25) == 30
     assert r.nullspace_dim == 1
+    assert r.precision_used == 1801
     assert residual_series(r).is_zero
     assert check_symmetry(r)
     assert check_pattern(r, predict_coefficient_pattern(25))
