@@ -4,7 +4,8 @@ Every command emits a versioned output document (json, plain, or latex
 rendering).  Big integers are serialized as decimal strings so any JSON
 parser round-trips them exactly.  Solved equations are cached one JSON file
 per level and solver version under --cache-dir (or $ORDERSIX_CACHE_DIR,
-default ~/.cache/ordersix); writes are atomic, a failed write only warns,
+default ~/.cache/ordersix); writes are atomic, a fresh entry replaces the
+level's entries under older names, a failed write or delete only warns,
 and an entry is served only after it passes the solver's exact certificate
 again (corrupt entries are recomputed with a warning).  Exit codes: 0 ok,
 1 verification failure, 2 usage error, 3 internal solver error.
@@ -284,6 +285,19 @@ def _write_atomic(path: Path, payload: str) -> None:
         raise
 
 
+def _prune_stale_entries(path: Path, level: int) -> None:
+    """Delete the entries of this level that an older schema or solver
+    wrote beside the fresh one at path; they are never read again."""
+    for stale in path.parent.glob(f"modeq-level{level}-schema*.json"):
+        if stale.name == path.name:
+            continue
+        try:
+            stale.unlink()
+        except OSError as exc:
+            print(f"warning: stale cache entry {stale} not removed ({exc})",
+                  file=sys.stderr)
+
+
 def _equation_document(res: ModEqResult) -> dict:
     level = res.level
     result = {
@@ -364,6 +378,8 @@ def cmd_modeq(args) -> int:
             except OSError as exc:
                 print(f"warning: cache entry {path} not written ({exc})",
                       file=sys.stderr)
+            else:
+                _prune_stale_entries(path, args.level)
     if not args.no_timing:
         doc = dict(doc)
         doc["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)

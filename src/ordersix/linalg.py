@@ -1,8 +1,8 @@
 """Exact kernels of integer/rational matrices.
 
 * kernel_int_crt -- the solver's kernel: row reduction modulo 30-bit primes
-  (vectorized with numpy) combined by CRT and rational reconstruction, for
-  integer matrices whose kernel is expected to be one-dimensional;
+  combined by CRT and rational reconstruction, for integer matrices whose
+  kernel is expected to be one-dimensional;
 * nullspace_exact -- Gaussian elimination over Fraction with partial
   pivoting on the bit length of numerator*denominator, usable on any
   rational matrix; the solver does not call it, the tests compare
@@ -15,6 +15,19 @@ wrapped in IntMatrix.  It certifies its output: a prime with nullity k
 bounds the rational nullity by k from above, and the reconstructed vector
 is accepted only when the exact check passes, so the result is exact
 despite the modular detour.  Both functions are deterministic and pure.
+
+The kernel mod p comes from the reduced row echelon form, computed by
+blocked Gauss-Jordan elimination (as in FFPACK, Dumas, Giorgi and Pernet):
+rows are taken _BLOCK_ROWS at a time, and the work outside a small
+per-pivot loop is two matrix products mod p per block.  Only the free
+columns of the reduced form are stored, so the kernel basis is read off
+with no back-substitution.  Each product is one float64 GEMM on 15-bit
+limbs of the residues, stacked so that it yields all four limb products;
+each partial sum is an integer below 2^53, hence exact, and the limbs are
+recombined mod p in int64.  The int64 step bounds the inner dimension at
+about 7 * 2^14 for 30-bit primes; _check_limb_gemm_bound checks the exact
+bound before anything is allocated.  Reduced row echelon form mod p is
+unique, so the kernel vectors do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -75,53 +88,117 @@ def nullspace_exact(rows: list[list]) -> list[list[Fraction]]:
     return basis
 
 
-def _echelon_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Forward elimination mod p; returns the reduced matrix and pivot cols."""
-    m = mat % p
-    nrows, ncols = m.shape
+_BLOCK_ROWS = 32
+LIMB_BITS = 15
+_LIMB_MASK = (1 << LIMB_BITS) - 1
+
+
+def limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 15-bit limbs of an array of residues below 2^30."""
+    return a & _LIMB_MASK, a >> LIMB_BITS
+
+
+def _check_limb_gemm_bound(k: int, p: int) -> None:
+    """Raise unless _sub_matmul_mod is exact for inner dimension k mod p.
+
+    With residues split as a = a0 + 2^15 a1, each float64 product of limb
+    matrices sums k terms of at most max(lo, hi)^2, which must stay below
+    2^53.  The int64 recombination c - LL - (mid << 15) - ((HH % p) << 30)
+    reaches k*lo^2 + (2*k*lo*hi << 15) + ((p - 1) << 30) in magnitude, plus
+    c < p, which must stay below 2^63; for 30-bit primes this binds first,
+    at k of about 7 * 2^14.
+    """
+    lo, hi = min(p - 1, _LIMB_MASK), (p - 1) >> LIMB_BITS
+    exact = k * max(lo, hi) ** 2 < 1 << 53
+    fits = k * lo * lo + (2 * k * lo * hi << LIMB_BITS) + ((p - 1) << 2 * LIMB_BITS) + p < 1 << 63
+    if not (exact and fits):
+        raise OverflowError(f"limb products of inner dimension {k} mod {p} are not exact")
+
+
+def _sub_matmul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(c - a @ b) mod p for residue matrices, exactly, with one float64 GEMM.
+
+    The limbs of a are stacked by rows and those of b by columns, so the
+    single product holds all four limb products, each exact in float64.
+    """
+    _check_limb_gemm_bound(a.shape[1], p)
+    m, n = c.shape
+    a2 = np.concatenate(limbs(a)).astype(np.float64)
+    b2 = np.concatenate(limbs(b), axis=1).astype(np.float64)
+    prod = (a2 @ b2).astype(np.int64)
+    mid = prod[:m, n:] + prod[m:, :n]
+    return (c - prod[:m, :n] - (mid << LIMB_BITS) - (prod[m:, n:] % p << 2 * LIMB_BITS)) % p
+
+
+def _rref_block(b: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Gauss-Jordan on a few residue rows, in place.
+
+    Returns the pivot columns and the nonzero rows of the reduced form,
+    row r with a unit at column pivots[r] and zeros in the other pivot
+    columns.  Rows at and below r are zero left of the search column c,
+    so the search jumps to the first column with a nonzero among them.
+    """
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    r = c = 0
+    nrows = b.shape[0]
+    while r < nrows:
+        hot = np.flatnonzero(b[r:, c:].any(axis=0))
+        if hot.size == 0:
             break
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
+        c += int(hot[0])
+        i = r + int(np.flatnonzero(b[r:, c])[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r, c:] = (m[r, c:] * inv) % p
-        below = m[r + 1 :, c]
-        hot = np.nonzero(below)[0]
-        if hot.size:
-            idx = hot + r + 1
-            m[idx, c:] = (m[idx, c:] - np.outer(m[idx, c], m[r, c:])) % p
+            b[[r, i]] = b[[i, r]]
+        b[r, c:] = b[r, c:] * pow(int(b[r, c]), -1, p) % p
+        idx = np.flatnonzero(b[:, c])
+        idx = idx[idx != r]
+        if idx.size:
+            b[idx, c:] = (b[idx, c:] - np.outer(b[idx, c], b[r, c:])) % p
         pivots.append(c)
         r += 1
-    return m, pivots
+        c += 1
+    return pivots, b[:r]
+
+
+def _rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon form of mat mod p, stored on its free columns.
+
+    Returns (pivots, free, t): the row space of mat mod p is spanned by the
+    rows with a unit at column pivots[r], zeros at the other pivot columns
+    and t[r] at the free columns, which are in increasing order.  Rows are
+    taken _BLOCK_ROWS at a time; each block is reduced by the pivots so far
+    with one product mod p, then by itself, and its new pivot rows are
+    eliminated from the earlier ones with a second product.  Pivots only
+    ever join (a column independent of the columns left of it stays so
+    when rows are added), so t shrinks in width as the rank grows.
+    """
+    ncols = mat.shape[1]
+    pivots = np.zeros(0, dtype=np.intp)
+    free = np.arange(ncols)
+    t = np.zeros((0, ncols), dtype=np.int64)
+    for start in range(0, mat.shape[0], _BLOCK_ROWS):
+        if free.size == 0:
+            break
+        block = mat[start : start + _BLOCK_ROWS] % p
+        new, rows = _rref_block(_sub_matmul_mod(block[:, free], block[:, pivots], t, p), p)
+        if not new:
+            continue
+        keep = np.ones(free.size, dtype=bool)
+        keep[new] = False
+        s = rows[:, keep]
+        t = np.concatenate([_sub_matmul_mod(t[:, keep], t[:, new], s, p), s])
+        pivots = np.concatenate([pivots, free[new]])
+        free = free[keep]
+    return pivots, free, t
 
 
 def _kernel_mod(mat: np.ndarray, p: int) -> list[np.ndarray]:
-    """Right kernel basis mod p (one vector per free column).
-
-    Back-substitution runs for all free columns at once.  acc[r] holds the
-    sum of m[r, c] * v[c] over the columns assigned so far, reduced after
-    every update; entries of m, v and acc are below p < 2^30, so each
-    update stays below p^2 + p < 2^61.
-    """
-    m, pivots = _echelon_mod(mat, p)
-    ncols = m.shape[1]
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = np.zeros((ncols, len(free)), dtype=np.int64)
-    basis[free, np.arange(len(free))] = 1
-    acc = m[: len(pivots), free].copy()
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        basis[c] = (-acc[r]) % p
-        acc[:r] = (acc[:r] + np.outer(m[:r, c], basis[c])) % p
+    """Right kernel basis mod p, one vector per free column: 1 there, 0 at
+    the other free columns and minus the reduced row at the pivots."""
+    pivots, free, t = _rref_mod(mat, p)
+    basis = np.zeros((mat.shape[1], free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -t % p
     return list(basis.T)
 
 

@@ -26,12 +26,10 @@ import numpy as np
 from .arith import is_prime
 from .eta import divisor, named_w
 # nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
-from .linalg import kernel_int_crt, kernel_primes, nullspace_exact  # noqa: F401
+from .linalg import LIMB_BITS, kernel_int_crt, kernel_primes, limbs, nullspace_exact  # noqa: F401
 from .series import QSeries
 
 SOLVER_VERSION = 2  # part of the cache key: bump when solver output changes
-_LIMB_BITS = 15
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 class NullspaceEmptyError(Exception):
@@ -184,12 +182,8 @@ def _check_int64_bound(terms: int, p: int) -> None:
     one residue shifted left by 15 bits, is at most
     (terms + 1) * (p - 1) * 2^15, which must stay below 2^63.
     """
-    if (terms + 1) * (p - 1) << _LIMB_BITS >= 1 << 63:
+    if (terms + 1) * (p - 1) << LIMB_BITS >= 1 << 63:
         raise OverflowError(f"{terms} limb products mod {p} overflow int64")
-
-
-def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return a & _LIMB_MASK, a >> _LIMB_BITS
 
 
 class MonomialMatrix(Sequence):
@@ -223,13 +217,13 @@ class MonomialMatrix(Sequence):
         """
         h, n, d1, d2 = self.height, self.level, self.d1, self.d2
         _check_int64_bound(h, p)
-        w_lo, w_hi = _limbs(np.array([c % p for c in self._w], dtype=np.int64))
+        w_lo, w_hi = limbs(np.array([c % p for c in self._w], dtype=np.int64))
         powers = np.zeros((max(d1, d2) + 1, h), dtype=np.int64)
         powers[0, 0] = 1
         for k in range(1, len(powers)):
             lo = np.convolve(powers[k - 1], w_lo)[:h]
             hi = np.convolve(powers[k - 1], w_hi)[:h] % p
-            powers[k] = (lo + (hi << _LIMB_BITS)) % p
+            powers[k] = (lo + (hi << LIMB_BITS)) % p
         wblock = powers[: d2 + 1]
         out = np.empty((h, len(self.order)), dtype=np.int64)
         for j in range(d1 + 1):
@@ -238,10 +232,10 @@ class MonomialMatrix(Sequence):
             vj = powers[j, : -(-h // n)]
             for t in np.nonzero(vj)[0]:
                 s = n * int(t)
-                c_lo, c_hi = _limbs(vj[t])
+                c_lo, c_hi = limbs(vj[t])
                 acc_lo[:, s:] += c_lo * wblock[:, : h - s]
                 acc_hi[:, s:] += c_hi * wblock[:, : h - s]
-            out[:, j :: d1 + 1] = ((acc_lo + (acc_hi % p << _LIMB_BITS)) % p).T
+            out[:, j :: d1 + 1] = ((acc_lo + (acc_hi % p << LIMB_BITS)) % p).T
         return out
 
     def annihilates(self, vec: list[int]) -> bool:

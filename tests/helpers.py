@@ -10,6 +10,8 @@ solver's assembly mod p.
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from ordersix.series import QSeries
 
 
@@ -136,6 +138,32 @@ def monomial_matrix(n, d1, d2, height):
         arrays.append(arr)
     rows = [list(row) for row in zip(*arrays)]
     return rows, order
+
+
+def echelon_mod(mat, p):
+    """Row echelon form mod p with unit pivots, one pivot at a time: every
+    step reduces the whole trailing block.  Returns (matrix, pivot cols)."""
+    m = np.asarray(mat, dtype=np.int64) % p
+    nrows, ncols = m.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
+        hot = np.nonzero(m[r + 1:, c])[0]
+        if hot.size:
+            idx = hot + r + 1
+            m[idx, c:] = (m[idx, c:] - np.outer(m[idx, c], m[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 def back_substitute(m, pivots, p):

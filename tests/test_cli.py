@@ -8,7 +8,7 @@ import pytest
 import ordersix.cli as cli
 import ordersix.modeq as modeq
 import ordersix.verify as verify
-from ordersix.linalg import KernelResult
+from ordersix.linalg import KernelResult, kernel_int_crt
 from ordersix.modeq import NullspaceEmptyError, valence_bound
 from ordersix.verify import GOLDEN_INNER
 
@@ -154,7 +154,24 @@ def test_modeq_entry_of_an_earlier_solver_is_a_plain_miss(capsys, tmp_path):
     assert out["result"]["precision_used"] == valence_bound(5)
     new = tmp_path / f"modeq-level5-schema1-solver{modeq.SOLVER_VERSION}.json"
     assert json.loads(new.read_text()) == out
-    assert json.loads(old.read_text()) == doc
+    assert not old.exists()
+
+
+def test_modeq_cache_write_prunes_only_this_levels_entries(capsys, tmp_path):
+    survivors = ["modeq-level13-schema1.json", "modeq-level50-schema1.json",
+                 "modeq-level5.json", "modeq-level5-schema1.json.bak", "notes.txt"]
+    for name in survivors + ["modeq-level5-schema0.json"]:
+        (tmp_path / name).write_text("{}")
+    (tmp_path / "modeq-level5-schema9.json").mkdir()  # cannot be unlinked
+    code, out, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                             "--no-timing")
+    assert code == 0 and json.loads(out)["result"]["level"] == 5
+    assert err.count("\n") == 1 and err.startswith("warning: stale cache entry")
+    assert "schema9" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(survivors + [
+        "modeq-level5-schema9.json",
+        f"modeq-level5-schema1-solver{modeq.SOLVER_VERSION}.json",
+    ])
 
 
 @pytest.mark.parametrize("edit", [
@@ -269,6 +286,25 @@ def test_modeq_json_output_is_byte_stable(capsys):
         code, out, _ = run_cli(capsys, "modeq", str(n), "--no-cache", "--no-timing")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, n
+
+
+def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
+    """Level 19 is the first level whose kernel spans many row blocks and
+    needs three primes."""
+    primes_used = []
+
+    def kernel(matrix):
+        result = kernel_int_crt(matrix)
+        primes_used.append(result.primes_used)
+        return result
+
+    monkeypatch.setattr(modeq, "kernel_int_crt", kernel)
+    code, out, _ = run_cli(capsys, "modeq", "19", "--no-cache", "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "452976d5f99858cdc6c36d2d07c6f28a53697250efd611318add6affe06cd038")
+    assert json.loads(out)["result"]["precision_used"] == valence_bound(19)
+    assert primes_used == [3]
 
 
 def test_modeq_cache_write_failure_warns(capsys, tmp_path):

@@ -1,12 +1,14 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ordersix import linalg
 from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
 
-from helpers import back_substitute, primitive
+from helpers import back_substitute, echelon_mod, primitive
 
 
 def rand_matrix_with_kernel(rng, rows, cols, mag=50):
@@ -92,25 +94,102 @@ def test_crt_kernel_rational_vector_reconstruction():
         assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def _product_mod(left, right, p):
+    return np.array(
+        [[sum(a * b for a, b in zip(lr, col)) % p for col in zip(*right)] for lr in left],
+        dtype=np.int64,
+    )
+
+
+def _assert_kernel_matches_oracle(mat, p):
+    expected = back_substitute(*echelon_mod(mat, p), p)
+    got = [v.tolist() for v in linalg._kernel_mod(mat, p)]
+    assert got == expected
+    for v in got:
+        assert not (mat.astype(object).dot(v) % p).any()
+    return got
+
+
 def test_kernel_mod_matches_loop_back_substitution():
-    """The vectorized back-substitution gives bit-identical kernel vectors
-    to one exact dot product per pivot row, with several free columns and
+    """The blocked Gauss-Jordan kernel gives bit-identical kernel vectors to
+    per-pivot forward elimination followed by one exact dot product per
+    pivot row: with several free columns, over several row blocks, and at
     ranks high enough that unreduced sums of residues near p would overflow
     int64."""
     rng = random.Random(31)
     p = next(kernel_primes())
+    block = linalg._BLOCK_ROWS
     for _ in range(12):
-        rows, cols = rng.randint(3, 60), rng.randint(4, 64)
+        rows, cols = rng.randint(3, 3 * block), rng.randint(4, 64)
         rank = rng.randint(1, min(rows, cols))
         left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
         right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
-        mat = np.array(
-            [[sum(a * b for a, b in zip(lr, col)) % p for col in zip(*right)] for lr in left],
-            dtype=np.int64,
-        )
-        echelon, pivots = linalg._echelon_mod(mat, p)
-        expected = back_substitute(echelon.tolist(), pivots, p)
-        got = [v.tolist() for v in linalg._kernel_mod(mat, p)]
-        assert got == expected
-        for v in got:
-            assert not (mat.astype(object).dot(v) % p).any()
+        _assert_kernel_matches_oracle(_product_mod(left, right, p), p)
+
+
+def test_kernel_mod_blocks_without_new_pivots():
+    """A leading zero block, a block repeating earlier rows and a late block
+    whose pivots lie left of the earlier ones (so earlier reduced rows must
+    be cleared at the new pivot columns)."""
+    rng = random.Random(37)
+    p = next(kernel_primes())
+    block = linalg._BLOCK_ROWS
+    cols = 48
+    early = [[0] * 10 + [rng.randrange(p) for _ in range(cols - 10)] for _ in range(6)]
+    body = _product_mod([[rng.randrange(p) for _ in range(6)] for _ in range(block)], early, p)
+    late = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(5)], dtype=np.int64)
+    mat = np.concatenate([np.zeros((block, cols), dtype=np.int64), body, body[::-1], late])
+    got = _assert_kernel_matches_oracle(mat, p)
+    assert len(got) == cols - 11
+
+
+def test_kernel_mod_full_column_rank_is_empty():
+    rng = random.Random(41)
+    p = next(kernel_primes())
+    mat = np.array([[rng.randrange(p) for _ in range(40)] for _ in range(90)], dtype=np.int64)
+    assert _assert_kernel_matches_oracle(mat, p) == []
+
+
+def test_kernel_mod_high_rank_entries_near_p():
+    """Rank 300 with entries within 8 of p: the products against the pivot
+    rows have inner dimension above 256, where float64 products of whole
+    residues would round."""
+    rng = random.Random(43)
+    p = next(kernel_primes())
+    mat = np.array([[p - 1 - rng.randrange(8) for _ in range(310)] for _ in range(300)],
+                   dtype=np.int64)
+    got = _assert_kernel_matches_oracle(mat, p)
+    assert len(got) == 10
+    exact = mat.astype(object).dot(got[0])
+    rounded = (mat.astype(np.float64) @ np.array(got[0], dtype=np.float64)).tolist()
+    assert any(int(x) != y for x, y in zip(rounded, exact))
+
+
+def test_limb_product_is_exact_up_to_its_checked_bound():
+    p = next(kernel_primes())
+    lo, hi = 1, 1 << 20
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            linalg._check_limb_gemm_bound(mid, p)
+            lo = mid
+        except OverflowError:
+            hi = mid
+    # the int64 recombination binds, near 7 * 2^14, before float64 (2^23)
+    assert 1 << 16 < lo < 1 << 17
+    c = np.array([[0, 1], [p - 2, p - 1]], dtype=np.int64)
+    a = np.full((2, lo), p - 1, dtype=np.int64)
+    b = np.full((lo, 2), p - 1, dtype=np.int64)
+    got = linalg._sub_matmul_mod(c, a, b, p).tolist()
+    assert got == [[(x - lo * (p - 1) ** 2) % p for x in row] for row in c.tolist()]
+    # one past the bound: raises before allocating anything
+    a = np.broadcast_to(np.int64(p - 1), (2, hi))
+    b = np.broadcast_to(np.int64(p - 1), (hi, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            linalg._sub_matmul_mod(c, a, b, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 12
