@@ -10,11 +10,11 @@
 
 kernel_int_crt reads its matrix only through reductions mod p and one
 exact acceptance check (``mod(p)`` and ``annihilates(vec)``), so a caller
-can hand it a matrix that never exists over Z; plain integer rows are
-wrapped in IntMatrix.  It certifies its output: a prime with nullity k
-bounds the rational nullity by k from above, and the reconstructed vector
-is accepted only when the exact check passes, so the result is exact
-despite the modular detour.  Both functions are deterministic and pure.
+can hand it a matrix that never exists over Z.  It certifies its output:
+a prime with nullity k bounds the rational nullity by k from above, and
+the reconstructed vector is accepted only when the exact check passes, so
+the result is exact despite the modular detour.  Both functions are
+deterministic and pure.
 
 The kernel mod p comes from the reduced row echelon form, computed by
 blocked Gauss-Jordan elimination (as in FFPACK, Dumas, Giorgi and Pernet):
@@ -33,6 +33,7 @@ unique, so the kernel vectors do not depend on the block size.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -40,6 +41,7 @@ import numpy as np
 from .arith import integer_sqrt_bound, primes_below
 
 _PRIME_START = (1 << 30) - 1
+_MAX_PRIMES = 64
 
 
 def nullspace_exact(rows: list[list]) -> list[list[Fraction]]:
@@ -234,48 +236,27 @@ class KernelResult:
         self.primes_used = primes_used
 
 
-class IntMatrix:
-    """Plain integer rows seen through the interface kernel_int_crt reads."""
-
-    def __init__(self, rows: list[list[int]]):
-        self.rows = rows
-
-    def mod(self, p: int) -> np.ndarray:
-        return np.array([[x % p for x in row] for row in self.rows], dtype=np.int64)
-
-    def annihilates(self, vec: list[int]) -> bool:
-        if not any(vec):
-            return False
-        return all(sum(a * b for a, b in zip(row, vec) if b) == 0 for row in self.rows)
-
-
 def kernel_primes():
     """The primes kernel_int_crt reduces modulo, in the order it tries them."""
     return primes_below(_PRIME_START)
 
 
-def kernel_int_crt(matrix, max_primes: int = 64) -> KernelResult:
+def kernel_int_crt(matrix) -> KernelResult:
     """Kernel of an integer matrix expected to have nullity one.
 
-    ``matrix`` is either a list of integer rows or an object with
-    ``mod(p)`` (the matrix reduced mod p as an int64 array) and
-    ``annihilates(vec)`` (the exact check of an integer vector).  Each good
-    prime certifies an upper bound on the rational nullity; when that bound
-    is one, residues of the normalized kernel vector are CRT combined and
-    rationally reconstructed until ``annihilates`` accepts the lifted
-    vector.
+    ``matrix`` is an object with ``mod(p)`` (the matrix reduced mod p as an
+    int64 array) and ``annihilates(vec)`` (the exact check of an integer
+    vector).  Each good prime certifies an upper bound on the rational
+    nullity; when that bound is one, residues of the normalized kernel
+    vector are CRT combined and rationally reconstructed until
+    ``annihilates`` accepts the lifted vector.  Raises RuntimeError when
+    _MAX_PRIMES primes do not suffice.
     """
-    if not hasattr(matrix, "mod"):
-        matrix = IntMatrix(matrix)
     modulus = None
     residues = None
     anchor = None
     dims_seen = []
-    used = 0
-    for p in kernel_primes():
-        used += 1
-        if used > max_primes:
-            raise RuntimeError("kernel reconstruction did not converge")
+    for used, p in enumerate(islice(kernel_primes(), _MAX_PRIMES), 1):
         kern = _kernel_mod(matrix.mod(p), p)
         dims_seen.append(len(kern))
         if len(kern) == 0:
@@ -306,7 +287,7 @@ def kernel_int_crt(matrix, max_primes: int = 64) -> KernelResult:
         ints = _clear_denominators(lifted)
         if matrix.annihilates(ints):
             return KernelResult(1, ints, used)
-    raise RuntimeError("prime supply exhausted")
+    raise RuntimeError("kernel reconstruction did not converge")
 
 
 def _clear_denominators(vec: list[Fraction]) -> list[int]:
@@ -320,4 +301,4 @@ def _clear_denominators(vec: list[Fraction]) -> list[int]:
     return [x // g for x in ints] if g else ints
 
 
-__all__ = ["nullspace_exact", "kernel_int_crt", "kernel_primes", "IntMatrix", "KernelResult"]
+__all__ = ["nullspace_exact", "kernel_int_crt", "kernel_primes", "KernelResult"]

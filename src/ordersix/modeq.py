@@ -5,9 +5,11 @@ and computes the one-dimensional kernel of the coefficient matrix of the
 monomials W^i V^j with the multimodular CRT solver.  That matrix never
 exists over Z: MonomialMatrix keeps the exact expansion of w and builds
 the matrix modulo each prime in int64 numpy arrays.  Exactly one check
-over Z accepts the lifted vector: the Horner-rule residual
-F_n(w, w(n*tau)) vanishing below q^valence_bound(n), which proves it is 0.
-The kernel is then a certified primitive integer vector, and a
+over Z accepts an equation, MonomialMatrix.annihilates: the Horner-rule
+residual F_n(w, w(n*tau)) vanishing below q^valence_bound(n), which proves
+it is 0.  It accepts the solver's lifted kernel vector, and through
+certificate_failure it accepts a stored equation (a cache entry) by the
+same rule.  The kernel is a certified primitive integer vector, and a
 deterministic rule fixes its sign.  Structural checks cover the forced
 zero/nonzero coefficient pattern, X<->Y symmetry for levels coprime to 6,
 and the Kronecker congruence at prime levels.
@@ -30,6 +32,14 @@ from .linalg import LIMB_BITS, kernel_int_crt, kernel_primes, limbs, nullspace_e
 from .series import QSeries
 
 SOLVER_VERSION = 2  # part of the cache key: bump when solver output changes
+
+# The two normalization notes, indexed by whether the sign rule flipped the
+# kernel vector.  The kernel is primitive already, so the constant clause
+# says nothing; it stays so output documents are byte-stable.
+NORMALIZATION_NOTES = (
+    "denominators cleared by 1, content 1 removed",
+    "denominators cleared by 1, content 1 removed, sign flipped",
+)
 
 
 class NullspaceEmptyError(Exception):
@@ -191,8 +201,8 @@ class MonomialMatrix(Sequence):
 
     Row e holds the coefficients of q^e for e < height; columns are ordered
     by (i, j) lexicographic, 0 <= i <= d2, 0 <= j <= d1.  Only the exact
-    expansion of w below q^height is stored: ``mod(p)`` builds the matrix
-    reduced mod p in int64 numpy arrays, which is exactly the integer
+    expansion ``w`` of w below q^height is stored: ``mod(p)`` builds the
+    matrix reduced mod p in int64 numpy arrays, which is exactly the integer
     matrix reduced mod p, and ``annihilates`` is the one exact check.  As a
     sequence, its rows are the residues mod the kernel's first prime, as
     Python ints (bench/tracing.py reads the kernel's matrix as rows).
@@ -201,11 +211,9 @@ class MonomialMatrix(Sequence):
     def __init__(self, n: int, d1: int, d2: int, height: int):
         self.level, self.d1, self.d2, self.height = n, d1, d2, height
         self.order = [(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]
-        ws = named_w().expand(height)
-        if ws.h != 1 or ws.val < 0:
+        self.w = named_w().expand(height)
+        if self.w.h != 1 or self.w.val < 0:
             raise AssertionError("w must expand in integer powers of q")
-        self._w = [0] * ws.val + list(ws.coeffs)
-        self._w += [0] * (height - len(self._w))
 
     def mod(self, p: int) -> np.ndarray:
         """The matrix mod p, shape (height, #unknowns), entries in [0, p).
@@ -217,7 +225,9 @@ class MonomialMatrix(Sequence):
         """
         h, n, d1, d2 = self.height, self.level, self.d1, self.d2
         _check_int64_bound(h, p)
-        w_lo, w_hi = limbs(np.array([c % p for c in self._w], dtype=np.int64))
+        w = np.zeros(h, dtype=np.int64)
+        w[self.w.val : self.w.val + len(self.w.coeffs)] = [c % p for c in self.w.coeffs]
+        w_lo, w_hi = limbs(w)
         powers = np.zeros((max(d1, d2) + 1, h), dtype=np.int64)
         powers[0, 0] = 1
         for k in range(1, len(powers)):
@@ -241,19 +251,8 @@ class MonomialMatrix(Sequence):
     def annihilates(self, vec: list[int]) -> bool:
         """Exact check: sum of vec[k] * W^i V^j, (i, j) = order[k], vanishes
         below q^height."""
-        if not any(vec):
-            return False
-        candidate = ModEqResult(
-            level=self.level,
-            d1=self.d1,
-            d2=self.d2,
-            poly=BivarPoly(dict(zip(self.order, vec))),
-            precision_used=self.height,
-            nullspace_dim=1,
-            normalization="",
-            method="crt",
-        )
-        return residual_series(candidate).is_zero
+        poly = BivarPoly(dict(zip(self.order, vec)))
+        return bool(poly.coeffs) and residual_series(poly, self.level, self.w).is_zero
 
     @cached_property
     def _first_residues(self) -> np.ndarray:
@@ -285,20 +284,12 @@ def solve_modular_equation(n: int) -> ModEqResult:
         raise NullspaceAmbiguousError(
             f"level {n}: kernel dimension {kernel.dimension} at precision {matrix.height}"
         )
-    poly = BivarPoly(dict(zip(matrix.order, kernel.vector)))
-    g = poly.content()
-    poly, flipped = poly.normalized()
+    poly, flipped = BivarPoly(dict(zip(matrix.order, kernel.vector))).normalized()
     if poly.degx != d2 or poly.degy != d1:
         raise NullspaceEmptyError(
             f"level {n}: kernel polynomial has bidegree ({poly.degx}, {poly.degy}), "
             f"expected ({d2}, {d1})"
         )
-    # the "denominators cleared" clause stays so output documents are
-    # byte-stable across versions
-    norm_note = (
-        f"denominators cleared by 1, content {g} removed"
-        f"{', sign flipped' if flipped else ''}"
-    )
     return ModEqResult(
         level=n,
         d1=d1,
@@ -306,32 +297,32 @@ def solve_modular_equation(n: int) -> ModEqResult:
         poly=poly,
         precision_used=matrix.height,
         nullspace_dim=1,
-        normalization=norm_note,
+        normalization=NORMALIZATION_NOTES[flipped],
         method="crt",
     )
 
 
-def residual_series(result: ModEqResult) -> QSeries:
-    """F_n(w, w(n*tau)) below q^precision_used, by Horner's rule in W.
+def residual_series(poly: BivarPoly, n: int, ws: QSeries) -> QSeries:
+    """poly(w, w(n*tau)) below q^ws.prec, by Horner's rule in W, where ws
+    is the exact expansion of w.
 
     With P_i(Y) = sum_j c_ij Y^j, F = (...(P_d2(V) W + P_(d2-1)(V)) W + ...)
     + P_0(V).  P_i(V) is P_i(w) with q -> q^n, so the inner sums need w
     only below q^(precision/n); just the d2 multiplications by W run at
-    full length.
+    full length.  Only coefficients with 0 <= i <= degx, 0 <= j <= degy
+    are read.
     """
-    n, prec = result.level, result.precision_used
-    w = named_w()
-    ws = w.expand(prec)
+    prec = ws.prec
     short = -(-prec // n)
     w_short = ws.truncate(short)
     ypow = [QSeries.one(short)]
-    for _ in range(result.poly.degy):
+    for _ in range(poly.degy):
         ypow.append(ypow[-1] * w_short)
     total = QSeries.zero(prec)
-    for i in range(result.poly.degx, -1, -1):
+    for i in range(poly.degx, -1, -1):
         inner = QSeries.zero(short)
         for j, y in enumerate(ypow):
-            c = result.poly.coeff(i, j)
+            c = poly.coeff(i, j)
             if c:
                 inner = inner + y * c
         total = total * ws + inner.rescale(n)
@@ -341,24 +332,29 @@ def residual_series(result: ModEqResult) -> QSeries:
 def certificate_failure(result: ModEqResult) -> str | None:
     """Why ``result`` is not the certified level-n equation, or None.
 
-    The bidegree must equal predict_degrees, the polynomial must be in
-    normal form with a one-dimensional kernel recorded, precision_used must
-    be valence_bound(n), and the exact residual must vanish below
-    q^precision_used.
+    Every coefficient must lie in the (d2, d1) box of predict_degrees and
+    the bidegree must fill it, the polynomial must be in normal form with
+    a one-dimensional kernel recorded, precision_used must be
+    valence_bound(n), and MonomialMatrix.annihilates must accept it.
     """
     n = result.level
     d1, d2 = predict_degrees(n)
     poly = result.poly
+    bound = valence_bound(n)
+    matrix = MonomialMatrix(n, d1, d2, bound)
+    box = set(matrix.order)
+    outside = [ij for ij in poly.coeffs if ij not in box]
+    if outside:
+        return f"term at {outside[0]} outside the ({d2}, {d1}) box"
     if (result.d1, result.d2, poly.degy, poly.degx) != (d1, d2, d1, d2):
         return (
             f"bidegree ({poly.degx}, {poly.degy}) differs from the predicted ({d2}, {d1})"
         )
     if poly.normalized()[0] != poly or result.nullspace_dim != 1:
         return "not a primitive, sign-normalized kernel vector of dimension one"
-    bound = valence_bound(n)
     if result.precision_used != bound:
         return f"precision {result.precision_used} differs from the valence bound {bound}"
-    if not residual_series(result).is_zero:
+    if not matrix.annihilates([poly.coeff(*ij) for ij in matrix.order]):
         return "residual F_n(w, w(n*tau)) does not vanish"
     return None
 
@@ -498,6 +494,7 @@ __all__ = [
     "predict_degrees",
     "valence_bound",
     "SOLVER_VERSION",
+    "NORMALIZATION_NOTES",
     "solve_modular_equation",
     "residual_series",
     "certificate_failure",

@@ -202,6 +202,10 @@ def check_w_cusp_orders() -> CheckReport:
     name = "w-cusp-orders"
     div = divisor(named_w())
     got = [co.order for co in div]
+    if len(got) != len(W_ORDER_TABLE):
+        return CheckReport(
+            name, FAIL, f"expected {len(W_ORDER_TABLE)} cusps, got {len(got)}", 0
+        )
     if got != W_ORDER_TABLE:
         for co, expected in zip(div, W_ORDER_TABLE):
             if co.order != expected:
@@ -229,6 +233,7 @@ def check_cusp_lists() -> list[CheckReport]:
             ))
             continue
         witness = ""
+        matched = {}
         for text in expected:
             a, c = (1, 0) if text == "inf" else map(int, text.split("/"))
             target = Cusp.make(a, c)
@@ -236,6 +241,11 @@ def check_cusp_lists() -> list[CheckReport]:
             if len(hits) != 1:
                 witness = f"published cusp {text} matches {len(hits)} representatives"
                 break
+            if hits[0] in matched:
+                witness = (f"published cusps {matched[hits[0]]} and {text} match "
+                           f"the same representative {hits[0]}")
+                break
+            matched[hits[0]] = text
         out.append(CheckReport(
             name,
             FAIL if witness else PASS,

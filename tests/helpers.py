@@ -98,6 +98,21 @@ def primitive(vec):
     return tuple(ints)
 
 
+class IntMatrix:
+    """Plain integer rows seen through the interface kernel_int_crt reads."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def mod(self, p):
+        return np.array([[x % p for x in row] for row in self.rows], dtype=np.int64)
+
+    def annihilates(self, vec):
+        if not any(vec):
+            return False
+        return all(sum(a * b for a, b in zip(row, vec) if b) == 0 for row in self.rows)
+
+
 def monomial_matrix(n, d1, d2, height):
     """Exact integer coefficient rows q^0 .. q^(height - 1) of the monomials
     W^i V^j (W = w, V = w(n*tau)), built from QSeries products; columns

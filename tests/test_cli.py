@@ -194,6 +194,30 @@ def test_modeq_cache_fields_are_checked(capsys, tmp_path, edit):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("edit", [
+    lambda r: r.update(normalization="anything at all"),
+    lambda r: r.update(level=5.0),
+    lambda r: r.update(nullspace_dimension=True),
+    lambda r: r["coefficients"][0].update(i=float(r["coefficients"][0]["i"])),
+    lambda r: r["coefficients"][0].update(i=float("inf")),
+], ids=["unknown-note", "float-level", "bool-dimension", "float-index", "infinite-index"])
+def test_modeq_cache_entry_is_served_only_as_the_fresh_bytes(capsys, tmp_path, edit):
+    """An entry that would print anything but the fresh document is
+    recomputed: a note the solver never writes, and numbers that Python
+    compares equal to the right ones."""
+    code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                            "--no-timing")
+    path = next(tmp_path.glob("modeq-level5-*.json"))
+    doc = json.loads(path.read_text())
+    edit(doc["result"])
+    path.write_text(json.dumps(doc, indent=2))
+    code, out2, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                              "--no-timing")
+    assert code == 0 and err.startswith("warning: cache entry") and "corrupt" in err
+    assert out1 == out2
+    assert path.read_text() == json.dumps(json.loads(out1), indent=2)
+
+
 def test_modeq_no_cache_writes_nothing(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
                          "--no-cache", "--no-timing")

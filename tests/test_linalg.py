@@ -8,7 +8,7 @@ import pytest
 from ordersix import linalg
 from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
 
-from helpers import back_substitute, echelon_mod, primitive
+from helpers import IntMatrix, back_substitute, echelon_mod, primitive
 
 
 def rand_matrix_with_kernel(rng, rows, cols, mag=50):
@@ -53,7 +53,7 @@ def test_crt_kernel_matches_exact_on_planted_kernels():
         cols = rng.randint(3, min(rows, 9))
         m, planted = rand_matrix_with_kernel(rng, rows, cols)
         exact = nullspace_exact(m)
-        crt = kernel_int_crt(m)
+        crt = kernel_int_crt(IntMatrix(m))
         if len(exact) == 1:
             assert crt.dimension == 1
             assert primitive(crt.vector) == primitive(exact[0])
@@ -69,7 +69,7 @@ def test_crt_kernel_huge_kernel_vector():
     ts = [rng.randint(10 ** 39, 10 ** 40) for _ in range(cols - 1)]
     m = [row + [sum(t * x for t, x in zip(ts, row))] for row in body]
     planted = ts + [-1]
-    out = kernel_int_crt(m)
+    out = kernel_int_crt(IntMatrix(m))
     assert out.dimension == 1
     assert primitive(out.vector) == primitive(planted)
     assert out.primes_used > 1
@@ -79,7 +79,7 @@ def test_crt_kernel_zero_dimension():
     rng = random.Random(23)
     m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(8)]
     exact = nullspace_exact(m)
-    out = kernel_int_crt(m)
+    out = kernel_int_crt(IntMatrix(m))
     assert out.dimension == len(exact) == 0
     assert out.vector is None
 
@@ -87,7 +87,7 @@ def test_crt_kernel_zero_dimension():
 def test_crt_kernel_rational_vector_reconstruction():
     # kernel vector with large prime denominators relative to the anchor
     m = [[10007, 10009, 0], [0, 10009, -10007]]
-    out = kernel_int_crt(m)
+    out = kernel_int_crt(IntMatrix(m))
     assert out.dimension == 1
     v = out.vector
     for row in m:

@@ -8,9 +8,10 @@ import pytest
 from ordersix import modeq
 from ordersix.arith import psi_index
 from ordersix.cusps import INFINITY
-from ordersix.eta import named_w
+from ordersix.eta import EtaQuotient, named_w
 from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
 from ordersix.modeq import (
+    NORMALIZATION_NOTES,
     BivarPoly,
     LevelNotCoprimeTo6Error,
     ModEqResult,
@@ -102,7 +103,7 @@ def test_residual_detects_one_perturbed_coefficient(solved):
         coeffs = dict(r.poly.coeffs)
         coeffs[(3, 2)] = coeffs.get((3, 2), 0) + 1
         bad = dataclasses.replace(r, poly=BivarPoly(coeffs))
-        res = residual_series(bad)
+        res = residual_series(bad.poly, n, named_w().expand(r.precision_used))
         assert not res.is_zero, n
         assert res.prec == r.precision_used
         # the generic evaluation on fresh expansions of w and w(n*tau)
@@ -111,6 +112,20 @@ def test_residual_detects_one_perturbed_coefficient(solved):
         generic = bad.poly.evaluate(w.expand(prec), w.rescale(n).expand(prec))
         generic = generic.truncate(r.precision_used)
         assert generic.prec == res.prec and generic == res, n
+
+
+def test_fresh_solve_expands_w_once(monkeypatch):
+    """The exact check reads the expansion the matrix was built from."""
+    heights = []
+    expand = EtaQuotient.expand
+
+    def spy(self, prec):
+        heights.append(prec)
+        return expand(self, prec)
+
+    monkeypatch.setattr(EtaQuotient, "expand", spy)
+    solve_modular_equation(19)
+    assert heights.count(valence_bound(19)) == 1
 
 
 def test_solve_fails_when_exact_check_always_fails(monkeypatch):
@@ -122,6 +137,13 @@ def test_solve_fails_when_exact_check_always_fails(monkeypatch):
 def test_certificate_failure(solved):
     r = solved(5)
     assert certificate_failure(r) is None
+    # Horner's rule never reads negative indices, so only the box check sees these
+    for extra in ((-1, 0), (0, -3)):
+        outside = dataclasses.replace(r, poly=BivarPoly({**r.poly.coeffs, extra: 1}))
+        assert "outside" in certificate_failure(outside), extra
+    assert certificate_failure(dataclasses.replace(r, poly=BivarPoly({}))) is not None
+    d1, d2 = predict_degrees(5)
+    assert not MonomialMatrix(5, d1, d2, valence_bound(5)).annihilates([0] * 49)
     coeffs = dict(r.poly.coeffs)
     coeffs[(1, 1)] += 1
     assert "residual" in certificate_failure(dataclasses.replace(r, poly=BivarPoly(coeffs)))
@@ -131,7 +153,7 @@ def test_certificate_failure(solved):
     assert "precision" in certificate_failure(dataclasses.replace(r, precision_used=20))
     # the residual still vanishes one row short of the bound, which proves nothing
     short = dataclasses.replace(r, precision_used=valence_bound(5) - 1)
-    assert residual_series(short).is_zero
+    assert residual_series(r.poly, 5, named_w().expand(short.precision_used)).is_zero
     assert "valence bound" in certificate_failure(short)
     assert "precision" in certificate_failure(dataclasses.replace(r, precision_used=10 ** 9))
 
@@ -139,6 +161,7 @@ def test_certificate_failure(solved):
 def test_normalization_notes(solved):
     flipped = "denominators cleared by 1, content 1 removed, sign flipped"
     kept = "denominators cleared by 1, content 1 removed"
+    assert NORMALIZATION_NOTES == (kept, flipped)
     expected = {2: flipped, 3: flipped, 4: flipped, 5: kept, 6: flipped, 7: kept}
     for n, note in expected.items():
         assert solved(n).normalization == note, n
@@ -179,7 +202,8 @@ def test_degrees_match_pole_degrees(solved):
 
 def test_residual_vanishes_for_all_levels_through_13(solved):
     for n in range(2, 14):
-        res = residual_series(solved(n))
+        r = solved(n)
+        res = residual_series(r.poly, n, named_w().expand(r.precision_used))
         assert res.is_zero, (n, res)
         assert res.prec >= solved(n).precision_used
 
@@ -195,7 +219,7 @@ def test_level25_spot_check():
     assert r.poly.degx == r.poly.degy == psi_index(25) == 30
     assert r.nullspace_dim == 1
     assert r.precision_used == 1801
-    assert residual_series(r).is_zero
+    assert certificate_failure(r) is None
     assert check_symmetry(r)
     assert check_pattern(r, predict_coefficient_pattern(25))
 

@@ -75,10 +75,31 @@ def test_cusp_order_check_and_negative_control(monkeypatch):
     assert not r.passed and "1/2" in r.detail
 
 
+def test_cusp_order_check_fails_on_a_wrong_cusp_count(monkeypatch):
+    """A divisor with one cusp too many or too few fails with the counts,
+    also when its first eight orders match the table."""
+    div = verify.divisor(verify.named_w())
+    for wrong in (div + div[-1:], div[:-1]):
+        monkeypatch.setattr(verify, "divisor", lambda f, wrong=wrong: wrong)
+        r = check_w_cusp_orders()
+        assert not r.passed and r.detail == f"expected 8 cusps, got {len(wrong)}"
+
+
 def test_cusp_lists_check():
     reports = check_cusp_lists()
     assert len(reports) == 7
     assert all(r.passed for r in reports)
+
+
+def test_cusp_lists_reject_a_duplicated_class(monkeypatch):
+    """1/4 is equivalent to 1/2 on Gamma0(18): a list with 1/4 in place of
+    1/9 names one class twice and misses the class of 1/9."""
+    published = list(verify.CUSP_LISTS[18])
+    published[published.index("1/9")] = "1/4"
+    monkeypatch.setitem(verify.CUSP_LISTS, 18, published)
+    report = check_cusp_lists()[0]
+    assert report.name == "cusp-set-18" and not report.passed
+    assert "1/2 and 1/4" in report.detail
 
 
 def test_fourth_power_identities():
