@@ -8,8 +8,8 @@ default ~/.cache/ordersix); writes are atomic, a fresh entry replaces the
 level's entries under older names, a failed write or delete only warns,
 and an entry is served only when its equation passes
 modeq.certificate_failure and the entry is, as JSON text, the document
-that equation and its normalization note yield (corrupt entries are
-recomputed with a warning).  Exit codes: 0 ok, 1 verification failure,
+modeq.result_for makes of that equation (corrupt entries are recomputed
+with a warning).  Exit codes: 0 ok, 1 verification failure,
 2 usage error, 3 internal solver error.
 """
 
@@ -28,16 +28,14 @@ from .eta import EtaQuotient, NAMED_QUOTIENTS, named_j
 from .modeq import (
     BivarPoly,
     ModEqResult,
-    NORMALIZATION_NOTES,
     NullspaceAmbiguousError,
     NullspaceEmptyError,
     SOLVER_VERSION,
     certificate_failure,
     extract_inner_factor,
     format_polynomial,
-    predict_degrees,
+    result_for,
     solve_modular_equation,
-    valence_bound,
 )
 from .series import QSeries
 from .verify import SUBSETS, run_checks
@@ -322,26 +320,15 @@ def _doc_poly(doc: dict) -> BivarPoly:
 
 
 def _check_cached_equation(doc: dict, level: int) -> None:
-    """Serve a cache entry only if its equation passes certificate_failure,
-    its note is one the solver writes, and the entry is the document that
-    equation and note yield; raises CacheCorruptError otherwise."""
+    """Serve a cache entry only if its equation passes certificate_failure
+    and the entry is the document result_for makes of that equation; raises
+    CacheCorruptError otherwise.  No other field of the entry is read."""
     try:
-        d1, d2 = predict_degrees(level)
-        res = ModEqResult(
-            level=level,
-            d1=d1,
-            d2=d2,
-            poly=_doc_poly(doc),
-            precision_used=valence_bound(level),
-            nullspace_dim=1,
-            normalization=doc["result"]["normalization"],
-            method="crt",
-        )
-        reason = certificate_failure(res)
-        if reason is None and res.normalization not in NORMALIZATION_NOTES:
-            reason = f"unknown normalization note {res.normalization!r}"
+        poly = _doc_poly(doc)
+        reason = certificate_failure(level, poly)
         # compared as JSON text, because 1 == 1.0 == True in Python
-        if reason is None and json.dumps(_equation_document(res)) != json.dumps(doc):
+        if reason is None and (json.dumps(_equation_document(result_for(level, poly)))
+                               != json.dumps(doc)):
             reason = "fields differ from those of the certified equation"
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         reason = f"{type(exc).__name__}: {exc}"
@@ -361,7 +348,8 @@ def cmd_modeq(args) -> int:
             validate_document(cached, "modeq")
             _check_cached_equation(cached, args.level)
             doc = cached
-        except (OSError, json.JSONDecodeError, CacheCorruptError) as exc:
+        # RecursionError: json.loads on deeply nested arrays
+        except (OSError, json.JSONDecodeError, RecursionError, CacheCorruptError) as exc:
             print(f"warning: cache entry {path} is corrupt ({exc}); recomputing",
                   file=sys.stderr)
             doc = None

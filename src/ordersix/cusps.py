@@ -3,8 +3,10 @@
 A cusp is a reduced fraction a/c with c >= 0, where 1/0 denotes infinity.
 Equivalence of a/c and a'/c' over Gamma0(N) holds exactly when there are an
 integer n and a unit s mod N with (a', c') == (s^(-1) a + n c, s c) mod N;
-all decisions here go through that finite search, never through shortcut
-formulas.  Everything is pure and immutable; cusp_set results are memoized.
+equivalence decisions go through that finite search, never through
+shortcut formulas.  Widths and cusp orders need only the invariant
+gcd(c, N), which equivalence preserves.  Everything is pure and immutable;
+cusp_set results are memoized.
 """
 
 from __future__ import annotations
@@ -120,9 +122,10 @@ def canonical(level: int, x: Cusp) -> Cusp:
 
 def denominator_in_level(level: int, x: Cusp) -> int:
     """Denominator d | level of the canonical representative (d = level for
-    infinity); this is the d used in width and order formulas."""
-    rep = canonical(level, x)
-    return level if rep.is_infinity else rep.c
+    infinity); this is the d used in width and order formulas.  It is
+    gcd(c, level): equivalence preserves that gcd, and every cusp_set
+    representative has c | level."""
+    return gcd(x.c, level)
 
 
 def width(level: int, x: Cusp) -> int:

@@ -24,10 +24,6 @@ class NotModularError(Exception):
     """Operation requires an eta quotient that is a modular function."""
 
 
-class CuspNotReducedError(Exception):
-    """Cusp violates the gcd preconditions of the order formula."""
-
-
 @dataclass(frozen=True)
 class EtaQuotient:
     level: int
@@ -38,7 +34,7 @@ class EtaQuotient:
             raise ValueError("level must be positive")
         cleaned = {}
         for d, r in sorted(self.exponents.items()):
-            if self.level % d or d < 1:
+            if d < 1 or self.level % d:
                 raise ValueError(f"{d} does not divide level {self.level}")
             if r:
                 cleaned[d] = int(r)
@@ -115,12 +111,10 @@ class EtaQuotient:
     # -------------------- orders at cusps --------------------
 
     def order_at_cusp(self, x: Cusp) -> Fraction:
-        """Order of vanishing at a cusp, canonicalized first:
+        """Order of vanishing at a cusp, with d = denominator_in_level(N, x):
         (N / (24 d gcd(d, N/d))) * sum_d' gcd(d, d')^2 r_d' / d'."""
         N = self.level
         d = denominator_in_level(N, x)
-        if d < 1 or N % d:
-            raise CuspNotReducedError(f"denominator {d} does not divide level {N}")
         total = Fraction(0)
         for dd, r in self.exponents.items():
             g = gcd(d, dd)
@@ -205,7 +199,6 @@ __all__ = [
     "EtaQuotient",
     "CuspOrder",
     "NotModularError",
-    "CuspNotReducedError",
     "divisor",
     "total_pole_degree",
     "total_zero_degree",

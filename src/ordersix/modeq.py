@@ -10,7 +10,9 @@ residual F_n(w, w(n*tau)) vanishing below q^valence_bound(n), which proves
 it is 0.  It accepts the solver's lifted kernel vector, and through
 certificate_failure it accepts a stored equation (a cache entry) by the
 same rule.  The kernel is a certified primitive integer vector, and a
-deterministic rule fixes its sign.  Structural checks cover the forced
+deterministic rule fixes its sign.  A certified equation is fixed by its
+level and polynomial: result_for derives every other field from those two,
+for a fresh solve and a cache hit alike.  Structural checks cover the forced
 zero/nonzero coefficient pattern, X<->Y symmetry for levels coprime to 6,
 and the Kronecker congruence at prime levels.
 """
@@ -85,18 +87,15 @@ class BivarPoly:
             g = gcd(g, abs(c))
         return g
 
-    def normalized(self) -> tuple[BivarPoly, bool]:
+    def normalized(self) -> BivarPoly:
         """Primitive form with the sign rule: the coefficient of
-        X^degx Y^j0 is positive, j0 the least j present at i = degx.
-        Returns (polynomial, sign_flipped)."""
+        X^degx Y^j0 is positive, j0 the least j present at i = degx."""
         if not self.coeffs:
-            return self, False
-        g = self.content()
+            return self
         dx = self.degx
         j0 = min(j for i, j in self.coeffs if i == dx)
-        flip = self.coeffs[(dx, j0)] < 0
-        s = -1 if flip else 1
-        return BivarPoly({ij: c * s // g for ij, c in self.coeffs.items()}), flip
+        g = self.content() if self.coeffs[(dx, j0)] > 0 else -self.content()
+        return BivarPoly({ij: c // g for ij, c in self.coeffs.items()})
 
     def evaluate(self, xs: QSeries, ys: QSeries) -> QSeries:
         """Substitute series for X and Y; grouped so only degx + degy
@@ -265,13 +264,31 @@ class MonomialMatrix(Sequence):
         return self._first_residues[e].tolist()
 
 
+def result_for(n: int, poly: BivarPoly) -> ModEqResult:
+    """The result for ``poly`` as the level-n equation; every other field
+    follows from n and poly.  kernel_int_crt returns its vector with the
+    first nonzero coordinate in (i, j) box order positive, so that
+    coefficient of poly is negative exactly when the sign rule flipped it."""
+    d1, d2 = predict_degrees(n)
+    return ModEqResult(
+        level=n,
+        d1=d1,
+        d2=d2,
+        poly=poly,
+        precision_used=valence_bound(n),
+        nullspace_dim=1,
+        normalization=NORMALIZATION_NOTES[poly.coeffs[min(poly.coeffs)] < 0],
+        method="crt",
+    )
+
+
 def solve_modular_equation(n: int) -> ModEqResult:
     """Derive, verify, and normalize the level-n modular equation for w.
 
     At valence_bound(n) rows the exact kernel is the space of true
     relations, so a dimension other than one is an error, never a retry.
     kernel_int_crt accepts the kernel only after the exact residual check,
-    so only the sign rule remains to apply.
+    so only the sign rule and the shape checks remain.
     """
     d1, d2 = predict_degrees(n)
     matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
@@ -284,22 +301,11 @@ def solve_modular_equation(n: int) -> ModEqResult:
         raise NullspaceAmbiguousError(
             f"level {n}: kernel dimension {kernel.dimension} at precision {matrix.height}"
         )
-    poly, flipped = BivarPoly(dict(zip(matrix.order, kernel.vector))).normalized()
-    if poly.degx != d2 or poly.degy != d1:
-        raise NullspaceEmptyError(
-            f"level {n}: kernel polynomial has bidegree ({poly.degx}, {poly.degy}), "
-            f"expected ({d2}, {d1})"
-        )
-    return ModEqResult(
-        level=n,
-        d1=d1,
-        d2=d2,
-        poly=poly,
-        precision_used=matrix.height,
-        nullspace_dim=1,
-        normalization=NORMALIZATION_NOTES[flipped],
-        method="crt",
-    )
+    poly = BivarPoly(dict(zip(matrix.order, kernel.vector))).normalized()
+    reason = _shape_failure(n, poly)
+    if reason:
+        raise NullspaceEmptyError(f"level {n}: kernel polynomial {reason}")
+    return result_for(n, poly)
 
 
 def residual_series(poly: BivarPoly, n: int, ws: QSeries) -> QSeries:
@@ -329,34 +335,31 @@ def residual_series(poly: BivarPoly, n: int, ws: QSeries) -> QSeries:
     return total.truncate(prec)
 
 
-def certificate_failure(result: ModEqResult) -> str | None:
-    """Why ``result`` is not the certified level-n equation, or None.
-
-    Every coefficient must lie in the (d2, d1) box of predict_degrees and
-    the bidegree must fill it, the polynomial must be in normal form with
-    a one-dimensional kernel recorded, precision_used must be
-    valence_bound(n), and MonomialMatrix.annihilates must accept it.
-    """
-    n = result.level
+def _shape_failure(n: int, poly: BivarPoly) -> str | None:
+    """Why ``poly`` cannot be the level-n equation by its shape, or None:
+    every term must lie in the (d2, d1) box of predict_degrees, the
+    bidegree must fill it, and the polynomial must be in normal form."""
     d1, d2 = predict_degrees(n)
-    poly = result.poly
-    bound = valence_bound(n)
-    matrix = MonomialMatrix(n, d1, d2, bound)
-    box = set(matrix.order)
-    outside = [ij for ij in poly.coeffs if ij not in box]
+    outside = [(i, j) for i, j in poly.coeffs if not (0 <= i <= d2 and 0 <= j <= d1)]
     if outside:
         return f"term at {outside[0]} outside the ({d2}, {d1}) box"
-    if (result.d1, result.d2, poly.degy, poly.degx) != (d1, d2, d1, d2):
-        return (
-            f"bidegree ({poly.degx}, {poly.degy}) differs from the predicted ({d2}, {d1})"
-        )
-    if poly.normalized()[0] != poly or result.nullspace_dim != 1:
-        return "not a primitive, sign-normalized kernel vector of dimension one"
-    if result.precision_used != bound:
-        return f"precision {result.precision_used} differs from the valence bound {bound}"
-    if not matrix.annihilates([poly.coeff(*ij) for ij in matrix.order]):
-        return "residual F_n(w, w(n*tau)) does not vanish"
+    if (poly.degx, poly.degy) != (d2, d1):
+        return f"bidegree ({poly.degx}, {poly.degy}) differs from the predicted ({d2}, {d1})"
+    if poly.normalized() != poly:
+        return "not primitive and sign-normalized"
     return None
+
+
+def certificate_failure(n: int, poly: BivarPoly) -> str | None:
+    """Why ``poly`` is not the certified level-n equation, or None: it must
+    pass the shape checks, and MonomialMatrix.annihilates must accept it at
+    the valence bound."""
+    reason = _shape_failure(n, poly)
+    if reason is None:
+        matrix = MonomialMatrix(n, *predict_degrees(n), valence_bound(n))
+        if not matrix.annihilates([poly.coeff(*ij) for ij in matrix.order]):
+            reason = "residual F_n(w, w(n*tau)) does not vanish"
+    return reason
 
 
 def predict_coefficient_pattern(n: int) -> CoeffPattern:
@@ -495,6 +498,7 @@ __all__ = [
     "valence_bound",
     "SOLVER_VERSION",
     "NORMALIZATION_NOTES",
+    "result_for",
     "solve_modular_equation",
     "residual_series",
     "certificate_failure",

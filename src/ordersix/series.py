@@ -54,50 +54,39 @@ def _conv_school(a, b, out_len: int) -> list:
 
 
 def _conv_int(a, b, out_len: int) -> list[int]:
-    """Exact truncated integer convolution via packed big-int multiplication.
+    """Exact truncated integer convolution by one big-int product.
 
-    Coefficients are offset to non-negative digits, packed into byte slots,
-    multiplied as one machine big-int product, then unpacked with the offset
-    cross-terms removed via prefix sums.  Bit-identical to the schoolbook
-    product.
+    Each operand becomes the exact signed integer a(2^s): its coefficients
+    are offset by m to non-negative s-bit slots, packed, and m * R is
+    subtracted, R = sum 2^(s*i).  The slot size makes 2^(s-1) exceed every
+    product coefficient in absolute value, so adding 2^(s-1) * R to the
+    product leaves each slot non-negative with no carries; each slot read
+    back, less 2^(s-1), is one coefficient.  Bit-identical to the
+    schoolbook product.
     """
     la = min(len(a), out_len)
     lb = min(len(b), out_len)
     if la <= 0 or lb <= 0:
         return [0] * out_len
-    a = list(a[:la])
-    b = list(b[:lb])
-    ma = max(1, max(abs(x) for x in a))
-    mb = max(1, max(abs(x) for x in b))
-    digit_bound = 4 * ma * mb * min(la, lb)
-    slot = ((digit_bound.bit_length() + 1 + 7) // 8) * 8
-    sb = slot // 8
-    packed_a = b"".join((x + ma).to_bytes(sb, "little") for x in a)
-    packed_b = b"".join((x + mb).to_bytes(sb, "little") for x in b)
-    prod = int.from_bytes(packed_a, "little") * int.from_bytes(packed_b, "little")
-    raw = prod.to_bytes((la + lb) * sb, "little")
+    a, b = a[:la], b[:lb]
+    # both at least 1, so 2^(s-1) > ma * mb * min(la, lb) also keeps every
+    # offset coefficient x + m, at most 2 * m, inside its slot
+    ma = max(1, max(map(abs, a)))
+    mb = max(1, max(map(abs, b)))
+    sb = ((ma * mb * min(la, lb)).bit_length() + 8) // 8  # bytes per slot
+    ones = (1).to_bytes(sb, "little")
 
-    pref_a = [0]
-    for x in a:
-        pref_a.append(pref_a[-1] + x)
-    pref_b = [0]
-    for x in b:
-        pref_b.append(pref_b[-1] + x)
+    def at_2s(xs, m: int) -> int:
+        packed = b"".join((x + m).to_bytes(sb, "little") for x in xs)
+        return int.from_bytes(packed, "little") - m * int.from_bytes(ones * len(xs), "little")
 
-    out = [0] * out_len
-    mamb = ma * mb
-    for k in range(min(out_len, la + lb - 1)):
-        digit = int.from_bytes(raw[k * sb : (k + 1) * sb], "little")
-        jlo, jhi = max(0, k - la + 1), min(lb - 1, k)
-        ilo, ihi = max(0, k - lb + 1), min(la - 1, k)
-        cnt = jhi - jlo + 1
-        out[k] = (
-            digit
-            - ma * (pref_b[jhi + 1] - pref_b[jlo])
-            - mb * (pref_a[ihi + 1] - pref_a[ilo])
-            - mamb * cnt
-        )
-    return out
+    bias = 1 << (8 * sb - 1)
+    slots = la + lb - 1
+    biased = at_2s(a, ma) * at_2s(b, mb) + bias * int.from_bytes(ones * slots, "little")
+    raw = biased.to_bytes(slots * sb, "little")
+    out = [int.from_bytes(raw[k * sb : (k + 1) * sb], "little") - bias
+           for k in range(min(out_len, slots))]
+    return out + [0] * (out_len - len(out))
 
 
 def _convolve(a, b, out_len: int) -> list:

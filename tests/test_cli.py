@@ -196,15 +196,16 @@ def test_modeq_cache_fields_are_checked(capsys, tmp_path, edit):
 
 @pytest.mark.parametrize("edit", [
     lambda r: r.update(normalization="anything at all"),
+    lambda r: r.update(normalization=modeq.NORMALIZATION_NOTES[1]),
     lambda r: r.update(level=5.0),
     lambda r: r.update(nullspace_dimension=True),
     lambda r: r["coefficients"][0].update(i=float(r["coefficients"][0]["i"])),
     lambda r: r["coefficients"][0].update(i=float("inf")),
-], ids=["unknown-note", "float-level", "bool-dimension", "float-index", "infinite-index"])
+], ids=["unknown-note", "swapped-note", "float-level", "bool-dimension", "float-index", "infinite-index"])
 def test_modeq_cache_entry_is_served_only_as_the_fresh_bytes(capsys, tmp_path, edit):
     """An entry that would print anything but the fresh document is
-    recomputed: a note the solver never writes, and numbers that Python
-    compares equal to the right ones."""
+    recomputed: a note the solver never writes, the other note, and numbers
+    that Python compares equal to the right ones."""
     code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                             "--no-timing")
     path = next(tmp_path.glob("modeq-level5-*.json"))
@@ -214,6 +215,18 @@ def test_modeq_cache_entry_is_served_only_as_the_fresh_bytes(capsys, tmp_path, e
     code, out2, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                               "--no-timing")
     assert code == 0 and err.startswith("warning: cache entry") and "corrupt" in err
+    assert out1 == out2
+    assert path.read_text() == json.dumps(json.loads(out1), indent=2)
+
+
+def test_modeq_deeply_nested_cache_entry_recomputes(capsys, tmp_path):
+    code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                            "--no-timing")
+    path = next(tmp_path.glob("modeq-level5-*.json"))
+    path.write_text("[" * 100_000)  # json.loads raises RecursionError
+    code, out2, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                              "--no-timing")
+    assert code == 0 and err.count("\n") == 1 and err.startswith("warning: cache entry")
     assert out1 == out2
     assert path.read_text() == json.dumps(json.loads(out1), indent=2)
 
@@ -310,6 +323,45 @@ def test_modeq_json_output_is_byte_stable(capsys):
         code, out, _ = run_cli(capsys, "modeq", str(n), "--no-cache", "--no-timing")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, n
+
+
+# sha256 of `python -m ordersix modeq N --no-cache --no-timing --format F`,
+# F = plain and latex
+MODEQ_TEXT_SHA256 = {
+    2: ("531894647cf9e3da1b0ed446edff1f1d5d79268be4054f65d226f709326daf06",
+        "531894647cf9e3da1b0ed446edff1f1d5d79268be4054f65d226f709326daf06"),
+    3: ("47bcb0da1cd6ac72df9aede68b3ef7d21267bc4a70ff67d720b3311e91e0af36",
+        "47bcb0da1cd6ac72df9aede68b3ef7d21267bc4a70ff67d720b3311e91e0af36"),
+    4: ("3bdecd52ff68e34f4bd817a9290bf022e284f1419196bb58472441eba3aebd55",
+        "3bdecd52ff68e34f4bd817a9290bf022e284f1419196bb58472441eba3aebd55"),
+    5: ("3c0b044fe70a75b8647ec3dc887432a9a86cbe0914414a3329390094a95be3ad",
+        "3c0b044fe70a75b8647ec3dc887432a9a86cbe0914414a3329390094a95be3ad"),
+    6: ("bf3416a4fae0c58a3452b366ba66d516d6a398a82af88ee7b79362a8ca64bb93",
+        "bf3416a4fae0c58a3452b366ba66d516d6a398a82af88ee7b79362a8ca64bb93"),
+    7: ("f54466e922daeac506965f9d4f2f1823173a6083119fd01981197762865b007b",
+        "f54466e922daeac506965f9d4f2f1823173a6083119fd01981197762865b007b"),
+    8: ("f5014b151856febc9d275d5c84c684a4f24fb88fc3ac6951f0101da05b6f75c1",
+        "f5014b151856febc9d275d5c84c684a4f24fb88fc3ac6951f0101da05b6f75c1"),
+    9: ("7908df33c11657009fbd26ed4138cf3299784af27f8a5632ed6485f5469c08fc",
+        "7908df33c11657009fbd26ed4138cf3299784af27f8a5632ed6485f5469c08fc"),
+    10: ("ef8a2ca1ecdfc9d9d624bcf8433adb6b94ff8a172a87280ce3eaec6c46df49ff",
+         "6e2b995b3432d70ce0b51bbd92a8e5d78c5f7288c8abc472deb5603d90ca44ac"),
+    11: ("0c5a87b06bb7d01b37ee6ce2fc156d829af54eefb2403ea1cca0c845563c0dfa",
+         "037cfccbfd11608a43ad3d29fceb35ef7943b702986ff355562bf49762270031"),
+    12: ("f9b62973f41af9a9eb4bdedc997273fcd5bcc2af0b1874c8ec99c40bb7259231",
+         "4a1c786a7c52ad70e805db10ac8d5c83f9ede6d777f5b14b219bab03952b8045"),
+    13: ("f563f33a54b173ab3c02ab91f93d8aa6428ff44a5fe39d2e4e8ad172319df25c",
+         "e967cd606a35c7d0f8191729a27fe384ab6997f2d5c920a25d8a47e5d88cad5c"),
+}
+
+
+def test_modeq_plain_and_latex_output_is_byte_stable(capsys):
+    for n, digests in MODEQ_TEXT_SHA256.items():
+        for fmt, digest in zip(("plain", "latex"), digests):
+            code, out, _ = run_cli(capsys, "modeq", str(n), "--no-cache", "--no-timing",
+                                   "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, fmt)
 
 
 def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):

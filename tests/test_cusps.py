@@ -12,6 +12,7 @@ from ordersix.cusps import (
     canonical,
     cusp_count,
     cusp_set,
+    denominator_in_level,
     width,
     width_sum,
 )
@@ -123,6 +124,18 @@ def test_partition_property_small_levels():
                 x = Cusp.make(a, c)
                 hits = sum(1 for m in members if are_equivalent(n, x, m))
                 assert hits == 1, (n, str(x), hits)
+
+
+def test_denominator_in_level_is_the_gcd():
+    """Equivalence preserves gcd(c, N) and each representative has c | N,
+    so no equivalence search is needed."""
+    for n in range(1, 61):
+        for c in range(0, 2 * n + 3):
+            for a in range(-n, n + 1):
+                if (c == 0 and a != 1) or gcd(a, c) != 1:
+                    continue
+                x = Cusp(a, c)
+                assert denominator_in_level(n, x) == (canonical(n, x).c or n), (n, str(x))
 
 
 def test_width_examples():

@@ -38,8 +38,9 @@ def test_modularity_predicate():
 
 
 def test_invalid_divisor_rejected():
-    with pytest.raises(ValueError):
-        EtaQuotient(18, {5: 1})
+    for d in (5, 0, -1):
+        with pytest.raises(ValueError):
+            EtaQuotient(18, {d: 1})
 
 
 def test_w_expansion_printed_prefix():

@@ -27,6 +27,7 @@ from ordersix.modeq import (
     predict_coefficient_pattern,
     predict_degrees,
     residual_series,
+    result_for,
     solve_modular_equation,
     valence_bound,
 )
@@ -135,27 +136,30 @@ def test_solve_fails_when_exact_check_always_fails(monkeypatch):
 
 
 def test_certificate_failure(solved):
-    r = solved(5)
-    assert certificate_failure(r) is None
+    poly = solved(5).poly
+    assert certificate_failure(5, poly) is None
     # Horner's rule never reads negative indices, so only the box check sees these
     for extra in ((-1, 0), (0, -3)):
-        outside = dataclasses.replace(r, poly=BivarPoly({**r.poly.coeffs, extra: 1}))
-        assert "outside" in certificate_failure(outside), extra
-    assert certificate_failure(dataclasses.replace(r, poly=BivarPoly({}))) is not None
+        outside = BivarPoly({**poly.coeffs, extra: 1})
+        assert "outside" in certificate_failure(5, outside), extra
+    assert certificate_failure(5, BivarPoly({})) is not None
     d1, d2 = predict_degrees(5)
     assert not MonomialMatrix(5, d1, d2, valence_bound(5)).annihilates([0] * 49)
-    coeffs = dict(r.poly.coeffs)
+    coeffs = dict(poly.coeffs)
     coeffs[(1, 1)] += 1
-    assert "residual" in certificate_failure(dataclasses.replace(r, poly=BivarPoly(coeffs)))
-    doubled = BivarPoly({ij: 2 * c for ij, c in r.poly.coeffs.items()})
-    assert "primitive" in certificate_failure(dataclasses.replace(r, poly=doubled))
-    assert "bidegree" in certificate_failure(dataclasses.replace(r, d1=5))
-    assert "precision" in certificate_failure(dataclasses.replace(r, precision_used=20))
-    # the residual still vanishes one row short of the bound, which proves nothing
-    short = dataclasses.replace(r, precision_used=valence_bound(5) - 1)
-    assert residual_series(r.poly, 5, named_w().expand(short.precision_used)).is_zero
-    assert "valence bound" in certificate_failure(short)
-    assert "precision" in certificate_failure(dataclasses.replace(r, precision_used=10 ** 9))
+    assert "residual" in certificate_failure(5, BivarPoly(coeffs))
+    doubled = BivarPoly({ij: 2 * c for ij, c in poly.coeffs.items()})
+    assert "primitive" in certificate_failure(5, doubled)
+    negated = BivarPoly({ij: -c for ij, c in poly.coeffs.items()})
+    assert "sign-normalized" in certificate_failure(5, negated)
+    no_top_column = BivarPoly({(i, j): c for (i, j), c in poly.coeffs.items() if i != d2})
+    assert "bidegree" in certificate_failure(5, no_top_column)
+
+
+def test_result_for_rebuilds_every_field(solved):
+    """A fresh solve is fixed by its level and polynomial."""
+    for n in range(2, 14):
+        assert result_for(n, solved(n).poly) == solved(n), n
 
 
 def test_normalization_notes(solved):
@@ -219,7 +223,7 @@ def test_level25_spot_check():
     assert r.poly.degx == r.poly.degy == psi_index(25) == 30
     assert r.nullspace_dim == 1
     assert r.precision_used == 1801
-    assert certificate_failure(r) is None
+    assert certificate_failure(25, r.poly) is None
     assert check_symmetry(r)
     assert check_pattern(r, predict_coefficient_pattern(25))
 

@@ -240,6 +240,19 @@ def test_fast_convolution_bit_identical_to_schoolbook():
         b = [rng.randint(-mag, mag) for _ in range(lb)]
         n = rng.randint(1, la + lb + 4)
         assert _conv_int(a, b, n) == _conv_school(a, b, n)
+    # coefficients at +-2^k, where equal signs make a product coefficient
+    # reach max|a| * max|b| * min(la, lb), the bound the slot size is set
+    # by; all-zero operands; and out_len past la + lb - 1
+    for k in (0, 1, 7, 8, 15, 16, 31, 32, 63, 64, 100):
+        for la, lb in ((1, 1), (2, 7), (16, 16), (40, 3)):
+            for sign in (1, -1):
+                a = [2 ** k] * la
+                b = [sign * 2 ** k] * lb
+                mixed = [(-1) ** i * 2 ** k for i in range(lb)]
+                for x, y in ((a, b), (b, a), (a, mixed), ([0] * la, b), (a, [0] * lb)):
+                    n = len(x) + len(y) + 3
+                    assert _conv_int(x, y, n) == _conv_school(x, y, n), (k, la, lb)
+                    assert _conv_int(x, y, n)[-4:] == [0] * 4
 
 
 def test_normalize_reduces_denominator():
