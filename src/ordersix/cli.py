@@ -157,21 +157,6 @@ def poly_payload(poly) -> list[dict]:
     ]
 
 
-def validate_document(doc, command: str | None = None) -> None:
-    """Structural validation of an output document; raises CacheCorruptError."""
-    try:
-        if not isinstance(doc, dict):
-            raise ValueError("document is not an object")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"schema_version {doc.get('schema_version')!r} unsupported")
-        if command is not None and doc.get("command") != command:
-            raise ValueError(f"command {doc.get('command')!r} does not match {command!r}")
-        if not isinstance(doc.get("inputs"), dict) or not isinstance(doc.get("result"), dict):
-            raise ValueError("inputs/result payloads missing")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CacheCorruptError(str(exc)) from None
-
-
 def emit(doc: dict, fmt: str, plain_text: str, latex_text: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, indent=2, sort_keys=False))
@@ -319,7 +304,7 @@ def _doc_poly(doc: dict) -> BivarPoly:
     })
 
 
-def _check_cached_equation(doc: dict, level: int) -> None:
+def validate_document(doc, level: int) -> None:
     """Serve a cache entry only if its equation passes certificate_failure
     and the entry is the document result_for makes of that equation; raises
     CacheCorruptError otherwise.  No other field of the entry is read."""
@@ -345,11 +330,11 @@ def cmd_modeq(args) -> int:
     if not args.no_cache and path.exists():
         try:
             cached = json.loads(path.read_text())
-            validate_document(cached, "modeq")
-            _check_cached_equation(cached, args.level)
+            validate_document(cached, args.level)
             doc = cached
-        # RecursionError: json.loads on deeply nested arrays
-        except (OSError, json.JSONDecodeError, RecursionError, CacheCorruptError) as exc:
+        # ValueError: undecodable bytes or malformed JSON; RecursionError:
+        # json.loads on deeply nested arrays
+        except (OSError, ValueError, RecursionError, CacheCorruptError) as exc:
             print(f"warning: cache entry {path} is corrupt ({exc}); recomputing",
                   file=sys.stderr)
             doc = None

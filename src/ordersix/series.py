@@ -1,23 +1,27 @@
-"""Exact truncated Laurent series in q^(1/h) over arbitrary-precision rationals.
+"""Exact truncated Laurent series in q^(1/h) with integer coefficients.
 
 A QSeries stores dense coefficients for the exponent window [val, prec),
-where val and prec are measured in units of 1/h (so the monomial at index k
+where val and prec are measured in units of 1/h (so the term at index k
 is q^(k/h)).  prec is an exclusive knowledge bound: coefficients at indices
 >= prec are unknown, and reading them is an error rather than a silent zero.
 The zero series is the distinguished value with val == prec and no stored
 coefficients.
 
-Coefficients are ints where possible and fractions.Fraction otherwise; every
+The coefficients are arbitrary-precision ints: every series the package builds
+(eta quotients, Euler products, E4, j) is integral, and the constructor
+raises TypeError on anything that is not an integer.  Exponents are on the
+1/h lattice and reported as Fractions.  Products go through one big-integer
+convolution and inverses through one Newton iteration, which needs a
+leading coefficient of +-1 so that the inverse is integral too.  Every
 operation is pure and every instance immutable, so values are safe to share
 across threads.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import gcd, lcm
-
-Coeff = int | Fraction
+from math import lcm
 
 
 class ZeroSeriesError(ZeroDivisionError):
@@ -28,31 +32,6 @@ class PrecisionError(Exception):
     """Raised when a coefficient beyond the truncation bound is requested."""
 
 
-def _canon(c: Coeff) -> Coeff:
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _all_int(coeffs) -> bool:
-    return all(type(c) is int for c in coeffs)
-
-
-def _conv_school(a, b, out_len: int) -> list:
-    out = [0] * out_len
-    for i, ai in enumerate(a):
-        if i >= out_len:
-            break
-        if not ai:
-            continue
-        top = min(len(b), out_len - i)
-        for j in range(top):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def _conv_int(a, b, out_len: int) -> list[int]:
     """Exact truncated integer convolution by one big-int product.
 
@@ -61,8 +40,7 @@ def _conv_int(a, b, out_len: int) -> list[int]:
     subtracted, R = sum 2^(s*i).  The slot size makes 2^(s-1) exceed every
     product coefficient in absolute value, so adding 2^(s-1) * R to the
     product leaves each slot non-negative with no carries; each slot read
-    back, less 2^(s-1), is one coefficient.  Bit-identical to the
-    schoolbook product.
+    back, less 2^(s-1), is one coefficient.
     """
     la = min(len(a), out_len)
     lb = min(len(b), out_len)
@@ -89,14 +67,6 @@ def _conv_int(a, b, out_len: int) -> list[int]:
     return out + [0] * (out_len - len(out))
 
 
-def _convolve(a, b, out_len: int) -> list:
-    if out_len <= 0:
-        return []
-    if _all_int(a) and _all_int(b):
-        return _conv_int(a, b, out_len)
-    return [_canon(c) for c in _conv_school(a, b, out_len)]
-
-
 class QSeries:
     """Truncated Laurent series; see the module docstring for conventions."""
 
@@ -105,7 +75,7 @@ class QSeries:
     def __init__(self, coeffs, val: int = 0, prec: int | None = None, h: int = 1):
         if h < 1:
             raise ValueError("exponent denominator must be positive")
-        coeffs = [_canon(c) for c in coeffs]
+        coeffs = list(map(operator.index, coeffs))
         if prec is None:
             prec = val + len(coeffs)
         if len(coeffs) < prec - val:
@@ -135,15 +105,6 @@ class QSeries:
     def one(cls, prec: int, h: int = 1) -> QSeries:
         return cls([1], val=0, prec=prec, h=h)
 
-    @classmethod
-    def monomial(cls, exponent, prec, coeff: Coeff = 1, h: int = 1) -> QSeries:
-        """coeff * q^exponent; exponent and prec in q-units (int or Fraction)."""
-        e = Fraction(exponent) * h
-        p = Fraction(prec) * h
-        if e.denominator != 1 or p.denominator != 1:
-            raise ValueError("exponent does not lie on the 1/h lattice")
-        return cls([coeff], val=int(e), prec=int(p), h=h)
-
     # -------------------- basic queries --------------------
 
     @property
@@ -163,8 +124,8 @@ class QSeries:
         """Exclusive knowledge bound in q-units."""
         return Fraction(self.prec, self.h)
 
-    def coeff(self, exponent) -> Coeff:
-        """Coefficient of q^exponent; exponent beyond the bound is an error."""
+    def coeff(self, exponent) -> int:
+        """The coefficient of q^exponent; exponent beyond the bound is an error."""
         e = Fraction(exponent) * self.h
         if e >= self.prec:
             raise PrecisionError(
@@ -237,27 +198,6 @@ class QSeries:
         target = lcm(a.h, b.h)
         return a._scaled(target // a.h), b._scaled(target // b.h)
 
-    def normalize(self) -> QSeries:
-        """Reduce h by the gcd of the recorded nonzero exponent indices."""
-        if self.h == 1:
-            return self
-        if self.is_zero:
-            prec = -((-self.prec) // self.h)
-            return QSeries.zero(prec, h=1)
-        g = self.h
-        for i, c in enumerate(self.coeffs):
-            if c:
-                g = gcd(g, self.val + i)
-            if g == 1:
-                return self
-        coeffs = [self.coeffs[k] for k in range(0, len(self.coeffs), g)]
-        return QSeries(
-            coeffs,
-            val=self.val // g,
-            prec=(self.prec - 1) // g + 1,
-            h=self.h // g,
-        )
-
     def truncate(self, bound) -> QSeries:
         """Restrict knowledge to exponents < bound (bound in q-units)."""
         b = Fraction(bound) * self.h
@@ -269,8 +209,8 @@ class QSeries:
     # -------------------- ring operations --------------------
 
     def __eq__(self, other) -> bool:
-        """Coefficientwise equality on the common knowledge window."""
-        if isinstance(other, (int, Fraction)):
+        """Equality of coefficients on the common knowledge window."""
+        if isinstance(other, int):
             other = QSeries([other], val=0, prec=max(self.prec, 1), h=self.h)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -290,14 +230,14 @@ class QSeries:
         return QSeries([-c for c in self.coeffs], val=self.val, prec=self.prec, h=self.h)
 
     def __add__(self, other) -> QSeries:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other or self.prec <= 0:
                 return self
             lo = min(self.val, 0)
             window = [0] * (self.prec - lo)
             for i, c in enumerate(self.coeffs):
                 window[self.val + i - lo] = c
-            window[-lo] = _canon(window[-lo] + other)
+            window[-lo] += other
             return QSeries(window, val=lo, prec=self.prec, h=self.h)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -309,15 +249,13 @@ class QSeries:
             for i, c in enumerate(src.coeffs):
                 k = src.val + i
                 if k < prec:
-                    window[k - lo] = _canon(window[k - lo] + c)
+                    window[k - lo] += c
         return QSeries(window, val=lo, prec=prec, h=a.h)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__add__(-other)
-        if not isinstance(other, QSeries):
+        if not isinstance(other, (int, QSeries)):
             return NotImplemented
         return self.__add__(-other)
 
@@ -325,12 +263,11 @@ class QSeries:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> QSeries:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return QSeries.zero(self.prec, h=self.h)
-            return QSeries(
-                [_canon(c * other) for c in self.coeffs], val=self.val, prec=self.prec, h=self.h
-            )
+            coeffs = [c * other for c in self.coeffs]
+            return QSeries(coeffs, val=self.val, prec=self.prec, h=self.h)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = QSeries._unified(self, other)
@@ -338,53 +275,32 @@ class QSeries:
         if a.is_zero or b.is_zero:
             return QSeries.zero(prec, h=a.h)
         val = a.val + b.val
-        out = _convolve(a.coeffs, b.coeffs, prec - val)
+        out = _conv_int(a.coeffs, b.coeffs, prec - val)
         return QSeries(out, val=val, prec=prec, h=a.h)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> QSeries:
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(1 / Fraction(other))
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.__mul__(other.invert())
-
     def invert(self) -> QSeries:
-        """Multiplicative inverse; self * self.invert() == 1 up to precision."""
+        """Multiplicative inverse; self * self.invert() == 1 up to precision.
+        The leading coefficient must be +-1 (ValueError otherwise)."""
         if self.is_zero:
             raise ZeroSeriesError("cannot invert the zero series")
-        n = len(self.coeffs)
-        a = list(self.coeffs)
-        lead = a[0]
-        if lead in (1, -1) and _all_int(a):
-            inv = self._invert_newton(a, n)
-        else:
-            inv = self._invert_recurrence(a, n)
+        if self.coeffs[0] not in (1, -1):
+            raise ValueError(f"leading coefficient {self.coeffs[0]} is not +-1")
+        inv = self._invert_newton(self.coeffs, len(self.coeffs))
         return QSeries(inv, val=-self.val, prec=self.prec - 2 * self.val, h=self.h)
 
     @staticmethod
-    def _invert_recurrence(a, n: int) -> list:
-        lead = a[0]
-        out = [_canon(Fraction(1, 1) / lead)]
-        for k in range(1, n):
-            s = 0
-            for i in range(1, min(k, len(a) - 1) + 1):
-                s += a[i] * out[k - i]
-            out.append(_canon(-Fraction(s, 1) / lead) if s else 0)
-        return out
-
-    @staticmethod
     def _invert_newton(a, n: int) -> list[int]:
-        # doubling iteration b <- b*(2 - a*b); exact for unit integer leading term
+        # doubling iteration b <- b*(2 - a*b); exact for a leading term of +-1
         lead = a[0]
         out = [lead]
         m = 1
         while m < n:
             m = min(2 * m, n)
-            t = _convolve(a[:m], out, m)
+            t = _conv_int(a[:m], out, m)
             t = [2 - t[0]] + [-c for c in t[1:]]
-            out = _convolve(out, t, m)
+            out = _conv_int(out, t, m)
         return out
 
     def __pow__(self, k: int) -> QSeries:
@@ -419,7 +335,7 @@ class QSeries:
         return QSeries(coeffs, val=self.val * n, prec=self.prec * n, h=self.h)
 
     def shift(self, exponent) -> QSeries:
-        """Multiply by the exact monomial q^exponent (exponent a Fraction)."""
+        """Multiply by q^exponent exactly (exponent a Fraction)."""
         e = Fraction(exponent)
         target = lcm(self.h, e.denominator)
         s = self._scaled(target // self.h)
@@ -450,4 +366,4 @@ def euler_product(scale: int, prec: int) -> QSeries:
     return QSeries(coeffs, val=0, prec=prec, h=1)
 
 
-__all__ = ["QSeries", "euler_product", "ZeroSeriesError", "PrecisionError", "Coeff"]
+__all__ = ["QSeries", "euler_product", "ZeroSeriesError", "PrecisionError"]

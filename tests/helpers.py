@@ -66,16 +66,9 @@ def random_series(rng, nonzero=False, h_choices=(1, 2, 3, 4, 6)):
     h = rng.choice(h_choices)
     val = rng.randint(-6, 6)
     length = rng.randint(1 if nonzero else 0, 12)
-    coeffs = []
-    for _ in range(length):
-        if rng.random() < 0.25:
-            coeffs.append(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-        else:
-            coeffs.append(rng.randint(-9, 9))
-    if nonzero and (not coeffs or not coeffs[0]):
-        if not coeffs:
-            coeffs = [1]
-        coeffs[0] = rng.choice([1, -1, 2, -3])
+    coeffs = [rng.randint(-9, 9) for _ in range(length)]
+    if nonzero:  # invertible: leading coefficient +-1
+        coeffs[0] = rng.choice([1, -1])
     return QSeries(coeffs, val=val, prec=val + length, h=h)
 
 

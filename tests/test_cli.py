@@ -106,7 +106,7 @@ def test_modeq_cache_round_trip(capsys, tmp_path):
     cached = json.loads(cache_files[0].read_text())
     fresh = cli.modeq_document(2)
     assert cached == fresh
-    cli.validate_document(cached, "modeq")
+    cli.validate_document(cached, 2)
 
 
 def test_modeq_corrupt_cache_recomputes(capsys, tmp_path):
@@ -121,7 +121,7 @@ def test_modeq_corrupt_cache_recomputes(capsys, tmp_path):
     assert "corrupt" in err
     assert out1 == out2
     # the rewritten cache is valid again
-    cli.validate_document(json.loads(path.read_text()), "modeq")
+    cli.validate_document(json.loads(path.read_text()), 2)
 
 
 def test_modeq_edited_cache_coefficient_recomputes(capsys, tmp_path):
@@ -229,6 +229,21 @@ def test_modeq_deeply_nested_cache_entry_recomputes(capsys, tmp_path):
     assert code == 0 and err.count("\n") == 1 and err.startswith("warning: cache entry")
     assert out1 == out2
     assert path.read_text() == json.dumps(json.loads(out1), indent=2)
+
+
+def test_modeq_undecodable_cache_entry_recomputes(capsys, tmp_path):
+    code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                            "--no-timing")
+    path = next(tmp_path.glob("modeq-level5-*.json"))
+    path.write_bytes(b"\xff\xfe")  # not UTF-8: read_text raises UnicodeDecodeError
+    code, out2, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                              "--no-timing")
+    assert code == 0 and err.count("\n") == 1 and err.startswith("warning: cache entry")
+    assert out1 == out2
+    code, out3, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                              "--no-timing")
+    assert code == 0 and err == ""
+    assert out3 == out1
 
 
 def test_modeq_no_cache_writes_nothing(capsys, tmp_path):
@@ -381,6 +396,29 @@ def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
         "452976d5f99858cdc6c36d2d07c6f28a53697250efd611318add6affe06cd038")
     assert json.loads(out)["result"]["precision_used"] == valence_bound(19)
     assert primes_used == [3]
+
+
+# sha256 of `python -m ordersix ARGS --no-timing` (json)
+OUTPUT_JSON_SHA256 = {
+    ("expand", "--name", "w", "--prec", "40"):
+        "e39261bc82f1ca8e8828563a8de67566f7536e4a2577fed0f918e6ce12bd19a8",
+    ("expand", "--name", "X", "--prec", "40"):
+        "445bf7ea0be69ec53f8187e8cdebf1dfaaffa346d7f4a3781e2e038070337ee3",
+    ("expand", "--name", "j", "--prec", "40"):
+        "518f108a1046b3e25093a9593ae8eb2f1c3b76bc04aaa4951fd6f0a60f2bb4a8",
+    ("expand", "--quotient", "36; 1:3, 4:-2, 36:5, 12:-6", "--prec", "30"):
+        "7abad3fc0fa5a2d98bed576add3b378dd3ab0de45015d8e1407c83dfa1a24a8f",
+    ("verify", "all"):
+        "9900a41a70f26eeb2cd9857eb13c071200beb0e34a78eb18d267e347768753b5",
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_JSON_SHA256),
+                         ids=["expand-w", "expand-X", "expand-j", "expand-quotient", "verify-all"])
+def test_expand_and_verify_json_output_is_byte_stable(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_JSON_SHA256[argv]
 
 
 def test_modeq_cache_write_failure_warns(capsys, tmp_path):
