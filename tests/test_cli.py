@@ -421,6 +421,35 @@ def test_expand_and_verify_json_output_is_byte_stable(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_JSON_SHA256[argv]
 
 
+# sha256 of `python -m ordersix ARGS --no-timing --format F`, F = plain and latex
+OUTPUT_TEXT_SHA256 = {
+    ("expand", "--name", "w", "--prec", "40"):
+        ("e1d89f8159741fac79173e5d2465bc217c44ec98006d32f78e28808b29320325",
+         "7b8cb6ba2d5423d264797c562dfdb9975434c7aa33c3dda25be8c10a2053416d"),
+    ("expand", "--name", "X", "--prec", "40"):
+        ("cd643d39d5ec96a0923d7dc93e1dabfedcc50ec0b509bb494e92a7ab5aaa3835",
+         "461e165581da61343cd7d262e92c603db841e2b7490c77982d08237edb0307d5"),
+    ("expand", "--name", "j", "--prec", "40"):
+        ("3bd0e5ad80881f105a79ff96fbd54f8d64a3023f4215f134f04d4a0dcfd16518",
+         "a8ed4d1497359f40b8c315b4ec08f9d93cf4a44b452796803054a1f0c0c0096e"),
+    ("expand", "--quotient", "36; 1:3, 4:-2, 36:5, 12:-6", "--prec", "30"):
+        ("56cdb04c247f6e57a12af914c1d602ef28f14fae40cde6b7b162f38f501c22b0",
+         "4e9587a983b77bbf98f46dcd96f5ec2957385366ef625aa5c828cbccb083940b"),
+    ("cusps", "18", "--divisor", "w"):
+        ("5969d723026d2184e0ac6c46872a865fd54fbc33fbc2d6850e0bcf4c4ca19868",
+         "c36bcb19197f4e7c69fcf390acdfa3dc999558d040a7ad28caae3ca4276f2917"),
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_TEXT_SHA256),
+                         ids=["expand-w", "expand-X", "expand-j", "expand-quotient", "cusps-18-w"])
+def test_expand_and_cusps_text_output_is_byte_stable(capsys, argv):
+    for fmt, digest in zip(("plain", "latex"), OUTPUT_TEXT_SHA256[argv]):
+        code, out, _ = run_cli(capsys, *argv, "--no-timing", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_modeq_cache_write_failure_warns(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
