@@ -35,6 +35,7 @@ from .modeq import (
     extract_inner_factor,
     format_polynomial,
     result_for,
+    signed_sum,
     solve_modular_equation,
 )
 from .series import QSeries
@@ -122,32 +123,17 @@ def series_payload(s: QSeries) -> dict:
     }
 
 
-def series_plain(s: QSeries) -> str:
-    return repr(s)
-
-
 def series_latex(s: QSeries) -> str:
-    parts = []
-    for e, c in s.terms():
+    def power(e) -> str:
         if e == 0:
-            body = ""
-        elif e == 1:
-            body = "q"
-        elif e.denominator == 1 and e < 10 and e > 0:
-            body = f"q^{e}"
-        else:
-            body = f"q^{{{e}}}"
-        mag = abs(c)
-        if mag != 1 or not body:
-            body = f"{mag} {body}".strip()
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            return ""
+        if e == 1:
+            return "q"
+        if e.denominator == 1 and 0 < e < 10:
+            return f"q^{e}"
+        return f"q^{{{e}}}"
+
+    return signed_sum((c, power(e)) for e, c in s.terms())
 
 
 def poly_payload(poly) -> list[dict]:
@@ -188,7 +174,7 @@ def cmd_expand(args) -> int:
         }
     result = series_payload(s)
     doc = make_document("expand", inputs, result, _elapsed(args, t0))
-    emit(doc, args.format, series_plain(s), series_latex(s))
+    emit(doc, args.format, repr(s), series_latex(s))
     return 0
 
 

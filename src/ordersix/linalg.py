@@ -1,6 +1,6 @@
 """Exact kernels of integer/rational matrices.
 
-* kernel_int_crt -- the solver's kernel: row reduction modulo 30-bit primes
+* kernel_int_crt -- the solver's kernel: row reduction modulo 20-bit primes
   combined by CRT and rational reconstruction, for integer matrices whose
   kernel is expected to be one-dimensional;
 * nullspace_exact -- Gaussian elimination over Fraction with partial
@@ -21,13 +21,12 @@ blocked Gauss-Jordan elimination (as in FFPACK, Dumas, Giorgi and Pernet):
 rows are taken _BLOCK_ROWS at a time, and the work outside a small
 per-pivot loop is two matrix products mod p per block.  Only the free
 columns of the reduced form are stored, so the kernel basis is read off
-with no back-substitution.  Each product is one float64 GEMM on 15-bit
-limbs of the residues, stacked so that it yields all four limb products;
-each partial sum is an integer below 2^53, hence exact, and the limbs are
-recombined mod p in int64.  The int64 step bounds the inner dimension at
-about 7 * 2^14 for 30-bit primes; _check_limb_gemm_bound checks the exact
-bound before anything is allocated.  Reduced row echelon form mod p is
-unique, so the kernel vectors do not depend on the block size.
+with no back-substitution.  The primes are below 2^20, so, as in FFLAS, a
+product is a plain float64 GEMM on the residues: _gemm_step(p) columns of
+the inner dimension at a time, every partial sum is an integer below 2^53
+and hence exact, and it is reduced mod p in int64 before the next chunk.
+Reduced row echelon form mod p is unique, so the kernel vectors do not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 
 from .arith import integer_sqrt_bound, primes_below
 
-_PRIME_START = (1 << 30) - 1
+_PRIME_START = (1 << 20) - 1
 _MAX_PRIMES = 64
 
 
@@ -91,45 +90,23 @@ def nullspace_exact(rows: list[list]) -> list[list[Fraction]]:
 
 
 _BLOCK_ROWS = 32
-LIMB_BITS = 15
-_LIMB_MASK = (1 << LIMB_BITS) - 1
 
 
-def limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 15-bit limbs of an array of residues below 2^30."""
-    return a & _LIMB_MASK, a >> LIMB_BITS
-
-
-def _check_limb_gemm_bound(k: int, p: int) -> None:
-    """Raise unless _sub_matmul_mod is exact for inner dimension k mod p.
-
-    With residues split as a = a0 + 2^15 a1, each float64 product of limb
-    matrices sums k terms of at most max(lo, hi)^2, which must stay below
-    2^53.  The int64 recombination c - LL - (mid << 15) - ((HH % p) << 30)
-    reaches k*lo^2 + (2*k*lo*hi << 15) + ((p - 1) << 30) in magnitude, plus
-    c < p, which must stay below 2^63; for 30-bit primes this binds first,
-    at k of about 7 * 2^14.
-    """
-    lo, hi = min(p - 1, _LIMB_MASK), (p - 1) >> LIMB_BITS
-    exact = k * max(lo, hi) ** 2 < 1 << 53
-    fits = k * lo * lo + (2 * k * lo * hi << LIMB_BITS) + ((p - 1) << 2 * LIMB_BITS) + p < 1 << 63
-    if not (exact and fits):
-        raise OverflowError(f"limb products of inner dimension {k} mod {p} are not exact")
+def _gemm_step(p: int) -> int:
+    """The largest inner dimension at which a float64 GEMM of residues mod p
+    is exact: each product is at most (p - 1)^2, and the sum must stay
+    below 2^53.  8,192 for the first prime."""
+    return ((1 << 53) - 1) // (p - 1) ** 2
 
 
 def _sub_matmul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(c - a @ b) mod p for residue matrices, exactly, with one float64 GEMM.
-
-    The limbs of a are stacked by rows and those of b by columns, so the
-    single product holds all four limb products, each exact in float64.
-    """
-    _check_limb_gemm_bound(a.shape[1], p)
-    m, n = c.shape
-    a2 = np.concatenate(limbs(a)).astype(np.float64)
-    b2 = np.concatenate(limbs(b), axis=1).astype(np.float64)
-    prod = (a2 @ b2).astype(np.int64)
-    mid = prod[:m, n:] + prod[m:, :n]
-    return (c - prod[:m, :n] - (mid << LIMB_BITS) - (prod[m:, n:] % p << 2 * LIMB_BITS)) % p
+    """(c - a @ b) mod p for residue matrices, exactly, one float64 GEMM per
+    _gemm_step(p) columns of the inner dimension."""
+    step = _gemm_step(p)
+    for k in range(0, a.shape[1], step):
+        prod = a[:, k : k + step].astype(np.float64) @ b[k : k + step].astype(np.float64)
+        c = (c - prod.astype(np.int64)) % p
+    return c
 
 
 def _rref_block(b: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:

@@ -30,7 +30,7 @@ import numpy as np
 from .arith import is_prime
 from .eta import divisor, named_w
 # nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
-from .linalg import LIMB_BITS, kernel_int_crt, kernel_primes, limbs, nullspace_exact  # noqa: F401
+from .linalg import kernel_int_crt, kernel_primes, nullspace_exact  # noqa: F401
 from .series import QSeries
 
 SOLVER_VERSION = 2  # part of the cache key: bump when solver output changes
@@ -185,14 +185,10 @@ def valence_bound(n: int) -> int:
 
 
 def _check_int64_bound(terms: int, p: int) -> None:
-    """Raise unless limb sums mod p fit in int64.
-
-    A sum of ``terms`` products of a residue mod p with a 15-bit limb, plus
-    one residue shifted left by 15 bits, is at most
-    (terms + 1) * (p - 1) * 2^15, which must stay below 2^63.
-    """
-    if (terms + 1) * (p - 1) << LIMB_BITS >= 1 << 63:
-        raise OverflowError(f"{terms} limb products mod {p} overflow int64")
+    """Raise unless a sum of ``terms`` products of two residues mod p, plus
+    one residue, fits in int64: terms * (p - 1)^2 + p < 2^63."""
+    if terms * (p - 1) ** 2 + p >= 1 << 63:
+        raise OverflowError(f"{terms} products mod {p} overflow int64")
 
 
 class MonomialMatrix(Sequence):
@@ -217,34 +213,29 @@ class MonomialMatrix(Sequence):
     def mod(self, p: int) -> np.ndarray:
         """The matrix mod p, shape (height, #unknowns), entries in [0, p).
 
-        The powers W^k mod p come from truncated convolutions with w split
-        into 15-bit limbs.  V^j = w^j(q^n) is nonzero only at multiples of
-        n, so column (i, j) is a sum of about height/n shifted copies of
-        W^i scaled by coefficients of w^j, accumulated per limb as well.
+        The powers W^k mod p come from truncated convolutions with w.
+        V^j = w^j(q^n) is nonzero only at multiples of n, so column (i, j)
+        is a sum of about height/n shifted copies of W^i scaled by
+        coefficients of w^j.  No sum has more than height products of two
+        residues, so _check_int64_bound(height, p) keeps them exact.
         """
         h, n, d1, d2 = self.height, self.level, self.d1, self.d2
         _check_int64_bound(h, p)
         w = np.zeros(h, dtype=np.int64)
         w[self.w.val : self.w.val + len(self.w.coeffs)] = [c % p for c in self.w.coeffs]
-        w_lo, w_hi = limbs(w)
         powers = np.zeros((max(d1, d2) + 1, h), dtype=np.int64)
         powers[0, 0] = 1
         for k in range(1, len(powers)):
-            lo = np.convolve(powers[k - 1], w_lo)[:h]
-            hi = np.convolve(powers[k - 1], w_hi)[:h] % p
-            powers[k] = (lo + (hi << LIMB_BITS)) % p
+            powers[k] = np.convolve(powers[k - 1], w)[:h] % p
         wblock = powers[: d2 + 1]
         out = np.empty((h, len(self.order)), dtype=np.int64)
         for j in range(d1 + 1):
-            acc_lo = np.zeros_like(wblock)
-            acc_hi = np.zeros_like(wblock)
+            acc = np.zeros_like(wblock)
             vj = powers[j, : -(-h // n)]
             for t in np.nonzero(vj)[0]:
                 s = n * int(t)
-                c_lo, c_hi = limbs(vj[t])
-                acc_lo[:, s:] += c_lo * wblock[:, : h - s]
-                acc_hi[:, s:] += c_hi * wblock[:, : h - s]
-            out[:, j :: d1 + 1] = ((acc_lo + (acc_hi % p << LIMB_BITS)) % p).T
+                acc[:, s:] += vj[t] * wblock[:, : h - s]
+            out[:, j :: d1 + 1] = (acc % p).T
         return out
 
     def annihilates(self, vec: list[int]) -> bool:
@@ -470,20 +461,23 @@ def format_polynomial(poly: BivarPoly, style: str = "plain") -> str:
         return f"{name}^{e}"
 
     items = sorted(poly.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    parts = []
-    for (i, j), c in items:
-        body = " ".join(x for x in (var("X", i), var("Y", j)) if x)
-        mag = abs(c)
-        if mag != 1 or not body:
-            body = f"{mag} {body}".strip()
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return signed_sum((c, " ".join(x for x in (var("X", i), var("Y", j)) if x))
+                      for (i, j), c in items)
+
+
+def signed_sum(terms) -> str:
+    """Render (coefficient, monomial) pairs as "a - b + 2 c": a coefficient
+    of magnitude one is left out before a nonempty monomial, and the empty
+    sum is "0"."""
+    out = ""
+    for c, body in terms:
+        if abs(c) != 1 or not body:
+            body = f"{abs(c)} {body}".strip()
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = f"-{body}" if c < 0 else body
+    return out or "0"
 
 
 __all__ = [
@@ -510,4 +504,5 @@ __all__ = [
     "kronecker_frame",
     "extract_inner_factor",
     "format_polynomial",
+    "signed_sum",
 ]

@@ -181,14 +181,12 @@ def _series_vanishes(s: QSeries, bound: int, name: str) -> CheckReport:
     return CheckReport(name, PASS, f"zero series below q^{bound}", bound)
 
 
-def check_w_expansion_prefix(prec: int = 8, quotient=None) -> CheckReport:
+def check_w_expansion_prefix() -> CheckReport:
     """The printed opening terms of w: q - q^2 + q^3 - 2q^4 + ..."""
     name = "w-expansion-prefix"
-    f = quotient if quotient is not None else named_w()
-    s = f.expand(prec)
+    prec = 8
+    s = named_w().expand(prec)
     for k, expected in enumerate(W_PREFIX, start=1):
-        if k >= prec:
-            break
         got = s.coeff(k)
         if got != expected:
             return CheckReport(
@@ -255,50 +253,49 @@ def check_cusp_lists() -> list[CheckReport]:
     return out
 
 
-def fourth_power_residuals(prec: int = 200, quad=(1, -3, 3)) -> tuple[QSeries, QSeries]:
+def fourth_power_residuals(prec: int) -> tuple[QSeries, QSeries]:
     """Residuals of X(t)^4 = w(1 - 3w + 3w^2) and of the cross-multiplied
-    X(3t)^4 (1 - 3w + 3w^2) = w^3; quad parameterizes the quadratic for
-    negative-control tests."""
-    c0, c1, c2 = quad
+    X(3t)^4 (1 - 3w + 3w^2) = w^3."""
     inner = prec + 8
     w = named_w().expand(inner)
     x = named_x().expand(inner)
     x3 = x.rescale(3).truncate(inner)
-    u = w * w * c2 + w * c1 + c0
+    u = w * w * 3 - w * 3 + 1
     first = x ** 4 - w * u
     second = (x3 ** 4) * u - w ** 3
     return first.truncate(prec), second.truncate(prec)
 
 
-def check_fourth_power_identities(prec: int = 200, quad=(1, -3, 3)) -> CheckReport:
+def check_fourth_power_identities() -> CheckReport:
     name = "x-fourth-power-identities"
-    first, second = fourth_power_residuals(prec, quad)
+    prec = 200
+    first, second = fourth_power_residuals(prec)
     r1 = _series_vanishes(first, prec, name)
     if not r1.passed:
         return r1
     return _series_vanishes(second, prec, name)
 
 
-def level3_x_residual(prec: int = 200, c3: int = 3) -> QSeries:
-    """Residual of X(t)^3 - X(3t) + 3 X(t) X(3t)^2 - c3 X(t)^2 X(3t)^3."""
+def level3_x_residual(prec: int) -> QSeries:
+    """Residual of X(t)^3 - X(3t) + 3 X(t) X(3t)^2 - 3 X(t)^2 X(3t)^3."""
     inner = prec + 8
     x = named_x().expand(inner)
     x3 = x.rescale(3).truncate(inner + 3)
-    s = x ** 3 - x3 + 3 * (x * x3 ** 2) - c3 * (x ** 2 * x3 ** 3)
+    s = x ** 3 - x3 + 3 * (x * x3 ** 2) - 3 * (x ** 2 * x3 ** 3)
     return s.truncate(prec)
 
 
-def check_level3_x_identity(prec: int = 200, c3: int = 3) -> CheckReport:
-    return _series_vanishes(level3_x_residual(prec, c3), prec, "x-level3-identity")
+def check_level3_x_identity() -> CheckReport:
+    prec = 200
+    return _series_vanishes(level3_x_residual(prec), prec, "x-level3-identity")
 
 
-def j_identity_residual(prec: int = 100, p_coeffs=None) -> QSeries:
+def j_identity_residual(prec: int) -> QSeries:
     """Residual of the closed form for j in terms of f = 1/w:
 
         j (f-1)^2 f^9 (f-3)^18 (f^2 - 3f + 3) (f^2 + 3)^2
             - (f^3 + 3f^2 - 9f + 9)^3 P(f)^3
     """
-    coeffs = list(J_IDENTITY_P if p_coeffs is None else p_coeffs)
     inner = prec + 48
     w = named_w().expand(inner)
     f = w.invert()
@@ -306,14 +303,15 @@ def j_identity_residual(prec: int = 100, p_coeffs=None) -> QSeries:
     lhs = j * (f - 1) ** 2 * f ** 9 * (f - 3) ** 18
     lhs = lhs * (f * f - 3 * f + 3) * (f * f + 3) ** 2
     pf = None
-    for c in coeffs:
+    for c in J_IDENTITY_P:
         pf = (pf * f + c) if pf is not None else (f ** 0) * c
     rhs = (f ** 3 + 3 * f * f - 9 * f + 9) ** 3 * pf ** 3
     return (lhs - rhs).truncate(prec)
 
 
-def check_j_identity(prec: int = 100, p_coeffs=None) -> CheckReport:
+def check_j_identity() -> CheckReport:
     name = "j-identity"
+    prec = 100
     j = named_j(4)
     expected = {-1: 1, 0: 744, 1: 196884, 2: 21493760}
     for e, c in expected.items():
@@ -322,19 +320,18 @@ def check_j_identity(prec: int = 100, p_coeffs=None) -> CheckReport:
             return CheckReport(
                 name, FAIL, f"j coefficient at q^{e}: expected {c}, got {got}", prec
             )
-    return _series_vanishes(j_identity_residual(prec, p_coeffs), prec, name)
+    return _series_vanishes(j_identity_residual(prec), prec, name)
 
 
-def check_golden_tables(levels=(2, 3, 5, 7, 11, 13), fail_fast: bool = False,
-                        golden=None) -> list[CheckReport]:
+def check_golden_tables(fail_fast: bool = False) -> list[CheckReport]:
     """Solve each level and compare with the golden grid coefficient by
     coefficient; every level then runs the pattern check, and prime levels
     >= 5 also the Kronecker and symmetry checks."""
     out = []
     checksum = golden_checksum()
-    for n in levels:
+    for n in (2, 3, 5, 7, 11, 13):
         name = f"equation-level-{n}"
-        expected = golden(n) if golden is not None else golden_poly(n)
+        expected = golden_poly(n)
         solved = solve_modular_equation(n)
         witness = ""
         keys = set(solved.poly.coeffs) | set(expected.coeffs)

@@ -106,16 +106,17 @@ def test_criterion_06_kronecker_symmetry_degrees(solved):
 
 
 def test_criterion_07_power_identities():
-    (r1, dt1) = timed(lambda: check_fourth_power_identities(prec=200))
-    (r2, dt2) = timed(lambda: check_level3_x_identity(prec=200))
-    ok = r1.passed and r2.passed and (dt1 + dt2) < 5.0
+    (r1, dt1) = timed(check_fourth_power_identities)
+    (r2, dt2) = timed(check_level3_x_identity)
+    ok = r1.passed and r2.passed and r1.precision == r2.precision == 200
+    ok = ok and (dt1 + dt2) < 5.0
     report(7, ok, f"fourth-power and level-3 identities zero to q^200 "
                   f"({dt1 + dt2:.2f}s)")
 
 
 def test_criterion_08_j_identity():
-    r, dt = timed(lambda: check_j_identity(prec=100))
-    ok = r.passed and dt < 30.0
+    r, dt = timed(check_j_identity)
+    ok = r.passed and r.precision == 100 and dt < 30.0
     report(8, ok, f"j identity zero to q^100 with printed P and prefix ({dt:.2f}s)")
 
 

@@ -381,7 +381,7 @@ def test_modeq_plain_and_latex_output_is_byte_stable(capsys):
 
 def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
     """Level 19 is the first level whose kernel spans many row blocks and
-    needs three primes."""
+    needs five primes."""
     primes_used = []
 
     def kernel(matrix):
@@ -395,7 +395,7 @@ def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "452976d5f99858cdc6c36d2d07c6f28a53697250efd611318add6affe06cd038")
     assert json.loads(out)["result"]["precision_used"] == valence_bound(19)
-    assert primes_used == [3]
+    assert primes_used == [5]
 
 
 # sha256 of `python -m ordersix ARGS --no-timing` (json)

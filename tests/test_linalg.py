@@ -1,9 +1,7 @@
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from ordersix import linalg
 from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
@@ -114,8 +112,7 @@ def test_kernel_mod_matches_loop_back_substitution():
     """The blocked Gauss-Jordan kernel gives bit-identical kernel vectors to
     per-pivot forward elimination followed by one exact dot product per
     pivot row: with several free columns, over several row blocks, and at
-    ranks high enough that unreduced sums of residues near p would overflow
-    int64."""
+    ranks up to 64."""
     rng = random.Random(31)
     p = next(kernel_primes())
     block = linalg._BLOCK_ROWS
@@ -152,44 +149,30 @@ def test_kernel_mod_full_column_rank_is_empty():
 
 def test_kernel_mod_high_rank_entries_near_p():
     """Rank 300 with entries within 8 of p: the products against the pivot
-    rows have inner dimension above 256, where float64 products of whole
-    residues would round."""
+    rows have inner dimension near 300, and each float64 GEMM sums at most
+    _gemm_step(p) terms, the most whose sum stays below 2^53."""
     rng = random.Random(43)
     p = next(kernel_primes())
     mat = np.array([[p - 1 - rng.randrange(8) for _ in range(310)] for _ in range(300)],
                    dtype=np.int64)
     got = _assert_kernel_matches_oracle(mat, p)
     assert len(got) == 10
-    exact = mat.astype(object).dot(got[0])
-    rounded = (mat.astype(np.float64) @ np.array(got[0], dtype=np.float64)).tolist()
-    assert any(int(x) != y for x, y in zip(rounded, exact))
+    step = linalg._gemm_step(p)
+    assert step * (p - 1) ** 2 < 1 << 53 <= (step + 1) * (p - 1) ** 2
 
 
-def test_limb_product_is_exact_up_to_its_checked_bound():
+def test_sub_matmul_mod_is_exact_past_one_gemm():
+    """(c - a @ b) mod p against Python ints, at inner dimensions up to and
+    past one GEMM.  Entries are p - 1, whose products are multiples of 16
+    and so stay representable past 2^53, and p - 2 in one row of a and one
+    column of b, whose odd sums past 2^53 would round."""
     p = next(kernel_primes())
-    lo, hi = 1, 1 << 20
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            linalg._check_limb_gemm_bound(mid, p)
-            lo = mid
-        except OverflowError:
-            hi = mid
-    # the int64 recombination binds, near 7 * 2^14, before float64 (2^23)
-    assert 1 << 16 < lo < 1 << 17
-    c = np.array([[0, 1], [p - 2, p - 1]], dtype=np.int64)
-    a = np.full((2, lo), p - 1, dtype=np.int64)
-    b = np.full((lo, 2), p - 1, dtype=np.int64)
-    got = linalg._sub_matmul_mod(c, a, b, p).tolist()
-    assert got == [[(x - lo * (p - 1) ** 2) % p for x in row] for row in c.tolist()]
-    # one past the bound: raises before allocating anything
-    a = np.broadcast_to(np.int64(p - 1), (2, hi))
-    b = np.broadcast_to(np.int64(p - 1), (hi, 2))
-    tracemalloc.start()
-    try:
-        with pytest.raises(OverflowError):
-            linalg._sub_matmul_mod(c, a, b, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 12
+    step = linalg._gemm_step(p)
+    c = [[0, 1], [p - 2, p - 1]]
+    entries = [p - 1, p - 2]
+    for k in (0, 1, step, step + 1, 2 * step + 3):
+        a = np.array([[x] * k for x in entries], dtype=np.int64).reshape(2, k)
+        b = np.array([entries] * k, dtype=np.int64).reshape(k, 2)
+        got = linalg._sub_matmul_mod(np.array(c, dtype=np.int64), a, b, p).tolist()
+        assert got == [[(c[i][j] - k * x * y) % p for j, y in enumerate(entries)]
+                       for i, x in enumerate(entries)], k

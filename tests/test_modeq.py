@@ -87,9 +87,10 @@ def test_matrix_rows_are_residues_mod_the_first_prime():
 
 def test_int64_bound_is_checked():
     p = next(kernel_primes())
-    modeq._check_int64_bound(4000, p)
+    most = ((1 << 63) - 1 - p) // (p - 1) ** 2
+    modeq._check_int64_bound(most, p)
     with pytest.raises(OverflowError):
-        modeq._check_int64_bound(1 << 18, p)
+        modeq._check_int64_bound(most + 1, p)
     # mod() checks before it allocates anything of size height
     d1, d2 = predict_degrees(2)
     matrix = MonomialMatrix(2, d1, d2, 46)

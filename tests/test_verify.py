@@ -57,15 +57,12 @@ def test_expansion_prefix_check_passes():
     assert r.passed
 
 
-def test_expansion_prefix_negative_control():
+def test_expansion_prefix_negative_control(monkeypatch):
     sabotaged = EtaQuotient(18, {1: 2, 2: -2, 9: -1, 18: 2})
-    r = check_w_expansion_prefix(quotient=sabotaged)
+    monkeypatch.setattr(verify, "named_w", lambda: sabotaged)
+    r = check_w_expansion_prefix()
     assert not r.passed
     assert "q^1" in r.detail
-
-
-def test_expansion_prefix_short_precision():
-    assert check_w_expansion_prefix(prec=3).passed
 
 
 def test_cusp_order_check_and_negative_control(monkeypatch):
@@ -102,17 +99,22 @@ def test_cusp_lists_reject_a_duplicated_class(monkeypatch):
     assert "1/2 and 1/4" in report.detail
 
 
-def test_fourth_power_identities():
+# eta quotients with the leading term of w and of X that differ further on
+WRONG_W = EtaQuotient(18, {1: 3, 2: -3, 9: -3, 18: 3})
+WRONG_X = EtaQuotient(6, {1: 3, 2: -3, 3: -3, 6: 3})
+
+
+def test_fourth_power_identities(monkeypatch):
     assert check_fourth_power_identities().passed
-    assert check_fourth_power_identities(prec=10).passed
-    bad = check_fourth_power_identities(prec=60, quad=(1, -3, 2))
+    monkeypatch.setattr(verify, "named_w", lambda: WRONG_W)
+    bad = check_fourth_power_identities()
     assert not bad.passed and "q^" in bad.detail
 
 
-def test_level3_identity():
+def test_level3_identity(monkeypatch):
     assert check_level3_x_identity().passed
-    assert check_level3_x_identity(prec=10).passed
-    bad = check_level3_x_identity(prec=60, c3=-3)
+    monkeypatch.setattr(verify, "named_x", lambda: WRONG_X)
+    bad = check_level3_x_identity()
     assert not bad.passed and "identity fails" in bad.detail
 
 
@@ -120,9 +122,10 @@ def test_j_identity():
     assert check_j_identity().passed
 
 
-def test_j_identity_negative_control():
+def test_j_identity_negative_control(monkeypatch):
     tampered = [1, 224, -1080, 3348, -8262, 16038, -23328, 26244, -19683, 6561]
-    r = check_j_identity(prec=40, p_coeffs=tampered)
+    monkeypatch.setattr(verify, "J_IDENTITY_P", tampered)
+    r = check_j_identity()
     assert not r.passed and "identity fails" in r.detail
 
 
@@ -132,10 +135,11 @@ def test_golden_tables_pass(solved):
     assert all(golden_checksum() in r.detail for r in reports)
 
 
-def test_golden_tables_negative_control():
+def test_golden_tables_negative_control(monkeypatch):
     corrupted = BivarPoly({(2, 0): 1, (0, 1): -1, (1, 1): 2, (2, 1): -3, (0, 2): 2})
-    reports = check_golden_tables(levels=(2,), golden=lambda n: corrupted)
-    assert not reports[0].passed
+    monkeypatch.setattr(verify, "golden_poly", lambda n: corrupted)
+    reports = check_golden_tables(fail_fast=True)
+    assert len(reports) == 1 and not reports[0].passed
     assert "C(0, 2)" in reports[0].detail
 
 
@@ -169,8 +173,10 @@ def test_run_checks_rejects_unknown_subset():
         run_checks("everything")
 
 
-def test_failing_reports_carry_witnesses():
-    bad = check_fourth_power_identities(prec=40, quad=(1, -2, 3))
+def test_failing_reports_carry_witnesses(monkeypatch):
+    monkeypatch.setattr(verify, "named_x", lambda: WRONG_X)
+    bad = check_fourth_power_identities()
     assert not bad.passed and bad.detail
-    short = check_j_identity(prec=40, p_coeffs=[1])
+    monkeypatch.setattr(verify, "J_IDENTITY_P", [1])
+    short = check_j_identity()
     assert not short.passed and short.detail
