@@ -3,14 +3,13 @@
 Every command emits a versioned output document (json, plain, or latex
 rendering).  Big integers are serialized as decimal strings so any JSON
 parser round-trips them exactly.  Solved equations are cached one JSON file
-per level and solver version under --cache-dir (or $ORDERSIX_CACHE_DIR,
-default ~/.cache/ordersix); writes are atomic, a fresh entry replaces the
-level's entries under older names, a failed write or delete only warns,
-and an entry is served only when its equation passes
-modeq.certificate_failure and the entry is, as JSON text, the document
-modeq.result_for makes of that equation (corrupt entries are recomputed
-with a warning).  Exit codes: 0 ok, 1 verification failure,
-2 usage error, 3 internal solver error.
+per level, modeq-level{n}.json, under --cache-dir (or $ORDERSIX_CACHE_DIR,
+default ~/.cache/ordersix); writes are atomic and a failed write only warns.
+An entry is served only when its equation passes modeq.certificate_failure
+and the entry is, as JSON text, the document modeq.result_for makes of that
+equation; any other entry (corrupt, edited, or written by another schema or
+solver) is recomputed with a warning and replaced in place.  Exit codes:
+0 ok, 1 verification failure, 2 usage error, 3 internal solver error.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .modeq import (
     ModEqResult,
     NullspaceAmbiguousError,
     NullspaceEmptyError,
-    SOLVER_VERSION,
     certificate_failure,
     extract_inner_factor,
     format_polynomial,
@@ -228,8 +226,7 @@ def _cache_dir(args) -> Path:
 
 
 def _cache_path(args, level: int) -> Path:
-    return (_cache_dir(args)
-            / f"modeq-level{level}-schema{SCHEMA_VERSION}-solver{SOLVER_VERSION}.json")
+    return _cache_dir(args) / f"modeq-level{level}.json"
 
 
 def _write_atomic(path: Path, payload: str) -> None:
@@ -243,19 +240,6 @@ def _write_atomic(path: Path, payload: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _prune_stale_entries(path: Path, level: int) -> None:
-    """Delete the entries of this level that an older schema or solver
-    wrote beside the fresh one at path; they are never read again."""
-    for stale in path.parent.glob(f"modeq-level{level}-schema*.json"):
-        if stale.name == path.name:
-            continue
-        try:
-            stale.unlink()
-        except OSError as exc:
-            print(f"warning: stale cache entry {stale} not removed ({exc})",
-                  file=sys.stderr)
 
 
 def _equation_document(res: ModEqResult) -> dict:
@@ -332,8 +316,6 @@ def cmd_modeq(args) -> int:
             except OSError as exc:
                 print(f"warning: cache entry {path} not written ({exc})",
                       file=sys.stderr)
-            else:
-                _prune_stale_entries(path, args.level)
     if not args.no_timing:
         doc = dict(doc)
         doc["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)

@@ -5,16 +5,16 @@ and computes the one-dimensional kernel of the coefficient matrix of the
 monomials W^i V^j with the multimodular CRT solver.  That matrix never
 exists over Z: MonomialMatrix keeps the exact expansion of w and builds
 the matrix modulo each prime in int64 numpy arrays.  Exactly one check
-over Z accepts an equation, MonomialMatrix.annihilates: the Horner-rule
-residual F_n(w, w(n*tau)) vanishing below q^valence_bound(n), which proves
-it is 0.  It accepts the solver's lifted kernel vector, and through
-certificate_failure it accepts a stored equation (a cache entry) by the
-same rule.  The kernel is a certified primitive integer vector, and a
-deterministic rule fixes its sign.  A certified equation is fixed by its
-level and polynomial: result_for derives every other field from those two,
-for a fresh solve and a cache hit alike.  Structural checks cover the forced
-zero/nonzero coefficient pattern, X<->Y symmetry for levels coprime to 6,
-and the Kronecker congruence at prime levels.
+over Z accepts an equation, residual_series: the Horner-rule residual
+F_n(w, w(n*tau)) vanishing below q^valence_bound(n), which proves it is 0.
+MonomialMatrix.annihilates applies it to the solver's lifted kernel vector
+and certificate_failure to a stored equation (a cache entry).  The kernel
+is a certified primitive integer vector, and a deterministic rule fixes its
+sign.  A certified equation is fixed by its level and polynomial:
+result_for derives every other field from those two, for a fresh solve and
+a cache hit alike.  Structural checks cover the forced zero/nonzero
+coefficient pattern, X<->Y symmetry for levels coprime to 6, and the
+Kronecker congruence at prime levels.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .eta import divisor, named_w
 # nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
 from .linalg import kernel_int_crt, kernel_primes, nullspace_exact  # noqa: F401
 from .series import QSeries
-
-SOLVER_VERSION = 2  # part of the cache key: bump when solver output changes
 
 # The two normalization notes, indexed by whether the sign rule flipped the
 # kernel vector.  The kernel is primitive already, so the constant clause
@@ -122,11 +120,6 @@ class BivarPoly:
 
     def reduced_mod(self, p: int) -> dict[tuple[int, int], int]:
         return {ij: c % p for ij, c in self.coeffs.items() if c % p}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
 
 @dataclass(frozen=True)
@@ -343,13 +336,11 @@ def _shape_failure(n: int, poly: BivarPoly) -> str | None:
 
 def certificate_failure(n: int, poly: BivarPoly) -> str | None:
     """Why ``poly`` is not the certified level-n equation, or None: it must
-    pass the shape checks, and MonomialMatrix.annihilates must accept it at
-    the valence bound."""
+    pass the shape checks, and its residual must vanish below the valence
+    bound."""
     reason = _shape_failure(n, poly)
-    if reason is None:
-        matrix = MonomialMatrix(n, *predict_degrees(n), valence_bound(n))
-        if not matrix.annihilates([poly.coeff(*ij) for ij in matrix.order]):
-            reason = "residual F_n(w, w(n*tau)) does not vanish"
+    if reason is None and not residual_series(poly, n, named_w().expand(valence_bound(n))).is_zero:
+        reason = "residual F_n(w, w(n*tau)) does not vanish"
     return reason
 
 
@@ -490,7 +481,6 @@ __all__ = [
     "LevelNotCoprimeTo6Error",
     "predict_degrees",
     "valence_bound",
-    "SOLVER_VERSION",
     "NORMALIZATION_NOTES",
     "result_for",
     "solve_modular_equation",

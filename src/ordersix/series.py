@@ -210,19 +210,8 @@ class QSeries:
 
     def __eq__(self, other) -> bool:
         """Equality of coefficients on the common knowledge window."""
-        if isinstance(other, int):
-            other = QSeries([other], val=0, prec=max(self.prec, 1), h=self.h)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        a, b = QSeries._unified(self, other)
-        hi = min(a.prec, b.prec)
-        lo = min(a.val, b.val)
-        for k in range(lo, hi):
-            ca = a.coeffs[k - a.val] if a.val <= k < a.val + len(a.coeffs) else 0
-            cb = b.coeffs[k - b.val] if b.val <= k < b.val + len(b.coeffs) else 0
-            if ca != cb:
-                return False
-        return True
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.is_zero
 
     __hash__ = None
 

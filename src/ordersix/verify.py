@@ -21,6 +21,7 @@ from .modeq import (
     check_kronecker,
     check_pattern,
     check_symmetry,
+    kronecker_frame,
     predict_coefficient_pattern,
     solve_modular_equation,
 )
@@ -139,7 +140,7 @@ def golden_poly(level: int) -> BivarPoly:
         return BivarPoly(dict(GOLDEN_F3))
     rows = GOLDEN_INNER[level]
     p = level
-    coeffs = {(p + 1, 0): 1, (p, p): -1, (1, 1): -1, (0, p + 1): 1}
+    coeffs = dict(kronecker_frame(p).coeffs)
     for j, row in enumerate(rows):
         for i, g in enumerate(row):
             if g:

@@ -24,6 +24,10 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def cache_file(cache_dir, level):
+    return cache_dir / f"modeq-level{level}.json"
+
+
 def test_expand_named_w(capsys):
     code, doc, _ = run_json(capsys, "expand", "--name", "w", "--prec", "8",
                             "--no-timing")
@@ -94,16 +98,17 @@ def test_modeq_latex_matches_printed_level2(capsys, tmp_path):
     assert out.strip().replace(" ", "") == "X^2-Y+2XY-3X^2Y+Y^2"
 
 
-def test_modeq_cache_round_trip(capsys, tmp_path):
+def test_modeq_cache_round_trip(capsys, tmp_path, monkeypatch):
     code1, out1, _ = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
                              "--no-timing")
-    cache_files = list(tmp_path.glob("modeq-level2-*.json"))
-    assert code1 == 0 and len(cache_files) == 1
-    code2, out2, _ = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
-                             "--no-timing")
-    assert code2 == 0
+    assert code1 == 0 and list(tmp_path.iterdir()) == [cache_file(tmp_path, 2)]
+    monkeypatch.setattr(cli, "solve_modular_equation", None)  # a hit never solves
+    code2, out2, err2 = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
+                                "--no-timing")
+    assert code2 == 0 and err2 == ""
     assert out1 == out2
-    cached = json.loads(cache_files[0].read_text())
+    monkeypatch.undo()
+    cached = json.loads(cache_file(tmp_path, 2).read_text())
     fresh = cli.modeq_document(2)
     assert cached == fresh
     cli.validate_document(cached, 2)
@@ -113,7 +118,7 @@ def test_modeq_corrupt_cache_recomputes(capsys, tmp_path):
     code, out1, _ = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
                             "--no-timing")
     assert code == 0
-    path = next(tmp_path.glob("modeq-level2-*.json"))
+    path = cache_file(tmp_path, 2)
     path.write_text('{"schema_version": "0"}')
     code, out2, err = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
                               "--no-timing")
@@ -128,7 +133,7 @@ def test_modeq_edited_cache_coefficient_recomputes(capsys, tmp_path):
     code, out1, _ = run_cli(capsys, "modeq", "7", "--cache-dir", str(tmp_path),
                             "--no-timing")
     assert code == 0
-    path = next(tmp_path.glob("modeq-level7-*.json"))
+    path = cache_file(tmp_path, 7)
     doc = json.loads(path.read_text())
     entry = doc["result"]["coefficients"][3]
     entry["value"] = str(int(entry["value"]) + 1)
@@ -141,37 +146,33 @@ def test_modeq_edited_cache_coefficient_recomputes(capsys, tmp_path):
     assert json.loads(path.read_text()) == json.loads(out1)
 
 
-def test_modeq_entry_of_an_earlier_solver_is_a_plain_miss(capsys, tmp_path):
-    # named and filled as before the solver version joined the cache key,
-    # when level 5 was solved at 116 rows
+def test_modeq_entry_of_another_schema_is_replaced_in_place(capsys, tmp_path):
+    doc = cli.modeq_document(5)
+    doc["schema_version"] = "0"
+    path = cache_file(tmp_path, 5)
+    path.write_text(json.dumps(doc, indent=2))
+    code, out, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                             "--no-timing")
+    assert code == 0 and err.startswith("warning: cache entry") and "corrupt" in err
+    assert json.loads(out) == cli.modeq_document(5)
+    assert path.read_text() == json.dumps(json.loads(out), indent=2)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_modeq_entry_under_an_old_versioned_name_is_not_read(capsys, tmp_path):
+    # edited, so reading it would print a warning
     doc = cli.modeq_document(5)
     doc["result"]["precision_used"] = 116
-    old = tmp_path / "modeq-level5-schema1.json"
+    old = tmp_path / "modeq-level5-schema1-solver2.json"
     old.write_text(json.dumps(doc, indent=2))
+    before = old.read_bytes()
     code, out, err = run_json(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                               "--no-timing")
     assert code == 0 and err == ""
-    assert out["result"]["precision_used"] == valence_bound(5)
-    new = tmp_path / f"modeq-level5-schema1-solver{modeq.SOLVER_VERSION}.json"
-    assert json.loads(new.read_text()) == out
-    assert not old.exists()
-
-
-def test_modeq_cache_write_prunes_only_this_levels_entries(capsys, tmp_path):
-    survivors = ["modeq-level13-schema1.json", "modeq-level50-schema1.json",
-                 "modeq-level5.json", "modeq-level5-schema1.json.bak", "notes.txt"]
-    for name in survivors + ["modeq-level5-schema0.json"]:
-        (tmp_path / name).write_text("{}")
-    (tmp_path / "modeq-level5-schema9.json").mkdir()  # cannot be unlinked
-    code, out, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
-                             "--no-timing")
-    assert code == 0 and json.loads(out)["result"]["level"] == 5
-    assert err.count("\n") == 1 and err.startswith("warning: stale cache entry")
-    assert "schema9" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(survivors + [
-        "modeq-level5-schema9.json",
-        f"modeq-level5-schema1-solver{modeq.SOLVER_VERSION}.json",
-    ])
+    assert out == cli.modeq_document(5)
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "modeq-level5-schema1-solver2.json", "modeq-level5.json"]
 
 
 @pytest.mark.parametrize("edit", [
@@ -184,7 +185,7 @@ def test_modeq_cache_write_prunes_only_this_levels_entries(capsys, tmp_path):
 def test_modeq_cache_fields_are_checked(capsys, tmp_path, edit):
     code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                             "--no-timing")
-    path = next(tmp_path.glob("modeq-level5-*.json"))
+    path = cache_file(tmp_path, 5)
     doc = json.loads(path.read_text())
     edit(doc["result"])
     path.write_text(json.dumps(doc, indent=2))
@@ -208,7 +209,7 @@ def test_modeq_cache_entry_is_served_only_as_the_fresh_bytes(capsys, tmp_path, e
     that Python compares equal to the right ones."""
     code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                             "--no-timing")
-    path = next(tmp_path.glob("modeq-level5-*.json"))
+    path = cache_file(tmp_path, 5)
     doc = json.loads(path.read_text())
     edit(doc["result"])
     path.write_text(json.dumps(doc, indent=2))
@@ -222,7 +223,7 @@ def test_modeq_cache_entry_is_served_only_as_the_fresh_bytes(capsys, tmp_path, e
 def test_modeq_deeply_nested_cache_entry_recomputes(capsys, tmp_path):
     code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                             "--no-timing")
-    path = next(tmp_path.glob("modeq-level5-*.json"))
+    path = cache_file(tmp_path, 5)
     path.write_text("[" * 100_000)  # json.loads raises RecursionError
     code, out2, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                               "--no-timing")
@@ -234,7 +235,7 @@ def test_modeq_deeply_nested_cache_entry_recomputes(capsys, tmp_path):
 def test_modeq_undecodable_cache_entry_recomputes(capsys, tmp_path):
     code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                             "--no-timing")
-    path = next(tmp_path.glob("modeq-level5-*.json"))
+    path = cache_file(tmp_path, 5)
     path.write_bytes(b"\xff\xfe")  # not UTF-8: read_text raises UnicodeDecodeError
     code, out2, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                               "--no-timing")
