@@ -9,7 +9,9 @@ An entry is served only when its equation passes modeq.certificate_failure
 and the entry is, as JSON text, the document modeq.result_for makes of that
 equation; any other entry (corrupt, edited, or written by another schema or
 solver) is recomputed with a warning and replaced in place.  Exit codes:
-0 ok, 1 verification failure, 2 usage error, 3 internal solver error.
+0 ok, 1 verification failure, 2 usage error, 3 internal solver error,
+141 stdout closed by its reader (128 + SIGPIPE, what a shell reports for
+`yes | head`).
 """
 
 from __future__ import annotations
@@ -404,7 +406,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at /dev/null so the
+        # interpreter's final flush cannot fail again, and end as a writer
+        # killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except BadSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

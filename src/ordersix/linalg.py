@@ -26,7 +26,9 @@ product is a plain float64 GEMM on the residues: _gemm_step(p) columns of
 the inner dimension at a time, every partial sum is an integer below 2^53
 and hence exact, and it is reduced mod p in int64 before the next chunk.
 Reduced row echelon form mod p is unique, so the kernel vectors do not
-depend on the block size.
+depend on the block size.  The package runs these thin products on one
+OpenBLAS thread by default (see ordersix/__init__.py), a default that holds
+only when numpy is first imported after ordersix.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -514,3 +515,26 @@ def test_module_entry_point_subprocess():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["result"]["coefficients"][0] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--format", "plain"],
+    ["modeq", "7", "--no-cache", "--format", "plain"],
+    ["expand", "--name", "w", "--prec", "2", "--format", "plain"],
+])
+def test_closed_stdout_exits_141_quietly(tmp_path, argv):
+    """A reader that closes stdout ends the command with 141 (128 + SIGPIPE),
+    not with a traceback and the verification-failure code.  The read end is
+    closed before the child can write, so the first write always fails.
+    stdout is kept block-buffered, as in a shell pipeline, so the short
+    expand output fails only when main flushes it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "ordersix", *argv],
+                                stdout=subprocess.PIPE, stderr=err, env=env)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        err.seek(0)
+        stderr = err.read()
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
