@@ -161,6 +161,8 @@ def cmd_expand(args) -> int:
     name, quotient = resolve_quotient(args.name, args.quotient)
     if args.prec < 1:
         raise BadSpecError("--prec must be at least 1")
+    if args.prec > sys.maxsize:  # no list that long can exist
+        raise BadSpecError(f"--prec must be at most {sys.maxsize}")
     if quotient is None:
         s = named_j(args.prec)
         inputs = {"name": "j", "prec": args.prec}

@@ -15,6 +15,10 @@ result_for derives every other field from those two, for a fresh solve and
 a cache hit alike.  Structural checks cover the forced zero/nonzero
 coefficient pattern, X<->Y symmetry for levels coprime to 6, and the
 Kronecker congruence at prime levels.
+
+The arithmetic mod p is in modp, the one module that imports numpy.
+MonomialMatrix.mod imports it at the first solve, so importing this module
+does not load numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
 from types import MappingProxyType
-
-import numpy as np
 
 from .arith import is_prime
 from .eta import divisor, named_w
@@ -177,13 +179,6 @@ def valence_bound(n: int) -> int:
     return 2 * d1 * d2 + 1
 
 
-def _check_int64_bound(terms: int, p: int) -> None:
-    """Raise unless a sum of ``terms`` products of two residues mod p, plus
-    one residue, fits in int64: terms * (p - 1)^2 + p < 2^63."""
-    if terms * (p - 1) ** 2 + p >= 1 << 63:
-        raise OverflowError(f"{terms} products mod {p} overflow int64")
-
-
 class MonomialMatrix(Sequence):
     """Coefficient matrix of the monomials W^i V^j, W = w and V = w(n*tau).
 
@@ -203,33 +198,13 @@ class MonomialMatrix(Sequence):
         if self.w.h != 1 or self.w.val < 0:
             raise AssertionError("w must expand in integer powers of q")
 
-    def mod(self, p: int) -> np.ndarray:
-        """The matrix mod p, shape (height, #unknowns), entries in [0, p).
+    def mod(self, p: int):
+        """The matrix mod p as an int64 numpy array, shape (height,
+        #unknowns), entries in [0, p): modp.monomial_matrix_mod."""
+        from . import modp  # loads numpy at the first solve, not with the package
 
-        The powers W^k mod p come from truncated convolutions with w.
-        V^j = w^j(q^n) is nonzero only at multiples of n, so column (i, j)
-        is a sum of about height/n shifted copies of W^i scaled by
-        coefficients of w^j.  No sum has more than height products of two
-        residues, so _check_int64_bound(height, p) keeps them exact.
-        """
-        h, n, d1, d2 = self.height, self.level, self.d1, self.d2
-        _check_int64_bound(h, p)
-        w = np.zeros(h, dtype=np.int64)
-        w[self.w.val : self.w.val + len(self.w.coeffs)] = [c % p for c in self.w.coeffs]
-        powers = np.zeros((max(d1, d2) + 1, h), dtype=np.int64)
-        powers[0, 0] = 1
-        for k in range(1, len(powers)):
-            powers[k] = np.convolve(powers[k - 1], w)[:h] % p
-        wblock = powers[: d2 + 1]
-        out = np.empty((h, len(self.order)), dtype=np.int64)
-        for j in range(d1 + 1):
-            acc = np.zeros_like(wblock)
-            vj = powers[j, : -(-h // n)]
-            for t in np.nonzero(vj)[0]:
-                s = n * int(t)
-                acc[:, s:] += vj[t] * wblock[:, : h - s]
-            out[:, j :: d1 + 1] = (acc % p).T
-        return out
+        w = (0,) * self.w.val + self.w.coeffs
+        return modp.monomial_matrix_mod(w, self.level, self.d1, self.d2, self.height, p)
 
     def annihilates(self, vec: list[int]) -> bool:
         """Exact check: sum of vec[k] * W^i V^j, (i, j) = order[k], vanishes
@@ -238,7 +213,7 @@ class MonomialMatrix(Sequence):
         return bool(poly.coeffs) and residual_series(poly, self.level, self.w).is_zero
 
     @cached_property
-    def _first_residues(self) -> np.ndarray:
+    def _first_residues(self):
         return self.mod(next(kernel_primes()))
 
     def __len__(self) -> int:

@@ -73,6 +73,15 @@ def test_expand_bad_spec_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("source", [("--name", "w"), ("--name", "j"),
+                                    ("--quotient", "18; 1:1, 2:-2, 9:-1, 18:2")])
+def test_expand_prec_past_maxsize_is_usage_error(capsys, source):
+    """A --prec no list can hold is refused before anything is expanded."""
+    code, out, err = run_cli(capsys, "expand", *source, "--prec", str(sys.maxsize + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: --prec must be at most {sys.maxsize}\n"
+
+
 def test_cusps_counts(capsys):
     for level, count in ((18, 8), (54, 12), (1, 1)):
         code, doc, _ = run_json(capsys, "cusps", str(level), "--no-timing")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ordersix import linalg
+from ordersix import modp
 from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
 
 from helpers import IntMatrix, back_substitute, echelon_mod, primitive
@@ -101,7 +101,7 @@ def _product_mod(left, right, p):
 
 def _assert_kernel_matches_oracle(mat, p):
     expected = back_substitute(*echelon_mod(mat, p), p)
-    got = [v.tolist() for v in linalg._kernel_mod(mat, p)]
+    got = [v.tolist() for v in modp._kernel_mod(mat, p)]
     assert got == expected
     for v in got:
         assert not (mat.astype(object).dot(v) % p).any()
@@ -115,7 +115,7 @@ def test_kernel_mod_matches_loop_back_substitution():
     ranks up to 64."""
     rng = random.Random(31)
     p = next(kernel_primes())
-    block = linalg._BLOCK_ROWS
+    block = modp._BLOCK_ROWS
     for _ in range(12):
         rows, cols = rng.randint(3, 3 * block), rng.randint(4, 64)
         rank = rng.randint(1, min(rows, cols))
@@ -130,7 +130,7 @@ def test_kernel_mod_blocks_without_new_pivots():
     be cleared at the new pivot columns)."""
     rng = random.Random(37)
     p = next(kernel_primes())
-    block = linalg._BLOCK_ROWS
+    block = modp._BLOCK_ROWS
     cols = 48
     early = [[0] * 10 + [rng.randrange(p) for _ in range(cols - 10)] for _ in range(6)]
     body = _product_mod([[rng.randrange(p) for _ in range(6)] for _ in range(block)], early, p)
@@ -157,7 +157,7 @@ def test_kernel_mod_high_rank_entries_near_p():
                    dtype=np.int64)
     got = _assert_kernel_matches_oracle(mat, p)
     assert len(got) == 10
-    step = linalg._gemm_step(p)
+    step = modp._gemm_step(p)
     assert step * (p - 1) ** 2 < 1 << 53 <= (step + 1) * (p - 1) ** 2
 
 
@@ -167,12 +167,12 @@ def test_sub_matmul_mod_is_exact_past_one_gemm():
     and so stay representable past 2^53, and p - 2 in one row of a and one
     column of b, whose odd sums past 2^53 would round."""
     p = next(kernel_primes())
-    step = linalg._gemm_step(p)
+    step = modp._gemm_step(p)
     c = [[0, 1], [p - 2, p - 1]]
     entries = [p - 1, p - 2]
     for k in (0, 1, step, step + 1, 2 * step + 3):
         a = np.array([[x] * k for x in entries], dtype=np.int64).reshape(2, k)
         b = np.array([entries] * k, dtype=np.int64).reshape(k, 2)
-        got = linalg._sub_matmul_mod(np.array(c, dtype=np.int64), a, b, p).tolist()
+        got = modp._sub_matmul_mod(np.array(c, dtype=np.int64), a, b, p).tolist()
         assert got == [[(c[i][j] - k * x * y) % p for j, y in enumerate(entries)]
                        for i, x in enumerate(entries)], k

@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from ordersix import modeq
+from ordersix import modeq, modp
 from ordersix.arith import psi_index
 from ordersix.cusps import INFINITY
 from ordersix.eta import EtaQuotient, named_w
@@ -88,9 +88,9 @@ def test_matrix_rows_are_residues_mod_the_first_prime():
 def test_int64_bound_is_checked():
     p = next(kernel_primes())
     most = ((1 << 63) - 1 - p) // (p - 1) ** 2
-    modeq._check_int64_bound(most, p)
+    modp._check_int64_bound(most, p)
     with pytest.raises(OverflowError):
-        modeq._check_int64_bound(most + 1, p)
+        modp._check_int64_bound(most + 1, p)
     # mod() checks before it allocates anything of size height
     d1, d2 = predict_degrees(2)
     matrix = MonomialMatrix(2, d1, d2, 46)

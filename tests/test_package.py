@@ -22,7 +22,7 @@ def test_every_exported_name_resolves():
         if info.name != "__main__"
     ]
     exporting = [m for m in modules if hasattr(m, "__all__")]
-    assert len(exporting) == len(modules) - 1 == 8
+    assert len(exporting) == len(modules) - 1 == 9
     for module in exporting:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
@@ -35,21 +35,25 @@ def test_schema_lists_the_normalization_notes():
     assert tuple(modeq_result["properties"]["normalization"]["enum"]) == NORMALIZATION_NOTES
 
 
-def _blas_probe(**env_extra):
-    """Run a fresh interpreter that imports ordersix, then numpy, and does one
-    float64 matrix product; return its OPENBLAS_NUM_THREADS and task count.
-    The variable is removed from the inherited environment first, since this
-    process has set it by importing ordersix."""
+def _run_fresh(code, *args, **env_extra):
+    """Run ``code`` in a fresh interpreter with ``args`` as its argv and
+    return its stdout.  OPENBLAS_NUM_THREADS is removed from the inherited
+    environment first, since this process has set it by importing ordersix."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(env_extra)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def _blas_probe(**env_extra):
+    """Import ordersix, then numpy, and do one float64 matrix product in a
+    fresh interpreter; return its OPENBLAS_NUM_THREADS and task count."""
     code = (
         "import os, ordersix, numpy as np\n"
         "a = np.ones((256, 256)); a @ a\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    value, tasks = out.stdout.split()
+    value, tasks = _run_fresh(code, **env_extra).split()
     return value, int(tasks)
 
 
@@ -66,3 +70,48 @@ def test_import_pins_openblas_to_one_thread():
 def test_explicit_openblas_thread_count_wins():
     value, _ = _blas_probe(OPENBLAS_NUM_THREADS="2")
     assert value == "2"
+
+
+# Runs each command of the JSON argv list through cli.main and prints, as
+# JSON, whether numpy is loaded after the import and after each command,
+# with each command's exit code and stderr.
+_NUMPY_PROBE = """\
+import contextlib, io, json, os, sys
+import ordersix.cli as cli
+seen = ['numpy' in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    seen.append([code, err.getvalue(), 'numpy' in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_commands_that_do_not_solve_never_load_numpy(tmp_path):
+    """numpy stays unloaded after `import ordersix.cli` and through every
+    command that does not solve, a validated cache hit among them."""
+    cache = str(tmp_path)
+    subprocess.run([sys.executable, "-m", "ordersix", "modeq", "5", "--cache-dir", cache],
+                   capture_output=True, check=True)
+    assert os.path.exists(os.path.join(cache, "modeq-level5.json"))
+    commands = [
+        ["expand", "--name", "w", "--prec", "40"],
+        ["cusps", "90", "--divisor", "w"],
+        ["verify", "identities"],
+        ["verify", "cusps"],
+        ["modeq", "5", "--cache-dir", cache],
+    ]
+    seen = json.loads(_run_fresh(_NUMPY_PROBE, json.dumps(commands)))
+    assert seen == [False] + [[0, "", False]] * len(commands)
+
+
+@needs_proc_tasks
+def test_first_solve_loads_numpy_on_one_openblas_thread():
+    code = _NUMPY_PROBE + (
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
+    )
+    out = _run_fresh(code, json.dumps([["modeq", "7", "--no-cache"]]))
+    seen, threads = out.splitlines()
+    assert json.loads(seen) == [False, [0, "", True]]
+    assert threads.split() == ["1", "1"]
