@@ -51,6 +51,22 @@ def psi_index(n: int) -> int:
     return out
 
 
+def moebius(n: int) -> int:
+    """The Moebius function: 0 unless n >= 1 is squarefree, else (-1)^(number
+    of prime factors)."""
+    f = factorize(n)
+    if any(e > 1 for e in f.values()):
+        return 0
+    return -1 if len(f) % 2 else 1
+
+
+def hecke_cosets(n: int) -> list[tuple[int, int, int]]:
+    """The upper-triangular matrices (a b; 0 d) with ad = n, 0 <= b < d and
+    gcd(a, b, d) = 1, as (a, b, d); there are psi_index(n) of them."""
+    return [(a, b, n // a) for a in divisors(n) for b in range(n // a)
+            if gcd(a, b, n // a) == 1]
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -108,6 +124,8 @@ __all__ = [
     "divisors",
     "euler_phi",
     "psi_index",
+    "moebius",
+    "hecke_cosets",
     "is_prime",
     "primes_below",
     "sigma3_table",

@@ -1,6 +1,6 @@
 """Exact kernels of integer/rational matrices.
 
-* kernel_int_crt -- the solver's kernel: row reduction modulo 20-bit primes
+* kernel_int_crt -- the solver's kernel: kernels modulo 20-bit primes
   combined by CRT and rational reconstruction, for integer matrices whose
   kernel is expected to be one-dimensional;
 * nullspace_exact -- Gaussian elimination over Fraction with partial
@@ -8,17 +8,19 @@
   rational matrix; the solver does not call it, the tests compare
   kernel_int_crt against it.
 
-kernel_int_crt reads its matrix only through reductions mod p and one
-exact acceptance check (``mod(p)`` and ``annihilates(vec)``), so a caller
-can hand it a matrix that never exists over Z.  It certifies its output:
-a prime with nullity k bounds the rational nullity by k from above, and
-the reconstructed vector is accepted only when the exact check passes, so
-the result is exact despite the modular detour.  Both functions are
-deterministic and pure.
+kernel_int_crt reads its matrix through two methods only, so a caller can
+hand it a matrix that never exists over Z:
 
-The kernel modulo each prime is modp._kernel_mod, blocked Gauss-Jordan
-elimination in numpy.  kernel_int_crt imports modp when it is called, so
-importing this module does not load numpy.
+* ``kernel_mod(p)`` -- a basis of the kernel of the matrix mod p, a list
+  of vectors of residues.  Its length bounds the rational nullity from
+  above whenever the basis is the whole kernel mod p.  A matrix may also
+  return a single vector it knows to span the relations, as
+  modeq.MonomialMatrix does at levels prime to 6;
+* ``annihilates(vec)`` -- the exact check of an integer vector.
+
+The reconstructed vector is accepted only when ``annihilates`` passes, so
+the result is exact despite the modular detour.  Both functions are
+deterministic and pure, and this module does not import numpy.
 """
 
 from __future__ import annotations
@@ -79,9 +81,11 @@ def nullspace_exact(rows: list[list]) -> list[list[Fraction]]:
     return basis
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    t = ((r2 - r1) * pow(m1, -1, m2)) % m2
-    return r1 + m1 * t, m1 * m2
+def _crt_vector(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:
+    """The residues mod m1*m2 congruent to r1 mod m1 and r2 mod m2, entry by
+    entry, with one modular inverse for the whole vector."""
+    inv = pow(m1, -1, m2)
+    return [a + m1 * ((b - a) * inv % m2) for a, b in zip(r1, r2)]
 
 
 def _rational_reconstruct(x: int, m: int) -> Fraction | None:
@@ -119,22 +123,21 @@ def kernel_primes():
 def kernel_int_crt(matrix) -> KernelResult:
     """Kernel of an integer matrix expected to have nullity one.
 
-    ``matrix`` is an object with ``mod(p)`` (the matrix reduced mod p as an
-    int64 array) and ``annihilates(vec)`` (the exact check of an integer
-    vector).  Each good prime certifies an upper bound on the rational
-    nullity; when that bound is one, residues of the normalized kernel
-    vector are CRT combined and rationally reconstructed until
-    ``annihilates`` accepts the lifted vector.  Raises RuntimeError when
+    ``matrix`` is an object with ``kernel_mod(p)`` and ``annihilates(vec)``
+    (see the module docstring).  Each prime whose basis has one vector
+    contributes the residues of that vector, scaled to 1 at the first
+    nonzero entry of the first such vector; these are CRT combined and
+    rationally reconstructed until ``annihilates`` accepts the lifted
+    vector.  Reconstruction stops at the first entry that fails, since
+    the prime cannot then give a vector.  Raises RuntimeError when
     _MAX_PRIMES primes do not suffice.
     """
-    from . import modp  # loads numpy at the first solve, not with the package
-
     modulus = None
     residues = None
     anchor = None
     dims_seen = []
     for used, p in enumerate(islice(kernel_primes(), _MAX_PRIMES), 1):
-        kern = modp._kernel_mod(matrix.mod(p), p)
+        kern = matrix.kernel_mod(p)
         dims_seen.append(len(kern))
         if len(kern) == 0:
             return KernelResult(0, None, used)
@@ -153,16 +156,18 @@ def kernel_int_crt(matrix) -> KernelResult:
         if modulus is None:
             residues, modulus = vp, p
         else:
-            residues = [
-                _crt_pair(r1, modulus, r2, p)[0] for r1, r2 in zip(residues, vp)
-            ]
+            residues = _crt_vector(residues, modulus, vp, p)
             modulus *= p
-        lifted = [_rational_reconstruct(r, modulus) for r in residues]
-        if any(f is None for f in lifted):
-            continue
-        ints = _clear_denominators(lifted)
-        if matrix.annihilates(ints):
-            return KernelResult(1, ints, used)
+        lifted = []
+        for r in residues:
+            f = _rational_reconstruct(r, modulus)
+            if f is None:
+                break
+            lifted.append(f)
+        else:
+            ints = _clear_denominators(lifted)
+            if matrix.annihilates(ints):
+                return KernelResult(1, ints, used)
     raise RuntimeError("kernel reconstruction did not converge")
 
 

@@ -1,23 +1,42 @@
 """Modular equations F_n(w(tau), w(n*tau)) = 0 for the hauptmodul w.
 
-The solver predicts the bidegree from total pole degrees on Gamma0(18n)
-and computes the one-dimensional kernel of the coefficient matrix of the
-monomials W^i V^j with the multimodular CRT solver.  That matrix never
-exists over Z: MonomialMatrix keeps the exact expansion of w and builds
-the matrix modulo each prime in int64 numpy arrays.  Exactly one check
-over Z accepts an equation, residual_series: the Horner-rule residual
-F_n(w, w(n*tau)) vanishing below q^valence_bound(n), which proves it is 0.
-MonomialMatrix.annihilates applies it to the solver's lifted kernel vector
-and certificate_failure to a stored equation (a cache entry).  The kernel
-is a certified primitive integer vector, and a deterministic rule fixes its
-sign.  A certified equation is fixed by its level and polynomial:
-result_for derives every other field from those two, for a fresh solve and
-a cache hit alike.  Structural checks cover the forced zero/nonzero
-coefficient pattern, X<->Y symmetry for levels coprime to 6, and the
-Kronecker congruence at prime levels.
+The solver predicts the bidegree (d2, d1) from total pole degrees on
+Gamma0(18n) and finds the one relation in that box with the multimodular
+CRT solver, which asks MonomialMatrix for a kernel basis mod each prime.
+There are two routes to it, chosen by gcd(n, 6):
+
+* gcd(n, 6) = 1: for gcd(n, 18) = 1 the double coset
+  Gamma0(18) diag(n, 1) Gamma0(18) is the disjoint union of the cosets
+  Gamma0(18) (a b; 0 d), ad = n, 0 <= b < d, gcd(a, b, d) = 1 (Shimura
+  1971, Prop. 3.36), so F_n = prod (Y - w((a*tau + b)/d)), X = w(tau).
+  modp.conjugate_polynomial_mod computes it mod p from the power sums of
+  these conjugates (conjugate_traces) by Newton's identities, with no
+  matrix.  That the kernel is one-dimensional is then derived, not read
+  off a nullity mod p: with alpha = diag(n, 1), Gamma0(18) intersected
+  with alpha^-1 Gamma0(18) alpha is Gamma0(18n), and since w is a
+  hauptmodul, C(X0(18n)) = C(w, w(n*tau)).  So w(n*tau) has degree
+  psi(n) = d1 over C(w), F_n is its minimal polynomial, and every
+  relation in the (d2, d1) box is a constant multiple of F_n.
+* otherwise: the kernel of the coefficient matrix of the monomials
+  W^i V^j, by elimination mod p.  That matrix never exists over Z:
+  MonomialMatrix keeps the exact expansion of w and builds the matrix
+  modulo each prime in int64 numpy arrays.  A prime of nullity one
+  bounds the rational nullity, so dimension one is certified there.
+
+Exactly one check over Z accepts an equation on either route,
+residual_series: the Horner-rule residual F_n(w, w(n*tau)) vanishing below
+q^valence_bound(n), which proves it is 0.  MonomialMatrix.annihilates
+applies it to the solver's lifted vector and certificate_failure to a
+stored equation (a cache entry).  The vector is a certified primitive
+integer vector, and a deterministic rule fixes its sign.  A certified
+equation is fixed by its level and polynomial: result_for derives every
+other field from those two, for a fresh solve and a cache hit alike.
+Structural checks cover the forced zero/nonzero coefficient pattern, X<->Y
+symmetry for levels coprime to 6, and the Kronecker congruence at prime
+levels.
 
 The arithmetic mod p is in modp, the one module that imports numpy.
-MonomialMatrix.mod imports it at the first solve, so importing this module
+MonomialMatrix imports it at the first solve, so importing this module
 does not load numpy.
 """
 
@@ -29,7 +48,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from .arith import is_prime
+from .arith import divisors, hecke_cosets, is_prime, moebius
 from .eta import divisor, named_w
 # nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
 from .linalg import kernel_int_crt, kernel_primes, nullspace_exact  # noqa: F401
@@ -179,6 +198,27 @@ def valence_bound(n: int) -> int:
     return 2 * d1 * d2 + 1
 
 
+def conjugate_traces(n: int) -> list[tuple[int, int, int]]:
+    """The power sums of the conjugates of w(n*tau) over Q(w), gcd(n, 6) = 1,
+    as triples (s, t, c): the sum of the k-th powers of the conjugates is
+    sum of c * sum_u c_(t*u) q^(s*u), where w^k = sum c_m q^m.
+
+    The conjugates are w((a*tau + b)/d) over hecke_cosets(n).  Summing
+    w^k at (a*tau + b)/d over the b prime to e' = gcd(a, d) keeps, by
+    Moebius inversion over e | e', the terms q^(a*m/d) with (d/e) | m,
+    each times mu(e) * d/e; with m = (d/e)*u that is (s, t, c) = (a/e,
+    d/e, mu(e) * d/e).  Raises RuntimeError unless there are
+    predict_degrees(n)[0] cosets, the degree of w(n*tau) over Q(w).
+    """
+    if gcd(n, 6) != 1:
+        raise LevelNotCoprimeTo6Error(f"level {n} shares a factor with 6")
+    count, d1 = len(hecke_cosets(n)), predict_degrees(n)[0]
+    if count != d1:
+        raise RuntimeError(f"level {n}: {count} cosets, but w(n*tau) has degree {d1}")
+    return [(a // e, n // a // e, moebius(e) * (n // a // e))
+            for a in divisors(n) for e in divisors(gcd(a, n // a)) if moebius(e)]
+
+
 class MonomialMatrix(Sequence):
     """Coefficient matrix of the monomials W^i V^j, W = w and V = w(n*tau).
 
@@ -186,9 +226,10 @@ class MonomialMatrix(Sequence):
     by (i, j) lexicographic, 0 <= i <= d2, 0 <= j <= d1.  Only the exact
     expansion ``w`` of w below q^height is stored: ``mod(p)`` builds the
     matrix reduced mod p in int64 numpy arrays, which is exactly the integer
-    matrix reduced mod p, and ``annihilates`` is the one exact check.  As a
-    sequence, its rows are the residues mod the kernel's first prime, as
-    Python ints (bench/tracing.py reads the kernel's matrix as rows).
+    matrix reduced mod p, ``kernel_mod(p)`` is a kernel basis mod p, and
+    ``annihilates`` is the one exact check.  As a sequence, its rows are
+    the residues mod the kernel's first prime, as Python ints
+    (bench/tracing.py reads the kernel's matrix as rows).
     """
 
     def __init__(self, n: int, d1: int, d2: int, height: int):
@@ -198,13 +239,30 @@ class MonomialMatrix(Sequence):
         if self.w.h != 1 or self.w.val < 0:
             raise AssertionError("w must expand in integer powers of q")
 
+    def _w_coeffs(self) -> tuple[int, ...]:
+        return (0,) * self.w.val + self.w.coeffs
+
     def mod(self, p: int):
         """The matrix mod p as an int64 numpy array, shape (height,
         #unknowns), entries in [0, p): modp.monomial_matrix_mod."""
         from . import modp  # loads numpy at the first solve, not with the package
 
-        w = (0,) * self.w.val + self.w.coeffs
-        return modp.monomial_matrix_mod(w, self.level, self.d1, self.d2, self.height, p)
+        return modp.monomial_matrix_mod(self._w_coeffs(), self.level, self.d1, self.d2,
+                                        self.height, p)
+
+    def kernel_mod(self, p: int) -> list:
+        """The relations mod p, for kernel_int_crt.  At levels prime to 6
+        this is the one vector modp.conjugate_polynomial_mod, F_n mod p from
+        the power sums of the conjugates (every relation is a multiple of
+        F_n; see the module docstring), and the matrix is never built.
+        Elsewhere it is modp._kernel_mod of mod(p), a kernel basis by
+        elimination."""
+        from . import modp  # loads numpy at the first solve, not with the package
+
+        if gcd(self.level, 6) == 1:
+            return [modp.conjugate_polynomial_mod(self._w_coeffs(), self.level, self.d1,
+                                                  self.d2, conjugate_traces(self.level), p)]
+        return modp._kernel_mod(self.mod(p), p)
 
     def annihilates(self, vec: list[int]) -> bool:
         """Exact check: sum of vec[k] * W^i V^j, (i, j) = order[k], vanishes

@@ -1,10 +1,14 @@
 """Exact arithmetic modulo 20-bit primes, in numpy arrays.
 
 This is the only module of the package that imports numpy.
-linalg.kernel_int_crt and modeq.MonomialMatrix.mod import it when called,
-so numpy, and with it OpenBLAS, is loaded by the first solve, and commands
-that do not solve never load it.
+modeq.MonomialMatrix imports it when it first reduces mod p, so numpy,
+and with it OpenBLAS, is loaded by the first solve, and commands that do
+not solve never load it.
 
+* power_table -- the powers of w mod p, by exact float64 convolutions;
+* conjugate_polynomial_mod -- F_n mod p at levels prime to 6, from the
+  power sums of the conjugates of w(n*tau) and Newton's identities, with
+  no matrix;
 * monomial_matrix_mod -- the monomial matrix of modeq reduced mod p, from
   the exact expansion of w, in int64;
 * _kernel_mod -- the right kernel of a residue matrix mod p.
@@ -18,6 +22,7 @@ with no back-substitution.  The primes are below 2^20, so, as in FFLAS, a
 product is a plain float64 GEMM on the residues: _gemm_step(p) columns of
 the inner dimension at a time, every partial sum is an integer below 2^53
 and hence exact, and it is reduced mod p in int64 before the next chunk.
+The convolutions of power_table are exact in float64 the same way.
 Reduced row echelon form mod p is unique, so the kernel vectors do not
 depend on the block size.  The package runs these thin products on one
 OpenBLAS thread by default (see ordersix/__init__.py), a default that holds
@@ -38,6 +43,47 @@ def _check_int64_bound(terms: int, p: int) -> None:
         raise OverflowError(f"{terms} products mod {p} overflow int64")
 
 
+def _gemm_step(p: int) -> int:
+    """The largest inner dimension at which a float64 GEMM of residues mod p
+    is exact: each product is at most (p - 1)^2, and the sum must stay
+    below 2^53.  8,192 for the first prime."""
+    return ((1 << 53) - 1) // (p - 1) ** 2
+
+
+def power_table(w: Sequence[int], top: int, length: int, p: int) -> np.ndarray:
+    """w^0, ..., w^top mod p below q^length, shape (top + 1, length).
+
+    ``w`` holds the exact coefficients of q^0, q^1, ... of w, at least
+    below q^length.  Each power is the previous one times w, by
+    _mul_trunc.  The callers sum up to ``length`` products of two entries
+    in int64, so _check_int64_bound(length, p) runs first, before anything
+    of size ``length`` is allocated.
+    """
+    _check_int64_bound(length, p)
+    wp = np.array([c % p for c in w[:length]], dtype=np.float64)
+    powers = np.zeros((top + 1, length), dtype=np.int64)
+    powers[0, 0] = 1
+    for k in range(1, top + 1):
+        powers[k] = _mul_trunc(powers[k - 1].astype(np.float64), wp, p)
+    return powers
+
+
+def _mul_trunc(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a*b mod p below q^len(a), for float64 residue arrays of equal length,
+    as int64.  One float64 convolution per _gemm_step(p) coefficients of a:
+    each output is then a sum of at most that many products, an integer
+    below 2^53 and hence exact.  Truncating the full convolution measured
+    faster than splitting off the half it throws away, at levels 19 and
+    25."""
+    n = len(a)
+    step = _gemm_step(p)
+    out = np.zeros(n, dtype=np.int64)
+    for k in range(0, n, step):
+        part = np.convolve(a[k : k + step], b[: n - k])[: n - k]
+        out[k:] = (out[k:] + part.astype(np.int64)) % p
+    return out
+
+
 def monomial_matrix_mod(w: Sequence[int], n: int, d1: int, d2: int, height: int,
                         p: int) -> np.ndarray:
     """The monomial matrix of modeq.MonomialMatrix mod p, shape (height,
@@ -46,19 +92,14 @@ def monomial_matrix_mod(w: Sequence[int], n: int, d1: int, d2: int, height: int,
     ``w`` holds the exact coefficients of q^0, q^1, ... of w, at least
     below q^height.  Row e holds the coefficients of q^e; column (i, j),
     in (i, j) lexicographic order, is W^i V^j with W = w and V = w(q^n).
-    The powers W^k mod p come from truncated convolutions with w.  V^j is
-    nonzero only at multiples of n, so column (i, j) is a sum of about
-    height/n shifted copies of W^i scaled by coefficients of w^j.  No sum
-    has more than height products of two residues, so
-    _check_int64_bound(height, p) keeps them exact.
+    The powers W^k mod p come from power_table.  V^j is nonzero only at
+    multiples of n, so column (i, j) is a sum of about height/n shifted
+    copies of W^i scaled by coefficients of w^j.  No sum has more than
+    height products of two residues, so _check_int64_bound(height, p),
+    which power_table runs first, keeps them exact.
     """
     h = height
-    _check_int64_bound(h, p)
-    wp = np.array([c % p for c in w[:h]], dtype=np.int64)
-    powers = np.zeros((max(d1, d2) + 1, h), dtype=np.int64)
-    powers[0, 0] = 1
-    for k in range(1, len(powers)):
-        powers[k] = np.convolve(powers[k - 1], wp)[:h] % p
+    powers = power_table(w, max(d1, d2), h, p)
     wblock = powers[: d2 + 1]
     out = np.empty((h, (d1 + 1) * (d2 + 1)), dtype=np.int64)
     for j in range(d1 + 1):
@@ -71,14 +112,53 @@ def monomial_matrix_mod(w: Sequence[int], n: int, d1: int, d2: int, height: int,
     return out
 
 
+def conjugate_polynomial_mod(w: Sequence[int], n: int, d1: int, d2: int,
+                             traces: Sequence[tuple[int, int, int]], p: int) -> np.ndarray:
+    """F_n = prod (Y - w((a*tau + b)/d)) mod p, over the d1 cosets of the
+    level-n Hecke double coset, as a vector in the column order of
+    monomial_matrix_mod: entry (i, j) is the coefficient of X^i Y^j, with
+    X = w.  The entry at (0, d1) is 1 and precedes every other nonzero.
+
+    ``w`` is as for power_table, at least below q^(n*(d2 + 1)); ``traces``
+    is modeq.conjugate_traces(n).  With w^k = sum c_m q^m, the power sum
+    of the k-th powers of the conjugates is
+    p_k = sum over traces (s, t, c) of c * sum_u c_(t*u) q^(s*u), needed
+    only below q^(d2 + 1): the coefficients of F in Y are polynomials in
+    w of degree at most d2, and w = q + O(q^2), so q^0 .. q^d2 fix them.
+    Newton's identities k e_k = sum_{i<=k} (-1)^(i-1) e_(k-i) p_i, with
+    k <= d1 < p, give the elementary symmetric functions e_k, and
+    triangular subtraction of the powers of w writes each as a polynomial
+    in w: the coefficient of Y^(d1-k) is (-1)^k e_k.
+    """
+    size = d2 + 1
+    powers = power_table(w, max(d1, d2), n * size, p)
+    if powers[1, 0] or powers[1, 1] != 1:
+        raise ValueError("w must be q + O(q^2)")
+    sums = np.zeros((d1 + 1, size), dtype=np.int64)
+    for s, t, c in traces:
+        u = d2 // s + 1
+        sums[:, : s * u : s] += c * powers[: d1 + 1, : t * u : t]
+    # Newton's identities: a coefficient of e_k is a sum of at most
+    # k * size products of two residues
+    _check_int64_bound(d1 * size, p)
+    sums[2::2] = -sums[2::2]
+    sums %= p
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    toeplitz = np.where(lag >= 0, sums[:, np.maximum(lag, 0)], 0)
+    elem = np.zeros((d1 + 1, size), dtype=np.int64)
+    elem[0, 0] = 1
+    for k in range(1, d1 + 1):
+        acc = np.einsum("imr,ir->m", toeplitz[1 : k + 1], elem[k - 1 :: -1])
+        elem[k] = acc % p * pow(k, -1, p) % p
+    grid = np.zeros((size, d1 + 1), dtype=np.int64)
+    for i in range(size):
+        grid[i, ::-1] = elem[:, i]
+        elem = (elem - np.outer(elem[:, i], powers[i, :size])) % p
+    grid[:, d1 - 1 :: -2] = -grid[:, d1 - 1 :: -2] % p
+    return grid.ravel()
+
+
 _BLOCK_ROWS = 32
-
-
-def _gemm_step(p: int) -> int:
-    """The largest inner dimension at which a float64 GEMM of residues mod p
-    is exact: each product is at most (p - 1)^2, and the sum must stay
-    below 2^53.  8,192 for the first prime."""
-    return ((1 << 53) - 1) // (p - 1) ** 2
 
 
 def _sub_matmul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -163,4 +243,4 @@ def _kernel_mod(mat: np.ndarray, p: int) -> list[np.ndarray]:
     return list(basis.T)
 
 
-__all__ = ["monomial_matrix_mod"]
+__all__ = ["power_table", "monomial_matrix_mod", "conjugate_polynomial_mod"]

@@ -100,6 +100,11 @@ class IntMatrix:
     def mod(self, p):
         return np.array([[x % p for x in row] for row in self.rows], dtype=np.int64)
 
+    def kernel_mod(self, p):
+        from ordersix import modp
+
+        return modp._kernel_mod(self.mod(p), p)
+
     def annihilates(self, vec):
         if not any(vec):
             return False

@@ -5,8 +5,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from ordersix import modeq, modp
-from ordersix.arith import psi_index
+from ordersix import linalg, modeq, modp
+from ordersix.arith import hecke_cosets, psi_index
 from ordersix.cusps import INFINITY
 from ordersix.eta import EtaQuotient, named_w
 from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
@@ -21,6 +21,7 @@ from ordersix.modeq import (
     check_kronecker,
     check_pattern,
     check_symmetry,
+    conjugate_traces,
     extract_inner_factor,
     format_polynomial,
     kronecker_frame,
@@ -33,7 +34,7 @@ from ordersix.modeq import (
 )
 from ordersix.verify import golden_poly
 
-from helpers import monomial_matrix, primitive
+from helpers import monomial_matrix, poly_mul, primitive
 
 
 def test_predict_degrees():
@@ -97,6 +98,114 @@ def test_int64_bound_is_checked():
     matrix.height = 1 << 40
     with pytest.raises(OverflowError):
         matrix.mod(p)
+
+
+def test_power_table_matches_schoolbook_products(monkeypatch):
+    """Exact past one float64 convolution: with _gemm_step cut to 37, every
+    truncated product runs in several chunks."""
+    p = next(kernel_primes())
+    ws = named_w().expand(300)
+    w = [0] * ws.val + list(ws.coeffs)
+    expected = [[1] + [0] * 299]
+    for _ in range(6):
+        expected.append([c % p for c in poly_mul(expected[-1], w, 300)])
+    assert modp.power_table(w, 6, 300, p).tolist() == expected
+    monkeypatch.setattr(modp, "_gemm_step", lambda p: 37)
+    assert modp.power_table(w, 6, 300, p).tolist() == expected
+
+
+def test_power_table_checks_int64_bound_before_allocating():
+    p = next(kernel_primes())
+    w = [0] + list(named_w().expand(20).coeffs)
+    with pytest.raises(OverflowError):
+        modp.power_table(w, 20, 1 << 40, p)
+
+
+def test_power_sums_agree_with_elimination_per_prime():
+    """At every level prime to 6 from 5 to 31, F_n mod p from the power sums
+    of the conjugates is the kernel of the monomial matrix mod p, for the
+    first two kernel primes."""
+    primes = list(islice(kernel_primes(), 2))
+    for n in range(5, 32):
+        if gcd(n, 6) != 1:
+            continue
+        d1, d2 = predict_degrees(n)
+        matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
+        for p in primes:
+            (conj,) = matrix.kernel_mod(p)
+            (kern,) = modp._kernel_mod(matrix.mod(p), p)
+            lead = matrix.order.index((0, d1))
+            assert not conj[:lead].any() and conj[lead] == 1, (n, p)
+            assert np.array_equal(conj, kern * pow(int(kern[lead]), -1, p) % p), (n, p)
+
+
+def test_route_follows_gcd_with_6(monkeypatch):
+    """Levels sharing a factor with 6 eliminate; levels prime to 6 build no
+    matrix and eliminate nothing."""
+    calls = []
+
+    def spy(name):
+        original = getattr(modp, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    for name in ("_kernel_mod", "monomial_matrix_mod"):
+        monkeypatch.setattr(modp, name, spy(name))
+    for n in (2, 3, 4, 6, 8, 9, 12):
+        calls.clear()
+        solve_modular_equation(n)
+        assert "_kernel_mod" in calls, n
+    for n in (5, 7, 13):
+        calls.clear()
+        solve_modular_equation(n)
+        assert calls == [], n
+
+
+def test_coset_count_is_the_degree():
+    for n in range(5, 50):
+        if gcd(n, 6) == 1:
+            assert len(hecke_cosets(n)) == psi_index(n) == predict_degrees(n)[0], n
+            # the traces weigh each coset once: their weights sum to the count
+            assert sum(c for _, _, c in conjugate_traces(n)) == psi_index(n), n
+
+
+def test_conjugate_traces_check_the_coset_count(monkeypatch):
+    with pytest.raises(LevelNotCoprimeTo6Error):
+        conjugate_traces(9)
+    monkeypatch.setattr(modeq, "hecke_cosets", lambda n: hecke_cosets(n)[1:])
+    with pytest.raises(RuntimeError):
+        conjugate_traces(7)
+
+
+def test_lift_stops_at_the_first_entry_that_fails(monkeypatch):
+    """Each prime before the last reconstructs entries only up to the first
+    failure; the last reconstructs all of them, and nothing else changes."""
+    calls = []
+    original = linalg._rational_reconstruct
+
+    def spy(x, m):
+        out = original(x, m)
+        calls.append((m, out is None))
+        return out
+
+    monkeypatch.setattr(linalg, "_rational_reconstruct", spy)
+    d1, d2 = predict_degrees(13)
+    matrix = MonomialMatrix(13, d1, d2, valence_bound(13))
+    kernel = kernel_int_crt(matrix)
+    assert kernel.primes_used == 3
+    assert BivarPoly(dict(zip(matrix.order, kernel.vector))).normalized() == golden_poly(13)
+    runs: dict[int, list[bool]] = {}
+    for m, failed in calls:
+        runs.setdefault(m, []).append(failed)
+    *early, last = runs.values()
+    assert len(early) == 2
+    for failures in early:
+        assert failures[-1] and not any(failures[:-1])
+    assert len(last) == len(matrix.order) and not any(last)
 
 
 def test_residual_detects_one_perturbed_coefficient(solved):
