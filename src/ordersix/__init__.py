@@ -3,15 +3,15 @@ the order-six continued fraction's hauptmodul w(tau) = X(tau) X(3*tau)."""
 
 import os
 
-# One OpenBLAS thread unless the caller chose otherwise.  The kernel's
-# products are thin 32-row blocks (modp), and the worker OpenBLAS starts
-# per extra vCPU on import only busy-waits around them.  On 2 vCPUs the
-# median CPU time of `modeq 7`, `modeq 13` and `modeq 19 --no-cache` fell
-# from 0.38, 0.47 and 1.37 s to 0.27, 0.36 and 0.82 s, and that of
-# `modeq 25` from 4.9 to 2.9 s, with wall time no worse.  OpenBLAS reads
-# the variable once, when numpy is first imported.  Only modp imports
-# numpy, and only the first solve imports modp, so the setting takes effect
-# then; it has no effect in a process that imported numpy before ordersix.
+# One OpenBLAS thread unless the caller chose otherwise.  The solver's
+# arithmetic mod p is convolutions and int64 products, none of them BLAS
+# calls, so the worker OpenBLAS starts per extra vCPU on import only costs
+# CPU time.  On 2 vCPUs (numpy 2.4), importing numpy and running 50
+# np.convolve calls took a median of 0.25 s CPU with one thread against
+# 0.38 s with two, over 8 runs each.  OpenBLAS reads the variable once,
+# when numpy is first imported.  Only modp imports numpy, and only the
+# first solve imports modp, so the setting takes effect then; it has no
+# effect in a process that imported numpy before ordersix.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .arith import psi_index

@@ -61,10 +61,13 @@ def moebius(n: int) -> int:
 
 
 def hecke_cosets(n: int) -> list[tuple[int, int, int]]:
-    """The upper-triangular matrices (a b; 0 d) with ad = n, 0 <= b < d and
-    gcd(a, b, d) = 1, as (a, b, d); there are psi_index(n) of them."""
-    return [(a, b, n // a) for a in divisors(n) for b in range(n // a)
-            if gcd(a, b, n // a) == 1]
+    """The upper-triangular matrices (a b; 0 d) with ad = n, 0 <= b < d,
+    gcd(a, b, d) = 1 and gcd(a, 6) = 1, as (a, b, d): the right cosets of
+    Gamma0(18) in Gamma0(18) diag(1, n) Gamma0(18) (Shimura 1971, Prop.
+    3.36, for Delta0(N)).  There are [Gamma0(18) : Gamma0(18n)] of them,
+    psi_index(n) when gcd(n, 6) = 1."""
+    return [(a, b, n // a) for a in divisors(n) if gcd(a, 6) == 1
+            for b in range(n // a) if gcd(a, b, n // a) == 1]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -29,7 +29,6 @@ from .eta import EtaQuotient, NAMED_QUOTIENTS, named_j
 from .modeq import (
     BivarPoly,
     ModEqResult,
-    NullspaceAmbiguousError,
     NullspaceEmptyError,
     certificate_failure,
     extract_inner_factor,
@@ -422,9 +421,12 @@ def main(argv: list[str] | None = None) -> int:
     except BadSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NullspaceEmptyError, NullspaceAmbiguousError, RuntimeError) as exc:
+    except (NullspaceEmptyError, RuntimeError) as exc:
         # RuntimeError: kernel_int_crt did not converge
         print(f"solver error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

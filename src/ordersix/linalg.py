@@ -1,8 +1,8 @@
 """Exact kernels of integer/rational matrices.
 
-* kernel_int_crt -- the solver's kernel: kernels modulo 20-bit primes
-  combined by CRT and rational reconstruction, for integer matrices whose
-  kernel is expected to be one-dimensional;
+* kernel_int_crt -- the solver's lift: a relation mod 20-bit primes,
+  combined by CRT and rational reconstruction, for a matrix whose
+  kernel is known to be one-dimensional;
 * nullspace_exact -- Gaussian elimination over Fraction with partial
   pivoting on the bit length of numerator*denominator, usable on any
   rational matrix; the solver does not call it, the tests compare
@@ -11,11 +11,8 @@
 kernel_int_crt reads its matrix through two methods only, so a caller can
 hand it a matrix that never exists over Z:
 
-* ``kernel_mod(p)`` -- a basis of the kernel of the matrix mod p, a list
-  of vectors of residues.  Its length bounds the rational nullity from
-  above whenever the basis is the whole kernel mod p.  A matrix may also
-  return a single vector it knows to span the relations, as
-  modeq.MonomialMatrix does at levels prime to 6;
+* ``kernel_mod(p)`` -- a nonzero vector of residues mod p spanning the
+  kernel mod p, as modeq.MonomialMatrix returns F_n mod p;
 * ``annihilates(vec)`` -- the exact check of an integer vector.
 
 The reconstructed vector is accepted only when ``annihilates`` passes, so
@@ -106,11 +103,9 @@ def _rational_reconstruct(x: int, m: int) -> Fraction | None:
 
 
 class KernelResult:
-    """Outcome of kernel_int_crt: the certified dimension, and when the
-    dimension is one, a primitive integer kernel vector."""
+    """Outcome of kernel_int_crt: a primitive integer kernel vector."""
 
-    def __init__(self, dimension: int, vector: list[int] | None, primes_used: int):
-        self.dimension = dimension
+    def __init__(self, vector: list[int], primes_used: int):
         self.vector = vector
         self.primes_used = primes_used
 
@@ -121,32 +116,21 @@ def kernel_primes():
 
 
 def kernel_int_crt(matrix) -> KernelResult:
-    """Kernel of an integer matrix expected to have nullity one.
+    """Kernel of an integer matrix of nullity one.
 
     ``matrix`` is an object with ``kernel_mod(p)`` and ``annihilates(vec)``
-    (see the module docstring).  Each prime whose basis has one vector
-    contributes the residues of that vector, scaled to 1 at the first
-    nonzero entry of the first such vector; these are CRT combined and
-    rationally reconstructed until ``annihilates`` accepts the lifted
-    vector.  Reconstruction stops at the first entry that fails, since
-    the prime cannot then give a vector.  Raises RuntimeError when
-    _MAX_PRIMES primes do not suffice.
+    (see the module docstring).  Each prime contributes the residues of
+    its vector, scaled to 1 at the first nonzero entry of the first
+    prime's vector; these are CRT combined and rationally reconstructed
+    until ``annihilates`` accepts the lifted vector.  Reconstruction stops
+    at the first entry that fails, since the prime cannot then give a
+    vector.  Raises RuntimeError when _MAX_PRIMES primes do not suffice.
     """
     modulus = None
     residues = None
     anchor = None
-    dims_seen = []
     for used, p in enumerate(islice(kernel_primes(), _MAX_PRIMES), 1):
-        kern = matrix.kernel_mod(p)
-        dims_seen.append(len(kern))
-        if len(kern) == 0:
-            return KernelResult(0, None, used)
-        if len(kern) != 1:
-            # possibly an unlucky prime; give it two more chances
-            if len(dims_seen) >= 3 and min(dims_seen) >= 2:
-                return KernelResult(min(dims_seen), None, used)
-            continue
-        v = kern[0]
+        v = matrix.kernel_mod(p)
         if anchor is None:
             anchor = next(k for k, x in enumerate(v) if x)
         if v[anchor] % p == 0:
@@ -167,7 +151,7 @@ def kernel_int_crt(matrix) -> KernelResult:
         else:
             ints = _clear_denominators(lifted)
             if matrix.annihilates(ints):
-                return KernelResult(1, ints, used)
+                return KernelResult(ints, used)
     raise RuntimeError("kernel reconstruction did not converge")
 
 

@@ -1,39 +1,37 @@
 """Modular equations F_n(w(tau), w(n*tau)) = 0 for the hauptmodul w.
 
 The solver predicts the bidegree (d2, d1) from total pole degrees on
-Gamma0(18n) and finds the one relation in that box with the multimodular
-CRT solver, which asks MonomialMatrix for a kernel basis mod each prime.
-There are two routes to it, chosen by gcd(n, 6):
+Gamma0(18n) and derives the one relation in that box from the conjugates
+of w(tau) over C(w(n*tau)), at every level.  With Y = w(tau), the roots of
+F_n(X, Y) in X are w((a*tau + b)/d) over the right cosets of Gamma0(18)
+in Gamma0(18) diag(1, n) Gamma0(18): ad = n, 0 <= b < d, gcd(a, b, d) = 1
+and gcd(a, 6) = 1 (arith.hecke_cosets; Shimura 1971, Prop. 3.36).  All of
+them expand at infinity, so F_n = (1 - 3Y)^m prod (X - w((a*tau + b)/d)),
+where w = 1/3 at the cusp 0 of Gamma0(18) and m (leading_exponent) is the
+pole order of w at the cusps of Gamma0(18n) where w(n*tau) is regular;
+m = 0 exactly when n is odd.  modp.conjugate_polynomial_mod computes F_n
+mod p from the power sums of the roots (conjugate_traces) by Newton's
+identities, with no matrix, and the multimodular lift in linalg combines
+the primes.
 
-* gcd(n, 6) = 1: for gcd(n, 18) = 1 the double coset
-  Gamma0(18) diag(n, 1) Gamma0(18) is the disjoint union of the cosets
-  Gamma0(18) (a b; 0 d), ad = n, 0 <= b < d, gcd(a, b, d) = 1 (Shimura
-  1971, Prop. 3.36), so F_n = prod (Y - w((a*tau + b)/d)), X = w(tau).
-  modp.conjugate_polynomial_mod computes it mod p from the power sums of
-  these conjugates (conjugate_traces) by Newton's identities, with no
-  matrix.  That the kernel is one-dimensional is then derived, not read
-  off a nullity mod p: with alpha = diag(n, 1), Gamma0(18) intersected
-  with alpha^-1 Gamma0(18) alpha is Gamma0(18n), and since w is a
-  hauptmodul, C(X0(18n)) = C(w, w(n*tau)).  So w(n*tau) has degree
-  psi(n) = d1 over C(w), F_n is its minimal polynomial, and every
-  relation in the (d2, d1) box is a constant multiple of F_n.
-* otherwise: the kernel of the coefficient matrix of the monomials
-  W^i V^j, by elimination mod p.  That matrix never exists over Z:
-  MonomialMatrix keeps the exact expansion of w and builds the matrix
-  modulo each prime in int64 numpy arrays.  A prime of nullity one
-  bounds the rational nullity, so dimension one is certified there.
+That the relation is unique up to a constant is derived, not read off a
+nullity mod p: with alpha = diag(n, 1), Gamma0(18) intersected with
+alpha^-1 Gamma0(18) alpha is Gamma0(18n), and since w is a hauptmodul,
+C(X0(18n)) = C(w, w(n*tau)).  So w(tau) has degree
+[Gamma0(18) : Gamma0(18n)] = d2 over C(w(n*tau)), F_n is its minimal
+polynomial up to a factor in C(Y), and every relation in the (d2, d1) box
+is a constant multiple of F_n.
 
-Exactly one check over Z accepts an equation on either route,
-residual_series: the Horner-rule residual F_n(w, w(n*tau)) vanishing below
-q^valence_bound(n), which proves it is 0.  MonomialMatrix.annihilates
-applies it to the solver's lifted vector and certificate_failure to a
-stored equation (a cache entry).  The vector is a certified primitive
-integer vector, and a deterministic rule fixes its sign.  A certified
-equation is fixed by its level and polynomial: result_for derives every
-other field from those two, for a fresh solve and a cache hit alike.
-Structural checks cover the forced zero/nonzero coefficient pattern, X<->Y
-symmetry for levels coprime to 6, and the Kronecker congruence at prime
-levels.
+Exactly one check over Z accepts an equation, residual_series: the
+Horner-rule residual F_n(w, w(n*tau)) vanishing below q^valence_bound(n),
+which proves it is 0.  MonomialMatrix.annihilates applies it to the
+solver's lifted vector and certificate_failure to a stored equation (a
+cache entry).  The vector is a certified primitive integer vector, and a
+deterministic rule fixes its sign.  A certified equation is fixed by its
+level and polynomial: result_for derives every other field from those
+two, for a fresh solve and a cache hit alike.  Structural checks cover the
+forced zero/nonzero coefficient pattern, X<->Y symmetry for levels coprime
+to 6, and the Kronecker congruence at prime levels.
 
 The arithmetic mod p is in modp, the one module that imports numpy.
 MonomialMatrix imports it at the first solve, so importing this module
@@ -65,10 +63,6 @@ NORMALIZATION_NOTES = (
 
 class NullspaceEmptyError(Exception):
     """No relation found at the predicted bidegree; indicates a bug."""
-
-
-class NullspaceAmbiguousError(Exception):
-    """Kernel dimension above one at the valence bound; indicates a bug."""
 
 
 class NotPrimeLevelError(ValueError):
@@ -189,34 +183,44 @@ def predict_degrees(n: int) -> tuple[int, int]:
 
 
 def valence_bound(n: int) -> int:
-    """Rows of the monomial matrix: F(w, w(n*tau)), F in the (d2, d1) box,
+    """The certificate's height: F(w, w(n*tau)), F in the (d2, d1) box,
     has no pole at infinity and at most d2*d1 + d1*d2 poles at the other
     cusps of Gamma0(18n), so by the valence formula (Sturm 1987) it is zero
-    once it vanishes below q^(2*d1*d2 + 1).  The exact kernel of the matrix
-    is then exactly the set of relations in the box."""
+    once it vanishes below q^(2*d1*d2 + 1).  The exact kernel of the
+    monomial matrix with that many rows is then exactly the set of
+    relations in the box."""
     d1, d2 = predict_degrees(n)
     return 2 * d1 * d2 + 1
 
 
 def conjugate_traces(n: int) -> list[tuple[int, int, int]]:
-    """The power sums of the conjugates of w(n*tau) over Q(w), gcd(n, 6) = 1,
-    as triples (s, t, c): the sum of the k-th powers of the conjugates is
+    """The power sums of the roots of F_n(X, w(tau)) in X, as triples
+    (s, t, c): the sum of the k-th powers of the roots is
     sum of c * sum_u c_(t*u) q^(s*u), where w^k = sum c_m q^m.
 
-    The conjugates are w((a*tau + b)/d) over hecke_cosets(n).  Summing
-    w^k at (a*tau + b)/d over the b prime to e' = gcd(a, d) keeps, by
-    Moebius inversion over e | e', the terms q^(a*m/d) with (d/e) | m,
-    each times mu(e) * d/e; with m = (d/e)*u that is (s, t, c) = (a/e,
-    d/e, mu(e) * d/e).  Raises RuntimeError unless there are
-    predict_degrees(n)[0] cosets, the degree of w(n*tau) over Q(w).
+    The roots are w((a*tau + b)/d) over hecke_cosets(n).  Summing w^k at
+    (a*tau + b)/d over the b prime to e' = gcd(a, d) keeps, by Moebius
+    inversion over e | e', the terms q^(a*m/d) with (d/e) | m, each times
+    mu(e) * d/e; with m = (d/e)*u that is (s, t, c) = (a/e, d/e,
+    mu(e) * d/e).  Raises RuntimeError unless there are
+    predict_degrees(n)[1] cosets, the degree of w(tau) over
+    C(w(n*tau)).
     """
-    if gcd(n, 6) != 1:
-        raise LevelNotCoprimeTo6Error(f"level {n} shares a factor with 6")
-    count, d1 = len(hecke_cosets(n)), predict_degrees(n)[0]
-    if count != d1:
-        raise RuntimeError(f"level {n}: {count} cosets, but w(n*tau) has degree {d1}")
+    cosets = hecke_cosets(n)
+    d2 = predict_degrees(n)[1]
+    if len(cosets) != d2:
+        raise RuntimeError(f"level {n}: {len(cosets)} cosets, but w has degree {d2}")
     return [(a // e, n // a // e, moebius(e) * (n // a // e))
-            for a in divisors(n) for e in divisors(gcd(a, n // a)) if moebius(e)]
+            for a in sorted({a for a, _, _ in cosets})
+            for e in divisors(gcd(a, n // a)) if moebius(e)]
+
+
+def leading_exponent(n: int) -> int:
+    """m with F_n = (1 - 3Y)^m prod (X - root): the coefficient of X^d2
+    vanishes where a root has a pole, at the cusps of Gamma0(18n) where w
+    has a pole and w(n*tau) is regular, and w(n*tau) = 1/3 there."""
+    ord1, ord2 = _cusp_orders(n)
+    return -sum(o for x, o in ord1.items() if o < 0 and ord2[x] >= 0)
 
 
 class MonomialMatrix(Sequence):
@@ -224,12 +228,13 @@ class MonomialMatrix(Sequence):
 
     Row e holds the coefficients of q^e for e < height; columns are ordered
     by (i, j) lexicographic, 0 <= i <= d2, 0 <= j <= d1.  Only the exact
-    expansion ``w`` of w below q^height is stored: ``mod(p)`` builds the
-    matrix reduced mod p in int64 numpy arrays, which is exactly the integer
-    matrix reduced mod p, ``kernel_mod(p)`` is a kernel basis mod p, and
-    ``annihilates`` is the one exact check.  As a sequence, its rows are
-    the residues mod the kernel's first prime, as Python ints
-    (bench/tracing.py reads the kernel's matrix as rows).
+    expansion ``w`` of w below q^height is stored: ``kernel_mod(p)`` is
+    F_n mod p, which spans the relations mod p, and ``annihilates`` is the
+    one exact check.  The solver never builds the matrix; ``mod(p)`` builds
+    it reduced mod p in int64 numpy arrays, exactly the integer matrix
+    reduced mod p, and as a sequence its rows are the residues mod the
+    kernel's first prime, as Python ints (bench/tracing.py reads the
+    kernel's matrix as rows).
     """
 
     def __init__(self, n: int, d1: int, d2: int, height: int):
@@ -250,19 +255,15 @@ class MonomialMatrix(Sequence):
         return modp.monomial_matrix_mod(self._w_coeffs(), self.level, self.d1, self.d2,
                                         self.height, p)
 
-    def kernel_mod(self, p: int) -> list:
-        """The relations mod p, for kernel_int_crt.  At levels prime to 6
-        this is the one vector modp.conjugate_polynomial_mod, F_n mod p from
-        the power sums of the conjugates (every relation is a multiple of
-        F_n; see the module docstring), and the matrix is never built.
-        Elsewhere it is modp._kernel_mod of mod(p), a kernel basis by
-        elimination."""
+    def kernel_mod(self, p: int):
+        """F_n mod p from the power sums of its roots,
+        modp.conjugate_polynomial_mod, for kernel_int_crt: every relation
+        is a multiple of F_n (see the module docstring)."""
         from . import modp  # loads numpy at the first solve, not with the package
 
-        if gcd(self.level, 6) == 1:
-            return [modp.conjugate_polynomial_mod(self._w_coeffs(), self.level, self.d1,
-                                                  self.d2, conjugate_traces(self.level), p)]
-        return modp._kernel_mod(self.mod(p), p)
+        n = self.level
+        return modp.conjugate_polynomial_mod(self._w_coeffs(), n, self.d1, self.d2,
+                                             conjugate_traces(n), leading_exponent(n), p)
 
     def annihilates(self, vec: list[int]) -> bool:
         """Exact check: sum of vec[k] * W^i V^j, (i, j) = order[k], vanishes
@@ -302,23 +303,13 @@ def result_for(n: int, poly: BivarPoly) -> ModEqResult:
 def solve_modular_equation(n: int) -> ModEqResult:
     """Derive, verify, and normalize the level-n modular equation for w.
 
-    At valence_bound(n) rows the exact kernel is the space of true
-    relations, so a dimension other than one is an error, never a retry.
-    kernel_int_crt accepts the kernel only after the exact residual check,
-    so only the sign rule and the shape checks remain.
+    kernel_int_crt lifts F_n mod p and accepts the vector only after the
+    exact residual check at valence_bound(n), so only the sign rule and the
+    shape checks remain.
     """
     d1, d2 = predict_degrees(n)
     matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
-    kernel = kernel_int_crt(matrix)
-    if kernel.dimension == 0:
-        raise NullspaceEmptyError(
-            f"level {n}: no kernel at bidegree ({d2}, {d1}), precision {matrix.height}"
-        )
-    if kernel.dimension > 1:
-        raise NullspaceAmbiguousError(
-            f"level {n}: kernel dimension {kernel.dimension} at precision {matrix.height}"
-        )
-    poly = BivarPoly(dict(zip(matrix.order, kernel.vector))).normalized()
+    poly = BivarPoly(dict(zip(matrix.order, kernel_int_crt(matrix).vector))).normalized()
     reason = _shape_failure(n, poly)
     if reason:
         raise NullspaceEmptyError(f"level {n}: kernel polynomial {reason}")
@@ -509,7 +500,6 @@ __all__ = [
     "ModEqResult",
     "CoeffPattern",
     "NullspaceEmptyError",
-    "NullspaceAmbiguousError",
     "NotPrimeLevelError",
     "LevelNotCoprimeTo6Error",
     "predict_degrees",

@@ -101,9 +101,9 @@ class IntMatrix:
         return np.array([[x % p for x in row] for row in self.rows], dtype=np.int64)
 
     def kernel_mod(self, p):
-        from ordersix import modp
-
-        return modp._kernel_mod(self.mod(p), p)
+        """The one kernel vector mod p, by echelon_mod and back_substitute."""
+        (vec,) = back_substitute(*echelon_mod(self.mod(p), p), p)
+        return vec
 
     def annihilates(self, vec):
         if not any(vec):

@@ -9,7 +9,7 @@ import pytest
 import ordersix.cli as cli
 import ordersix.modeq as modeq
 import ordersix.verify as verify
-from ordersix.linalg import KernelResult, kernel_int_crt
+from ordersix.linalg import kernel_int_crt
 from ordersix.modeq import NullspaceEmptyError, valence_bound
 from ordersix.verify import GOLDEN_INNER
 
@@ -80,6 +80,15 @@ def test_expand_prec_past_maxsize_is_usage_error(capsys, source):
     code, out, err = run_cli(capsys, "expand", *source, "--prec", str(sys.maxsize + 1))
     assert code == 2 and out == ""
     assert err == f"error: --prec must be at most {sys.maxsize}\n"
+
+
+@pytest.mark.parametrize("name", ["w", "j"])
+def test_expand_out_of_memory_exits_3(capsys, name):
+    """A --prec whose series cannot be allocated fails at once, as an
+    internal error with one line on stderr and no traceback."""
+    code, out, err = run_cli(capsys, "expand", "--name", name, "--prec", str(10 ** 15))
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_cusps_counts(capsys):
@@ -313,20 +322,6 @@ def test_modeq_exact_check_always_failing_exits_3(capsys, tmp_path, monkeypatch)
     assert err.startswith("solver error:")
 
 
-def test_modeq_ambiguous_kernel_is_not_retried(capsys, monkeypatch):
-    heights = []
-
-    def ambiguous(matrix):
-        heights.append(matrix.height)
-        return KernelResult(2, None, 1)
-
-    monkeypatch.setattr(modeq, "kernel_int_crt", ambiguous)
-    code, out, err = run_cli(capsys, "modeq", "5", "--no-cache")
-    assert code == 3 and out == ""
-    assert err.startswith("solver error:") and "kernel dimension 2" in err
-    assert heights == [valence_bound(5)]
-
-
 # sha256 of `python -m ordersix modeq N --no-cache --no-timing` (json)
 MODEQ_JSON_SHA256 = {
     2: "dd833a14e244dd20a5739eb8321a201f4e3867912727ba2e14b75a5b7f688dcb",
@@ -341,6 +336,11 @@ MODEQ_JSON_SHA256 = {
     11: "76ba95bb16c6afba91ebef173b1ae502674d4967848f7ef478826faa2e0debf7",
     12: "f2a9f40426a6556135ddf19d220c52319d8cc98c7608a4af84afb7d66d178527",
     13: "b2978b5e5df5c9e3cb4d163f31ec440cc9e50022d64baa8b1bb9e84a871cbfef",
+    14: "c51900ab3c8cdf937b1aef53c7e96052e723bb8eca28d59ce96ecb1ba54372ca",
+    15: "7f5a8d895cee45c08b0572b8dc24dc6035a00392db5417a7ab1ee1c1ede675eb",
+    16: "d3dfec89a2f6822a665b5c516a3768eb8cf3b9d8e6ccb59ed7317c392f1736d2",
+    18: "b9ebbab6b50829a46da39f4b95d5d83d162edf478ffa89cd5bb5b4a05fb05186",
+    20: "a69c618041552c37b12ab3f797e5923e0eb7d4a316318000f48f83960b279a52",
 }
 
 

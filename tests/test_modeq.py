@@ -25,6 +25,7 @@ from ordersix.modeq import (
     extract_inner_factor,
     format_polynomial,
     kronecker_frame,
+    leading_exponent,
     predict_coefficient_pattern,
     predict_degrees,
     residual_series,
@@ -34,7 +35,7 @@ from ordersix.modeq import (
 )
 from ordersix.verify import golden_poly
 
-from helpers import monomial_matrix, poly_mul, primitive
+from helpers import back_substitute, echelon_mod, monomial_matrix, poly_mul, primitive
 
 
 def test_predict_degrees():
@@ -101,7 +102,7 @@ def test_int64_bound_is_checked():
 
 
 def test_power_table_matches_schoolbook_products(monkeypatch):
-    """Exact past one float64 convolution: with _gemm_step cut to 37, every
+    """Exact past one float64 convolution: with _exact_step cut to 37, every
     truncated product runs in several chunks."""
     p = next(kernel_primes())
     ws = named_w().expand(300)
@@ -110,8 +111,23 @@ def test_power_table_matches_schoolbook_products(monkeypatch):
     for _ in range(6):
         expected.append([c % p for c in poly_mul(expected[-1], w, 300)])
     assert modp.power_table(w, 6, 300, p).tolist() == expected
-    monkeypatch.setattr(modp, "_gemm_step", lambda p: 37)
+    monkeypatch.setattr(modp, "_exact_step", lambda p: 37)
     assert modp.power_table(w, 6, 300, p).tolist() == expected
+
+
+def test_power_table_is_exact_past_one_float64_convolution():
+    """At the true _exact_step(p), the most products whose float64 sum stays
+    below 2^53: w = -2, -1, -2, -1, ... (residues p - 2 and p - 1) below
+    q^(2*step + 3).  The products (p - 2)^2 are odd, so a partial sum past
+    2^53 would round.  The coefficient of q^k in w^2 is 4(k/2 + 1) + k/2
+    at even k and 2(k + 1) at odd k."""
+    p = next(kernel_primes())
+    step = modp._exact_step(p)
+    assert step * (p - 1) ** 2 < 1 << 53 <= (step + 1) * (p - 1) ** 2
+    length = 2 * step + 3
+    square = modp.power_table([-2, -1] * (step + 2), 2, length, p)[2]
+    assert square.tolist() == [(4 * (k // 2 + 1) + k // 2 if k % 2 == 0 else 2 * (k + 1)) % p
+                               for k in range(length)]
 
 
 def test_power_table_checks_int64_bound_before_allocating():
@@ -122,63 +138,54 @@ def test_power_table_checks_int64_bound_before_allocating():
 
 
 def test_power_sums_agree_with_elimination_per_prime():
-    """At every level prime to 6 from 5 to 31, F_n mod p from the power sums
-    of the conjugates is the kernel of the monomial matrix mod p, for the
-    first two kernel primes."""
+    """At every level from 2 to 16, F_n mod p from the power sums of its
+    roots spans the kernel of the monomial matrix mod p, found by the
+    echelon oracle, for the first two kernel primes."""
     primes = list(islice(kernel_primes(), 2))
-    for n in range(5, 32):
-        if gcd(n, 6) != 1:
-            continue
+    for n in range(2, 17):
         d1, d2 = predict_degrees(n)
         matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
         for p in primes:
-            (conj,) = matrix.kernel_mod(p)
-            (kern,) = modp._kernel_mod(matrix.mod(p), p)
-            lead = matrix.order.index((0, d1))
-            assert not conj[:lead].any() and conj[lead] == 1, (n, p)
-            assert np.array_equal(conj, kern * pow(int(kern[lead]), -1, p) % p), (n, p)
+            conj = matrix.kernel_mod(p)
+            (kern,) = back_substitute(*echelon_mod(matrix.mod(p), p), p)
+            lead = matrix.order.index((d2, 0))
+            assert conj[lead] == 1, (n, p)
+            scale = pow(kern[lead], -1, p)
+            assert conj.tolist() == [x * scale % p for x in kern], (n, p)
 
 
 def test_route_follows_gcd_with_6(monkeypatch):
-    """Levels sharing a factor with 6 eliminate; levels prime to 6 build no
-    matrix and eliminate nothing."""
+    """No level, prime to 6 or not, builds the monomial matrix."""
     calls = []
-
-    def spy(name):
-        original = getattr(modp, name)
-
-        def call(*args):
-            calls.append(name)
-            return original(*args)
-
-        return call
-
-    for name in ("_kernel_mod", "monomial_matrix_mod"):
-        monkeypatch.setattr(modp, name, spy(name))
-    for n in (2, 3, 4, 6, 8, 9, 12):
-        calls.clear()
+    monkeypatch.setattr(modp, "monomial_matrix_mod", lambda *args: calls.append(args))
+    for n in (2, 3, 4, 6, 8, 9, 12, 5, 7, 13):
         solve_modular_equation(n)
-        assert "_kernel_mod" in calls, n
-    for n in (5, 7, 13):
-        calls.clear()
-        solve_modular_equation(n)
-        assert calls == [], n
+    assert calls == []
 
 
 def test_coset_count_is_the_degree():
-    for n in range(5, 50):
+    """The cosets number d2 = [Gamma0(18) : Gamma0(18n)], the traces weigh
+    each once, and the exponent m of the leading coefficient (1 - 3Y)^m
+    matches the closed form d2 - d2 / 2^v2(n)."""
+    for n in range(2, 61):
+        d1, d2 = predict_degrees(n)
+        assert len(hecke_cosets(n)) == d2 == sum(c for _, _, c in conjugate_traces(n)), n
         if gcd(n, 6) == 1:
-            assert len(hecke_cosets(n)) == psi_index(n) == predict_degrees(n)[0], n
-            # the traces weigh each coset once: their weights sum to the count
-            assert sum(c for _, _, c in conjugate_traces(n)) == psi_index(n), n
+            assert d2 == psi_index(n), n
+        v2 = (n & -n).bit_length() - 1
+        assert leading_exponent(n) == d2 - d2 // 2 ** v2, n
+        assert (leading_exponent(n) == 0) == (n % 2 == 1), n
 
 
 def test_conjugate_traces_check_the_coset_count(monkeypatch):
+    assert sum(c for _, _, c in conjugate_traces(9)) == predict_degrees(9)[1]
     with pytest.raises(LevelNotCoprimeTo6Error):
-        conjugate_traces(9)
+        check_symmetry(solve_modular_equation(9))
     monkeypatch.setattr(modeq, "hecke_cosets", lambda n: hecke_cosets(n)[1:])
     with pytest.raises(RuntimeError):
         conjugate_traces(7)
+    with pytest.raises(RuntimeError):
+        conjugate_traces(9)
 
 
 def test_lift_stops_at_the_first_entry_that_fails(monkeypatch):
