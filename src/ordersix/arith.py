@@ -1,6 +1,6 @@
 """Small integer-arithmetic helpers shared across the package."""
 
-from math import gcd, isqrt
+from math import gcd
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -116,11 +116,6 @@ def sigma3_table(bound: int) -> list[int]:
     return out
 
 
-def integer_sqrt_bound(m: int) -> int:
-    """Largest b with 2*b*b <= m - 1; reconstruction window for residues mod m."""
-    return isqrt((m - 1) // 2)
-
-
 __all__ = [
     "gcd",
     "factorize",
@@ -132,5 +127,4 @@ __all__ = [
     "is_prime",
     "primes_below",
     "sigma3_table",
-    "integer_sqrt_bound",
 ]

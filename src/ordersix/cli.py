@@ -300,17 +300,23 @@ def cmd_modeq(args) -> int:
         raise BadSpecError("modeq level must be at least 2")
     doc = None
     path = _cache_path(args, args.level)
-    if not args.no_cache and path.exists():
+    if not args.no_cache:
         try:
             cached = json.loads(path.read_text())
             validate_document(cached, args.level)
             doc = cached
+        # no entry there: a missing file, or a parent that is not a directory
+        except (FileNotFoundError, NotADirectoryError):
+            pass
+        # any other OSError, such as a name too long: solve without the entry
+        except OSError as exc:
+            print(f"warning: cache entry {path} not read ({exc}); recomputing",
+                  file=sys.stderr)
         # ValueError: undecodable bytes or malformed JSON; RecursionError:
         # json.loads on deeply nested arrays
-        except (OSError, ValueError, RecursionError, CacheCorruptError) as exc:
+        except (ValueError, RecursionError, CacheCorruptError) as exc:
             print(f"warning: cache entry {path} is corrupt ({exc}); recomputing",
                   file=sys.stderr)
-            doc = None
     if doc is None:
         doc = modeq_document(args.level)
         if not args.no_cache:

@@ -1,8 +1,8 @@
 """Exact kernels of integer/rational matrices.
 
-* kernel_int_crt -- the solver's lift: a relation mod 20-bit primes,
-  combined by CRT and rational reconstruction, for a matrix whose
-  kernel is known to be one-dimensional;
+* kernel_int_crt -- the solver's lift: one integer vector from its
+  residues mod 20-bit primes, combined by CRT and read as symmetric
+  residues, for a matrix whose kernel is known to be one-dimensional;
 * nullspace_exact -- Gaussian elimination over Fraction with partial
   pivoting on the bit length of numerator*denominator, usable on any
   rational matrix; the solver does not call it, the tests compare
@@ -11,12 +11,12 @@
 kernel_int_crt reads its matrix through two methods only, so a caller can
 hand it a matrix that never exists over Z:
 
-* ``kernel_mod(p)`` -- a nonzero vector of residues mod p spanning the
-  kernel mod p, as modeq.MonomialMatrix returns F_n mod p;
+* ``kernel_mod(p)`` -- the residues mod p of one integer vector, the same
+  for every p, as modeq.MonomialMatrix returns F_n mod p;
 * ``annihilates(vec)`` -- the exact check of an integer vector.
 
-The reconstructed vector is accepted only when ``annihilates`` passes, so
-the result is exact despite the modular detour.  Both functions are
+The lifted vector is accepted only when ``annihilates`` passes, so the
+result is exact despite the modular detour.  Both functions are
 deterministic and pure, and this module does not import numpy.
 """
 
@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd
 
-from .arith import integer_sqrt_bound, primes_below
+from .arith import primes_below
 
 _PRIME_START = (1 << 20) - 1
 _MAX_PRIMES = 64
@@ -85,25 +84,9 @@ def _crt_vector(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:
     return [a + m1 * ((b - a) * inv % m2) for a, b in zip(r1, r2)]
 
 
-def _rational_reconstruct(x: int, m: int) -> Fraction | None:
-    """num/den with x*den == num (mod m) and |num|, den <= sqrt(m/2)."""
-    bound = integer_sqrt_bound(m)
-    r0, r1 = m, x % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
-    if gcd(num, den) != 1 or (num - x * den) % m != 0:
-        return None
-    return Fraction(num, den)
-
-
 class KernelResult:
-    """Outcome of kernel_int_crt: a primitive integer kernel vector."""
+    """Outcome of kernel_int_crt: the lifted integer vector and the number
+    of primes it took."""
 
     def __init__(self, vector: list[int], primes_used: int):
         self.vector = vector
@@ -116,54 +99,25 @@ def kernel_primes():
 
 
 def kernel_int_crt(matrix) -> KernelResult:
-    """Kernel of an integer matrix of nullity one.
+    """The integer vector whose residues ``matrix.kernel_mod(p)`` returns.
 
     ``matrix`` is an object with ``kernel_mod(p)`` and ``annihilates(vec)``
-    (see the module docstring).  Each prime contributes the residues of
-    its vector, scaled to 1 at the first nonzero entry of the first
-    prime's vector; these are CRT combined and rationally reconstructed
-    until ``annihilates`` accepts the lifted vector.  Reconstruction stops
-    at the first entry that fails, since the prime cannot then give a
-    vector.  Raises RuntimeError when _MAX_PRIMES primes do not suffice.
+    (see the module docstring).  The residues are CRT combined prime by
+    prime and lifted to symmetric residues in (-M/2, M/2], M the product
+    of the primes so far; once M exceeds 2*max|c| the lift is the vector.
+    When a prime leaves the lift unchanged, ``annihilates`` checks it, and
+    the lift goes on to the next prime if the check fails.  Raises
+    RuntimeError when _MAX_PRIMES primes do not suffice.
     """
-    modulus = None
-    residues = None
-    anchor = None
+    modulus, residues, lifted = 1, None, None
     for used, p in enumerate(islice(kernel_primes(), _MAX_PRIMES), 1):
-        v = matrix.kernel_mod(p)
-        if anchor is None:
-            anchor = next(k for k, x in enumerate(v) if x)
-        if v[anchor] % p == 0:
-            continue
-        scale = pow(int(v[anchor]), -1, p)
-        vp = [(int(x) * scale) % p for x in v]
-        if modulus is None:
-            residues, modulus = vp, p
-        else:
-            residues = _crt_vector(residues, modulus, vp, p)
-            modulus *= p
-        lifted = []
-        for r in residues:
-            f = _rational_reconstruct(r, modulus)
-            if f is None:
-                break
-            lifted.append(f)
-        else:
-            ints = _clear_denominators(lifted)
-            if matrix.annihilates(ints):
-                return KernelResult(ints, used)
+        v = [int(x) for x in matrix.kernel_mod(p)]
+        residues = _crt_vector(residues or [0] * len(v), modulus, v, p)
+        modulus *= p
+        previous, lifted = lifted, [r - modulus if 2 * r > modulus else r for r in residues]
+        if lifted == previous and matrix.annihilates(lifted):
+            return KernelResult(lifted, used)
     raise RuntimeError("kernel reconstruction did not converge")
-
-
-def _clear_denominators(vec: list[Fraction]) -> list[int]:
-    denom = 1
-    for f in vec:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return [x // g for x in ints] if g else ints
 
 
 __all__ = ["nullspace_exact", "kernel_int_crt", "kernel_primes", "KernelResult"]

@@ -26,12 +26,13 @@ Exactly one check over Z accepts an equation, residual_series: the
 Horner-rule residual F_n(w, w(n*tau)) vanishing below q^valence_bound(n),
 which proves it is 0.  MonomialMatrix.annihilates applies it to the
 solver's lifted vector and certificate_failure to a stored equation (a
-cache entry).  The vector is a certified primitive integer vector, and a
-deterministic rule fixes its sign.  A certified equation is fixed by its
-level and polynomial: result_for derives every other field from those
-two, for a fresh solve and a cache hit alike.  Structural checks cover the
-forced zero/nonzero coefficient pattern, X<->Y symmetry for levels coprime
-to 6, and the Kronecker congruence at prime levels.
+cache entry).  The vector is F_n itself, with coefficient 1 at X^d2 Y^0,
+so it is primitive and has the sign of BivarPoly.normalized.  A certified
+equation is fixed by its level and polynomial: result_for derives every
+other field from those two, for a fresh solve and a cache hit alike.
+Structural checks cover the forced zero/nonzero coefficient pattern, X<->Y
+symmetry for levels coprime to 6, and the Kronecker congruence at prime
+levels.
 
 The arithmetic mod p is in modp, the one module that imports numpy.
 MonomialMatrix imports it at the first solve, so importing this module
@@ -52,9 +53,10 @@ from .eta import divisor, named_w
 from .linalg import kernel_int_crt, kernel_primes, nullspace_exact  # noqa: F401
 from .series import QSeries
 
-# The two normalization notes, indexed by whether the sign rule flipped the
-# kernel vector.  The kernel is primitive already, so the constant clause
-# says nothing; it stays so output documents are byte-stable.
+# The two normalization notes, indexed by whether the first nonzero
+# coefficient in (i, j) box order is negative.  F_n is primitive already,
+# so the constant clause says nothing; both stay so output documents are
+# byte-stable.
 NORMALIZATION_NOTES = (
     "denominators cleared by 1, content 1 removed",
     "denominators cleared by 1, content 1 removed, sign flipped",
@@ -284,9 +286,9 @@ class MonomialMatrix(Sequence):
 
 def result_for(n: int, poly: BivarPoly) -> ModEqResult:
     """The result for ``poly`` as the level-n equation; every other field
-    follows from n and poly.  kernel_int_crt returns its vector with the
-    first nonzero coordinate in (i, j) box order positive, so that
-    coefficient of poly is negative exactly when the sign rule flipped it."""
+    follows from n and poly.  The normalization note says "sign flipped"
+    exactly when the first nonzero coefficient in (i, j) box order is
+    negative, so output documents stay byte-stable."""
     d1, d2 = predict_degrees(n)
     return ModEqResult(
         level=n,
@@ -301,15 +303,16 @@ def result_for(n: int, poly: BivarPoly) -> ModEqResult:
 
 
 def solve_modular_equation(n: int) -> ModEqResult:
-    """Derive, verify, and normalize the level-n modular equation for w.
+    """Derive and verify the level-n modular equation for w.
 
     kernel_int_crt lifts F_n mod p and accepts the vector only after the
-    exact residual check at valence_bound(n), so only the sign rule and the
-    shape checks remain.
+    exact residual check at valence_bound(n), so only the shape checks
+    remain.  F_n has the coefficient 1 at X^d2 Y^0, so the lift is already
+    in normal form, which _shape_failure checks.
     """
     d1, d2 = predict_degrees(n)
     matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
-    poly = BivarPoly(dict(zip(matrix.order, kernel_int_crt(matrix).vector))).normalized()
+    poly = BivarPoly(dict(zip(matrix.order, kernel_int_crt(matrix).vector)))
     reason = _shape_failure(n, poly)
     if reason:
         raise NullspaceEmptyError(f"level {n}: kernel polynomial {reason}")

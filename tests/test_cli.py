@@ -251,6 +251,23 @@ def test_modeq_deeply_nested_cache_entry_recomputes(capsys, tmp_path):
     assert path.read_text() == json.dumps(json.loads(out1), indent=2)
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_modeq_cache_name_too_long_still_solves(capsys, tmp_path, monkeypatch, via):
+    """A cache directory with a 300-character component cannot be read or
+    written: the command warns and prints what --no-cache prints."""
+    cache_dir = str(tmp_path / ("x" * 300))
+    argv = ["modeq", "5", "--no-timing"]
+    if via == "flag":
+        argv += ["--cache-dir", cache_dir]
+    else:
+        monkeypatch.setenv(cli.CACHE_ENV, cache_dir)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.startswith("warning: cache entry") and "not read" in err
+    assert "Traceback" not in err
+    assert out == run_cli(capsys, "modeq", "5", "--no-cache", "--no-timing")[1]
+
+
 def test_modeq_undecodable_cache_entry_recomputes(capsys, tmp_path):
     code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                             "--no-timing")
@@ -339,8 +356,12 @@ MODEQ_JSON_SHA256 = {
     14: "c51900ab3c8cdf937b1aef53c7e96052e723bb8eca28d59ce96ecb1ba54372ca",
     15: "7f5a8d895cee45c08b0572b8dc24dc6035a00392db5417a7ab1ee1c1ede675eb",
     16: "d3dfec89a2f6822a665b5c516a3768eb8cf3b9d8e6ccb59ed7317c392f1736d2",
+    17: "a5e9d061c87990c30201f1800666551556d6ec420df54886d8a31225995dd081",
     18: "b9ebbab6b50829a46da39f4b95d5d83d162edf478ffa89cd5bb5b4a05fb05186",
     20: "a69c618041552c37b12ab3f797e5923e0eb7d4a316318000f48f83960b279a52",
+    24: "b0436ea2b036c5f893db3a08388fffc2245eac6ea15bf13118fd9dad5c862705",
+    25: "b4b3e6ca5ce22ecd09eca1b1049dfcef0b180ac5b084dea0fa7f6685f582ab93",
+    27: "e0213a7691a08b4e9347080eb15f6eff4b5ff2bc07addb93bcd50d3fcf261dc5",
 }
 
 
@@ -391,8 +412,9 @@ def test_modeq_plain_and_latex_output_is_byte_stable(capsys):
 
 
 def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
-    """Level 19 is the first level whose kernel spans many row blocks and
-    needs five primes."""
+    """Level 19 is the first level that needs four primes: its largest
+    coefficient has 43 bits, so the lift is right after three 20-bit primes
+    and a fourth leaves it unchanged."""
     primes_used = []
 
     def kernel(matrix):
@@ -406,7 +428,7 @@ def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "452976d5f99858cdc6c36d2d07c6f28a53697250efd611318add6affe06cd038")
     assert json.loads(out)["result"]["precision_used"] == valence_bound(19)
-    assert primes_used == [5]
+    assert primes_used == [4]
 
 
 # sha256 of `python -m ordersix ARGS --no-timing` (json)
@@ -524,6 +546,20 @@ def test_module_entry_point_subprocess():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["result"]["coefficients"][0] == "1"
+
+
+def test_modeq_output_does_not_depend_on_the_hash_seed():
+    """Two fresh interpreters with different string-hash seeds print the
+    same bytes."""
+    outs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "ordersix", "modeq", "13", "--no-cache",
+                               "--no-timing"], capture_output=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed}, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == MODEQ_JSON_SHA256[13]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from ordersix import linalg
 from ordersix.linalg import kernel_int_crt, nullspace_exact
 
 from helpers import IntMatrix, primitive
@@ -66,9 +69,18 @@ def test_crt_kernel_huge_kernel_vector():
     assert out.primes_used > 1
 
 
-def test_crt_kernel_rational_vector_reconstruction():
-    # kernel vector with large prime denominators relative to the anchor
+def test_crt_kernel_non_integral_residues_never_lift():
+    """kernel_mod here hands out the residues of (-1, 10007/10009, 1), which
+    no integer vector has: the lift takes every prime it may and raises
+    instead of returning a vector."""
+    primes = []
+
+    class Counted(IntMatrix):
+        def kernel_mod(self, p):
+            primes.append(p)
+            return super().kernel_mod(p)
+
     m = [[10007, 10009, 0], [0, 10009, -10007]]
-    v = kernel_int_crt(IntMatrix(m)).vector
-    for row in m:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+    with pytest.raises(RuntimeError):
+        kernel_int_crt(Counted(m))
+    assert len(primes) == linalg._MAX_PRIMES

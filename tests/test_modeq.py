@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from ordersix import linalg, modeq, modp
+from ordersix import modeq, modp
 from ordersix.arith import hecke_cosets, psi_index
 from ordersix.cusps import INFINITY
 from ordersix.eta import EtaQuotient, named_w
@@ -188,31 +188,49 @@ def test_conjugate_traces_check_the_coset_count(monkeypatch):
         conjugate_traces(9)
 
 
-def test_lift_stops_at_the_first_entry_that_fails(monkeypatch):
-    """Each prime before the last reconstructs entries only up to the first
-    failure; the last reconstructs all of them, and nothing else changes."""
-    calls = []
-    original = linalg._rational_reconstruct
+@pytest.mark.parametrize("n, primes", [(13, 3), (19, 4)])
+def test_lift_is_certified_once_a_prime_leaves_it_unchanged(monkeypatch, n, primes):
+    """The symmetric residues of F_n are F_n once the modulus passes
+    2*max|c|; the first prime that leaves them unchanged is followed by the
+    one exact check, and the lift is in normal form with 1 at (d2, 0)."""
+    checked, used = [], []
+    annihilates, kernel = MonomialMatrix.annihilates, modeq.kernel_int_crt
 
-    def spy(x, m):
-        out = original(x, m)
-        calls.append((m, out is None))
-        return out
+    def check_spy(self, vec):
+        checked.append(list(vec))
+        return annihilates(self, vec)
 
-    monkeypatch.setattr(linalg, "_rational_reconstruct", spy)
+    def kernel_spy(matrix):
+        result = kernel(matrix)
+        used.append(result.primes_used)
+        return result
+
+    monkeypatch.setattr(MonomialMatrix, "annihilates", check_spy)
+    monkeypatch.setattr(modeq, "kernel_int_crt", kernel_spy)
+    poly = solve_modular_equation(n).poly
+    d1, d2 = predict_degrees(n)
+    assert used == [primes]
+    assert checked == [[poly.coeff(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]]
+    assert poly.coeff(d2, 0) == 1 and poly.normalized() == poly
+
+
+def test_lift_carries_on_past_a_rejected_stable_lift(monkeypatch):
+    """A stable lift that the exact check rejects is not returned: the lift
+    takes the next prime and checks again."""
+    checked = []
+    annihilates = MonomialMatrix.annihilates
+
+    def reject_first(self, vec):
+        checked.append(list(vec))
+        return len(checked) > 1 and annihilates(self, vec)
+
+    monkeypatch.setattr(MonomialMatrix, "annihilates", reject_first)
     d1, d2 = predict_degrees(13)
     matrix = MonomialMatrix(13, d1, d2, valence_bound(13))
     kernel = kernel_int_crt(matrix)
-    assert kernel.primes_used == 3
-    assert BivarPoly(dict(zip(matrix.order, kernel.vector))).normalized() == golden_poly(13)
-    runs: dict[int, list[bool]] = {}
-    for m, failed in calls:
-        runs.setdefault(m, []).append(failed)
-    *early, last = runs.values()
-    assert len(early) == 2
-    for failures in early:
-        assert failures[-1] and not any(failures[:-1])
-    assert len(last) == len(matrix.order) and not any(last)
+    assert kernel.primes_used == 4
+    assert checked == [kernel.vector, kernel.vector]
+    assert BivarPoly(dict(zip(matrix.order, kernel.vector))) == golden_poly(13)
 
 
 def test_residual_detects_one_perturbed_coefficient(solved):
