@@ -27,6 +27,7 @@ from pathlib import Path
 from .cusps import cusp_set, width
 from .eta import EtaQuotient, NAMED_QUOTIENTS, named_j
 from .modeq import (
+    MAX_LEVEL,
     BivarPoly,
     ModEqResult,
     NullspaceEmptyError,
@@ -298,6 +299,8 @@ def cmd_modeq(args) -> int:
     t0 = time.perf_counter()
     if args.level < 2:
         raise BadSpecError("modeq level must be at least 2")
+    if args.level > MAX_LEVEL:  # checked before anything factors the level
+        raise BadSpecError(f"modeq level must be at most {MAX_LEVEL}")
     doc = None
     path = _cache_path(args, args.level)
     if not args.no_cache:

@@ -23,16 +23,48 @@ polynomial up to a factor in C(Y), and every relation in the (d2, d1) box
 is a constant multiple of F_n.
 
 Exactly one check over Z accepts an equation, residual_series: the
-Horner-rule residual F_n(w, w(n*tau)) vanishing below q^valence_bound(n),
-which proves it is 0.  MonomialMatrix.annihilates applies it to the
-solver's lifted vector and certificate_failure to a stored equation (a
-cache entry).  The vector is F_n itself, with coefficient 1 at X^d2 Y^0,
-so it is primitive and has the sign of BivarPoly.normalized.  A certified
-equation is fixed by its level and polynomial: result_for derives every
-other field from those two, for a fresh solve and a cache hit alike.
-Structural checks cover the forced zero/nonzero coefficient pattern, X<->Y
-symmetry for levels coprime to 6, and the Kronecker congruence at prime
-levels.
+Horner-rule residual F(w, w(n*tau)) vanishing below
+q^certificate_height(n), together with the shape checks of _shape_failure,
+proves it is 0.  MonomialMatrix.annihilates applies the residual to the
+solver's lifted vector and certificate_failure applies both to a stored
+equation (a cache entry).  The vector is F_n itself, with coefficient 1 at
+X^d2 Y^0, so it is primitive and has the sign of BivarPoly.normalized.  A
+certified equation is fixed by its level and polynomial: result_for
+derives every other field from those two, for a fresh solve and a cache
+hit alike.  Structural checks cover the forced zero/nonzero coefficient
+pattern, X<->Y symmetry for levels coprime to 6, and the Kronecker
+congruence at prime levels.
+
+Why the certificate proves F(w, w(n*tau)) = 0.  For F in the (d2, d1) box,
+G = F(w, w(n*tau)) is a modular function on Gamma0(18n).  It has no pole
+at infinity, where w and w(n*tau) vanish, and at most d2*d1 + d1*d2 poles
+at the other cusps.  By the valence formula (Sturm 1987), G = 0 once it
+vanishes below q^(2*d1*d2 + 1), which is valence_bound(n).  When
+gcd(n, 6) = 1 and F is symmetric, half that height suffices:
+
+* Take W_n = (n*x, y; 18*n*z, n*t) with n*x*t - 18*y*z = 1, an
+  Atkin-Lehner involution of Gamma0(18n) (Atkin-Lehner 1970).  For
+  delta | 18, delta*W_n = gamma * diag(n*delta, 1) with gamma =
+  (x, delta*y; 18*z/delta, n*t) in SL2(Z).  So eta(delta*W_n*tau) is
+  eta(n*delta*tau) times a root of unity times (18*n*z*tau + n*t)^(1/2).
+  The last factor does not depend on delta and cancels in the weight-0
+  quotient w, so w o W_n = c * w(n*tau) with |c| = 1.  W_n sends the
+  cusp 0 to y/(n*t), and gcd(n*t, 18) = 1, so both sides tend to
+  w(0) = 1/3 there and c = 1 exactly.  W_n^2 acts trivially on functions
+  of Gamma0(18n), so also w(n*tau) o W_n = w.
+* Hence G o W_n = F(w(n*tau), w) = G for symmetric F.  W_n sends infinity
+  to x/(18*z), which is the class of 1/18 on Gamma0(18n) and not
+  infinity, so G vanishes at 1/18 to the same order as at infinity.
+* Gamma0(18n) has no elliptic points: 9 | 18n rules out order 3, and
+  3 | 18n with 3 = 3 mod 4 rules out order 2.  So the orders of G at the
+  points of X0(18n) sum to 0 with weight one each, and the zeros at
+  infinity and at 1/18 together number at most the 2*d1*d2 poles:
+  2 * ord_inf(G) <= 2*d1*d2.  Vanishing below q^(d1*d2 + 1) therefore
+  proves G = 0.
+
+certificate_height(n) is d1*d2 + 1 at gcd(n, 6) = 1, where F_n is
+symmetric and _shape_failure rejects any F that is not, and
+valence_bound(n) at every other level.
 
 The arithmetic mod p is in modp, the one module that imports numpy.
 MonomialMatrix imports it at the first solve, so importing this module
@@ -73,6 +105,13 @@ class NotPrimeLevelError(ValueError):
 
 class LevelNotCoprimeTo6Error(ValueError):
     """Coefficient symmetry is only claimed for levels coprime to 6."""
+
+
+# The largest level a solve accepts.  d1 >= n, so the certificate height
+# is at least n^2 + 1 whatever n factors into (a level-49 solve takes about
+# 12 s on 2 vCPUs); the bound refuses a huge level before any
+# trial-division factoring.
+MAX_LEVEL = 1000
 
 
 @dataclass(frozen=True)
@@ -138,6 +177,11 @@ class BivarPoly:
     def reduced_mod(self, p: int) -> dict[tuple[int, int], int]:
         return {ij: c % p for ij, c in self.coeffs.items() if c % p}
 
+    def is_symmetric(self) -> bool:
+        """Whether the polynomial is unchanged by swapping X and Y."""
+        c = self.coeffs
+        return all(c.get((j, i), 0) == v for (i, j), v in c.items())
+
 
 @dataclass(frozen=True)
 class ModEqResult:
@@ -177,22 +221,53 @@ def _pole_degree(orders) -> int:
 
 
 def predict_degrees(n: int) -> tuple[int, int]:
-    """(d1, d2) = total pole degrees of w and w(n*tau) on Gamma0(18n)."""
+    """(d1, d2) = total pole degrees of w and w(n*tau) on Gamma0(18n), for
+    2 <= n <= MAX_LEVEL."""
     if n < 2:
         raise ValueError("level must be at least 2")
+    if n > MAX_LEVEL:
+        raise ValueError(f"level must be at most {MAX_LEVEL}")
     ord1, ord2 = _cusp_orders(n)
     return _pole_degree(ord1), _pole_degree(ord2)
 
 
 def valence_bound(n: int) -> int:
-    """The certificate's height: F(w, w(n*tau)), F in the (d2, d1) box,
-    has no pole at infinity and at most d2*d1 + d1*d2 poles at the other
-    cusps of Gamma0(18n), so by the valence formula (Sturm 1987) it is zero
-    once it vanishes below q^(2*d1*d2 + 1).  The exact kernel of the
-    monomial matrix with that many rows is then exactly the set of
-    relations in the box."""
+    """The full-box bound: F(w, w(n*tau)), F in the (d2, d1) box, has no
+    pole at infinity and at most d2*d1 + d1*d2 poles at the other cusps of
+    Gamma0(18n), so by the valence formula (Sturm 1987) it is zero once it
+    vanishes below q^(2*d1*d2 + 1).  The exact kernel of the monomial
+    matrix with that many rows is then exactly the set of relations in the
+    box."""
     d1, d2 = predict_degrees(n)
     return 2 * d1 * d2 + 1
+
+
+def certificate_height(n: int) -> int:
+    """The height below which residual_series certifies the level-n
+    equation: d1*d2 + 1 when gcd(n, 6) = 1, valence_bound(n) otherwise.
+
+    At gcd(n, 6) = 1 the shape checks also require X<->Y symmetry, and for
+    symmetric F the zeros of G = F(w, w(n*tau)) come in mirrored pairs
+    (the module docstring has the proof):
+
+    * w o W_n = w(n*tau) with constant exactly 1, W_n the Atkin-Lehner
+      involution of Gamma0(18n), so G o W_n = G;
+    * W_n(infinity) is the class of 1/18, not infinity, so G vanishes
+      there to the same order as at infinity;
+    * Gamma0(18n) has no elliptic points, so zeros and poles of G on
+      X0(18n) balance with weight one;
+    * G has at most 2*d1*d2 poles, so 2 * ord_inf(G) <= 2*d1*d2 unless
+      G = 0.
+
+    At this height the symmetric part of the box has exactly one relation,
+    F_n, while the full box has more (12 dimensions at n = 5), so symmetry
+    carries part of the proof.  The height is at least n*(d1 + 1), the
+    precision the lift reads w to, because d1 = d2 >= n + 1.
+    """
+    if gcd(n, 6) == 1:
+        d1, d2 = predict_degrees(n)
+        return d1 * d2 + 1
+    return valence_bound(n)
 
 
 def conjugate_traces(n: int) -> list[tuple[int, int, int]]:
@@ -232,14 +307,18 @@ class MonomialMatrix(Sequence):
     by (i, j) lexicographic, 0 <= i <= d2, 0 <= j <= d1.  Only the exact
     expansion ``w`` of w below q^height is stored: ``kernel_mod(p)`` is
     F_n mod p, which spans the relations mod p, and ``annihilates`` is the
-    one exact check.  The solver never builds the matrix; ``mod(p)`` builds
+    exact residual check.  The solver never builds the matrix; ``mod(p)`` builds
     it reduced mod p in int64 numpy arrays, exactly the integer matrix
     reduced mod p, and as a sequence its rows are the residues mod the
     kernel's first prime, as Python ints (bench/tracing.py reads the
-    kernel's matrix as rows).
+    kernel's matrix as rows).  ``kernel_mod`` reads w below q^(n*(d1 + 1)),
+    so a lower height raises ValueError.
     """
 
     def __init__(self, n: int, d1: int, d2: int, height: int):
+        if height < n * (d1 + 1):
+            raise ValueError(f"height {height} is below q^{n * (d1 + 1)}, "
+                             f"which the level-{n} power sums read")
         self.level, self.d1, self.d2, self.height = n, d1, d2, height
         self.order = [(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]
         self.w = named_w().expand(height)
@@ -295,7 +374,7 @@ def result_for(n: int, poly: BivarPoly) -> ModEqResult:
         d1=d1,
         d2=d2,
         poly=poly,
-        precision_used=valence_bound(n),
+        precision_used=certificate_height(n),
         nullspace_dim=1,
         normalization=NORMALIZATION_NOTES[poly.coeffs[min(poly.coeffs)] < 0],
         method="crt",
@@ -306,12 +385,13 @@ def solve_modular_equation(n: int) -> ModEqResult:
     """Derive and verify the level-n modular equation for w.
 
     kernel_int_crt lifts F_n mod p and accepts the vector only after the
-    exact residual check at valence_bound(n), so only the shape checks
-    remain.  F_n has the coefficient 1 at X^d2 Y^0, so the lift is already
-    in normal form, which _shape_failure checks.
+    exact residual check at certificate_height(n), so only the shape
+    checks remain, and they complete the certificate.  F_n has the
+    coefficient 1 at X^d2 Y^0, so the lift is already in normal form, and
+    at gcd(n, 6) = 1 it is symmetric, which _shape_failure checks.
     """
     d1, d2 = predict_degrees(n)
-    matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
+    matrix = MonomialMatrix(n, d1, d2, certificate_height(n))
     poly = BivarPoly(dict(zip(matrix.order, kernel_int_crt(matrix).vector)))
     reason = _shape_failure(n, poly)
     if reason:
@@ -349,7 +429,9 @@ def residual_series(poly: BivarPoly, n: int, ws: QSeries) -> QSeries:
 def _shape_failure(n: int, poly: BivarPoly) -> str | None:
     """Why ``poly`` cannot be the level-n equation by its shape, or None:
     every term must lie in the (d2, d1) box of predict_degrees, the
-    bidegree must fill it, and the polynomial must be in normal form."""
+    bidegree must fill it, and the polynomial must be in normal form.  At
+    gcd(n, 6) = 1 it must also be X<->Y symmetric, which the
+    certificate_height proof needs."""
     d1, d2 = predict_degrees(n)
     outside = [(i, j) for i, j in poly.coeffs if not (0 <= i <= d2 and 0 <= j <= d1)]
     if outside:
@@ -358,15 +440,18 @@ def _shape_failure(n: int, poly: BivarPoly) -> str | None:
         return f"bidegree ({poly.degx}, {poly.degy}) differs from the predicted ({d2}, {d1})"
     if poly.normalized() != poly:
         return "not primitive and sign-normalized"
+    if gcd(n, 6) == 1 and not poly.is_symmetric():
+        return "not symmetric under X <-> Y"
     return None
 
 
 def certificate_failure(n: int, poly: BivarPoly) -> str | None:
     """Why ``poly`` is not the certified level-n equation, or None: it must
-    pass the shape checks, and its residual must vanish below the valence
-    bound."""
+    pass the shape checks, and its residual must vanish below
+    certificate_height(n)."""
     reason = _shape_failure(n, poly)
-    if reason is None and not residual_series(poly, n, named_w().expand(valence_bound(n))).is_zero:
+    if reason is None and not residual_series(poly, n,
+                                               named_w().expand(certificate_height(n))).is_zero:
         reason = "residual F_n(w, w(n*tau)) does not vanish"
     return reason
 
@@ -446,8 +531,7 @@ def check_symmetry(result: ModEqResult) -> bool:
     n = result.level
     if gcd(n, 6) != 1:
         raise LevelNotCoprimeTo6Error(f"level {n} shares a factor with 6")
-    c = result.poly.coeffs
-    return all(c.get((j, i), 0) == v for (i, j), v in c.items())
+    return result.poly.is_symmetric()
 
 
 def extract_inner_factor(poly: BivarPoly, p: int) -> BivarPoly:
@@ -507,6 +591,8 @@ __all__ = [
     "LevelNotCoprimeTo6Error",
     "predict_degrees",
     "valence_bound",
+    "certificate_height",
+    "MAX_LEVEL",
     "NORMALIZATION_NOTES",
     "result_for",
     "solve_modular_equation",

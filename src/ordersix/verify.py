@@ -366,8 +366,10 @@ def check_scope_notes() -> CheckReport:
         "no desk-scale reproduction exists for the field-generation claim, "
         "for irreducibility of the equations, or for the ray-class-field "
         "statements; proxies checked instead: the divisor of w has a single "
-        "simple pole (degree-one hauptmodul map), and every solved kernel "
-        "is one-dimensional at the predicted bidegree"
+        "simple pole (degree-one hauptmodul map), and every solved equation "
+        "fills the predicted (d2, d1) box, d2 = [Gamma0(18) : Gamma0(18n)] "
+        "the degree of w over C(w(n*tau)), whose relations form a "
+        "one-dimensional space"
     )
     return CheckReport("scope-acknowledgment", PASS, detail, 0)
 

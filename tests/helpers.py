@@ -197,3 +197,23 @@ def back_substitute(m, pivots, p):
             v[c] = (-s) % p
         out.append(v)
     return out
+
+
+def rank_mod(rows, p):
+    """Rank of an integer matrix mod p, by Gauss-Jordan elimination on
+    Python ints (any p, no int64 bound).  It is at most the rank over Q."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i, row in enumerate(m):
+            if i != rank and row[c]:
+                f = row[c]
+                m[i] = [(a - f * b) % p for a, b in zip(row, m[rank])]
+        rank += 1
+    return rank

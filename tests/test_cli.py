@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -10,7 +15,7 @@ import ordersix.cli as cli
 import ordersix.modeq as modeq
 import ordersix.verify as verify
 from ordersix.linalg import kernel_int_crt
-from ordersix.modeq import NullspaceEmptyError, valence_bound
+from ordersix.modeq import MAX_LEVEL, NullspaceEmptyError, certificate_height, leading_exponent
 from ordersix.verify import GOLDEN_INNER
 
 
@@ -148,21 +153,40 @@ def test_modeq_corrupt_cache_recomputes(capsys, tmp_path):
     cli.validate_document(json.loads(path.read_text()), 2)
 
 
-def test_modeq_edited_cache_coefficient_recomputes(capsys, tmp_path):
+def _edit_cached_level7(capsys, tmp_path, mirrored):
+    """Add 1 to the coefficient of X^1 Y^3 in a level-7 cache entry, and to
+    that of X^3 Y^1 too when ``mirrored``; return the first output, the
+    output after the edit and its stderr."""
     code, out1, _ = run_cli(capsys, "modeq", "7", "--cache-dir", str(tmp_path),
                             "--no-timing")
     assert code == 0
     path = cache_file(tmp_path, 7)
     doc = json.loads(path.read_text())
-    entry = doc["result"]["coefficients"][3]
-    entry["value"] = str(int(entry["value"]) + 1)
+    edited = {(1, 3), (3, 1)} if mirrored else {(1, 3)}
+    for entry in doc["result"]["coefficients"]:
+        if (entry["i"], entry["j"]) in edited:
+            entry["value"] = str(int(entry["value"]) + 1)
+            edited.remove((entry["i"], entry["j"]))
+    assert not edited
     path.write_text(json.dumps(doc, indent=2))
     code, out2, err = run_cli(capsys, "modeq", "7", "--cache-dir", str(tmp_path),
                               "--no-timing")
     assert code == 0
-    assert err.startswith("warning: cache entry") and "residual" in err
     assert out1 == out2
     assert json.loads(path.read_text()) == json.loads(out1)
+    return err
+
+
+def test_modeq_edited_cache_coefficient_recomputes(capsys, tmp_path):
+    """A mirrored pair of edits keeps the equation symmetric, so the
+    residual at the certificate height is what rejects it."""
+    err = _edit_cached_level7(capsys, tmp_path, mirrored=True)
+    assert err.startswith("warning: cache entry") and "residual" in err
+
+
+def test_modeq_asymmetric_cache_edit_recomputes(capsys, tmp_path):
+    err = _edit_cached_level7(capsys, tmp_path, mirrored=False)
+    assert err.startswith("warning: cache entry") and "not symmetric" in err
 
 
 def test_modeq_entry_of_another_schema_is_replaced_in_place(capsys, tmp_path):
@@ -320,6 +344,18 @@ def test_modeq_usage_and_solver_errors(capsys, tmp_path, monkeypatch):
     assert code == 3 and "synthetic failure" in err
 
 
+@pytest.mark.parametrize("level", [str(MAX_LEVEL + 1), "1000000000000000003",
+                                   "99999999999999999999999"])
+def test_modeq_level_above_max_level_is_usage_error(capsys, tmp_path, level):
+    """A level past MAX_LEVEL is refused before it is factored, so the
+    command returns at once instead of trial-dividing a 19-digit prime."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "modeq", level, "--cache-dir", str(tmp_path), "--no-cache")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: modeq level must be at most {MAX_LEVEL}\n"
+
+
 def test_modeq_kernel_runtime_error_exits_3(capsys, tmp_path, monkeypatch):
     def exhausted(rows):
         raise RuntimeError("prime supply exhausted")
@@ -344,32 +380,104 @@ MODEQ_JSON_SHA256 = {
     2: "dd833a14e244dd20a5739eb8321a201f4e3867912727ba2e14b75a5b7f688dcb",
     3: "43581e18dbc8a48c30044afebec69444e69531141ba468e21284168ca1ee0e78",
     4: "278d37c7499a54a0271b8c66c91db4f8a40e0e4ff1b6d872e69b05cad60ad87b",
-    5: "ea2c6a63f7e10bcbb52bc252c1e7e6ff9c929c6841780249ae34c0079be76e71",
+    5: "f459465604e274320aff3eeb7317f3eb8d2e6e97dfe1f441c46fede5023726b0",
     6: "3af71409d1e9df77409129ac5d0182a3970eca9cde77c29f37bfe95e1fa626fd",
-    7: "a316c2349cacf25a425a2203b83ba265959108c94c91af04bbd91cee62aced1c",
+    7: "54c8a21b4870b00790cfc50def24d8c6c6290c428fef6c55df520ee1378876bc",
     8: "ede47108628fd0f2b7d09e3ee636c3a0785a9e785c5fe44a88ee220d051a3d41",
     9: "d2cd2a54e9f3033c4a2d2754413a468e07bafd35176e4afa1f0568b87332f110",
     10: "06160cad4286c4ded23f6f75bcdddb8eb69b3333439ae7a8927a2539c0497e0e",
-    11: "76ba95bb16c6afba91ebef173b1ae502674d4967848f7ef478826faa2e0debf7",
+    11: "6f05396802dabbaf901392ac4f9312afa59d4c19d7c282f86a00baf390245b2e",
     12: "f2a9f40426a6556135ddf19d220c52319d8cc98c7608a4af84afb7d66d178527",
-    13: "b2978b5e5df5c9e3cb4d163f31ec440cc9e50022d64baa8b1bb9e84a871cbfef",
+    13: "74e410726dea9b55db88c20e442601ad571622076405737c827a691bdaf713d2",
     14: "c51900ab3c8cdf937b1aef53c7e96052e723bb8eca28d59ce96ecb1ba54372ca",
     15: "7f5a8d895cee45c08b0572b8dc24dc6035a00392db5417a7ab1ee1c1ede675eb",
     16: "d3dfec89a2f6822a665b5c516a3768eb8cf3b9d8e6ccb59ed7317c392f1736d2",
-    17: "a5e9d061c87990c30201f1800666551556d6ec420df54886d8a31225995dd081",
+    17: "835ee0bb04286ffa29ac4003e77dacd5f42bba86f37bc9e7babc5a1d88c34694",
     18: "b9ebbab6b50829a46da39f4b95d5d83d162edf478ffa89cd5bb5b4a05fb05186",
+    19: "6653daeca0ecf5a1053f6983601b30a9ca944e601e16261a7de24db47c732e0e",
     20: "a69c618041552c37b12ab3f797e5923e0eb7d4a316318000f48f83960b279a52",
+    21: "11528ff57aa3ac11d10463619ea5c9709eb97d127897340b18389495cc819ac3",
+    22: "2a29fdf8a12f7b5804f51664a408128a9fde6a2941ee3ae379572d89b88adcb6",
+    23: "baadff743247716c9eaf737be7749500cd682dd1fa5fff0738dbaa58d9007e67",
     24: "b0436ea2b036c5f893db3a08388fffc2245eac6ea15bf13118fd9dad5c862705",
-    25: "b4b3e6ca5ce22ecd09eca1b1049dfcef0b180ac5b084dea0fa7f6685f582ab93",
+    25: "074ed56d49ac4892da4e081465d1932eda7276d154d3700d26a2a9c4c67008f0",
+    26: "8f5d2a00edfbc2423e78e237127f96c89736a43e7c77faf864e6c72b7a62a2ae",
     27: "e0213a7691a08b4e9347080eb15f6eff4b5ff2bc07addb93bcd50d3fcf261dc5",
+    29: "7040733ba16696528a79076ac0dff948d4ea36cd81198237bfd01c592fb9ce92",
 }
 
 
-def test_modeq_json_output_is_byte_stable(capsys):
+@lru_cache(maxsize=None)
+def modeq_output(n):
+    """stdout of `modeq N --no-cache --no-timing` (json), solved once per
+    level for the pins below."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["modeq", str(n), "--no-cache", "--no-timing"]) == 0
+    return buf.getvalue()
+
+
+def test_modeq_json_output_is_byte_stable():
     for n, digest in MODEQ_JSON_SHA256.items():
-        code, out, _ = run_cli(capsys, "modeq", str(n), "--no-cache", "--no-timing")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
+        assert hashlib.sha256(modeq_output(n).encode()).hexdigest() == digest, n
+
+
+def coefficient_digest(doc):
+    """sha256 of the coefficients alone, in the canonical form of the
+    benchmark's gate: the JSON list of sorted [i, j, "c"] triples."""
+    blob = json.dumps(sorted([e["i"], e["j"], str(int(e["value"]))]
+                             for e in doc["result"]["coefficients"]))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# coefficient_digest of `modeq N --no-cache --no-timing` at every level of
+# MODEQ_JSON_SHA256.  Fields such as precision_used do not enter it, so a
+# change of the certificate that leaves F_n alone leaves these digests.
+MODEQ_COEFF_SHA256 = {
+    2: "7cb4468aef22713bd955644e1b58d6771dc02135d6b2543ab8d304350ca03b1b",
+    3: "b61e9664a90cb5b59ec9bdc14dbc4983b9335984008976ae082208201b0c1535",
+    4: "28a83f62cd4b0c943ecbd751ddcf08078b87573b51a20e3c1b3d517eb69a2e6b",
+    5: "80d403128ad9d3114ee59de0e2e3d3179cd03d6c7b825f91f173d7e3d0cd2d5c",
+    6: "df44ec856cfbc09f238a7efdae200cfd4118b8f59ebc7cb0ba08717872b5b8df",
+    7: "ad49055a3231e5f6e4de8237cafe4eb2bd4edf5277b447ed0ddd7c4edd543190",
+    8: "00f0c79dee37e0e7e1f8d326d3dd2b0f64de9e8d61843ec4066229981f960553",
+    9: "259ce421b4ef00d54531cc149c0fd1367e6bc2c1a01c4b8aad2fad9ef4b692e7",
+    10: "c0b27821ca632f0d1889d60630268a204d582b1ea34276a2f82bc9a353f044b0",
+    11: "c0635691418fdd35ed45b952f2ab7ea474450591e0e50a96d2e13309f9c2bada",
+    12: "e6171ef245244db47f4f87b41a637345fa853f1f63c0d49029e1fbc7837d899f",
+    13: "e890505eaf2fb12c886a30bad2d4dd7240aa6bb8d416de55ecaa0b7a521a0b69",
+    14: "c0f2aae790793d96f03e6d94e823aa66c0109f4b6fec536ec4161facb54f8448",
+    15: "45f9a0a9e998a22ea54983828ec89a82d5badfbd7c1986969dd8b54e46c2f8ee",
+    16: "fe8d42b2a6e93b114ceb1f11950b1e7a5eb04a84e573180230cca4d496a46668",
+    17: "920267ff8e53794b896295478251466e7016c0ff63c4ab0e9672b4f053b78f05",
+    18: "3c1c857d01c10e5fee2c16a4b44acc28c7a3ef568ba59839cbb925f063ac4ae1",
+    19: "8a4ac87a978a2e8311964d57b950212660c1fd34057ef1e133c564128c010f69",
+    20: "2ee7e1299fb49dd2e0c2bedbbd7265fa33e4afd7a071f79b673db339d4b5420a",
+    21: "b0a5dd048d4a125d4498f5977a919902423a80be5825136271444b206ffa300b",
+    22: "e6f326678b2f5b4b3350d5ea6e49f9e549f2cb5d082e4be10c1aef0910f406cb",
+    23: "4b83e5c069496e1ea6444b7e572d5eda477e94a7aebe63c48836bb14dd94e05f",
+    24: "debbce2216cf966f66088ad15268694ba2a83730ef23ccc1aba1951303843ad1",
+    25: "a1e10a22184a064ac6fa16160eb602b8b4abc5afa28e3039abf3132d43a97d2d",
+    26: "0f52d0cb2f31e01ba22fb2730c70bcce9a2619bf2c7f0490a73b651a2542a28e",
+    27: "393aad3b6fb62ab50ba9b5d20f0ca7c80fd7df8b01234a8818b0d9daa5ddee26",
+    29: "962f84a1149f97862f1174855baa7c069f928c5547cebb4c13f83d62eeddf645",
+}
+
+
+def test_modeq_coefficients_are_byte_stable():
+    assert set(MODEQ_COEFF_SHA256) == set(MODEQ_JSON_SHA256)
+    for n, digest in MODEQ_COEFF_SHA256.items():
+        assert coefficient_digest(json.loads(modeq_output(n))) == digest, n
+
+
+def test_leading_column_is_a_power_of_1_minus_3y():
+    """At every pinned level the coefficient of X^d2 in F_n is exactly
+    (1 - 3Y)^m, m = leading_exponent(n)."""
+    for n in MODEQ_JSON_SHA256:
+        result = json.loads(modeq_output(n))["result"]
+        d2, m = result["d2"], leading_exponent(n)
+        column = {e["j"]: int(e["value"]) for e in result["coefficients"] if e["i"] == d2}
+        assert column == {j: comb(m, j) * (-3) ** j for j in range(m + 1)}, n
 
 
 # sha256 of `python -m ordersix modeq N --no-cache --no-timing --format F`,
@@ -426,8 +534,8 @@ def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "modeq", "19", "--no-cache", "--no-timing")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "452976d5f99858cdc6c36d2d07c6f28a53697250efd611318add6affe06cd038")
-    assert json.loads(out)["result"]["precision_used"] == valence_bound(19)
+        "6653daeca0ecf5a1053f6983601b30a9ca944e601e16261a7de24db47c732e0e")
+    assert json.loads(out)["result"]["precision_used"] == certificate_height(19)
     assert primes_used == [4]
 
 
@@ -442,7 +550,7 @@ OUTPUT_JSON_SHA256 = {
     ("expand", "--quotient", "36; 1:3, 4:-2, 36:5, 12:-6", "--prec", "30"):
         "7abad3fc0fa5a2d98bed576add3b378dd3ab0de45015d8e1407c83dfa1a24a8f",
     ("verify", "all"):
-        "9900a41a70f26eeb2cd9857eb13c071200beb0e34a78eb18d267e347768753b5",
+        "9d97ed6c27af85a1d23c485c094a41385132b1390a5ff99badbc7c296e7ee482",
 }
 
 

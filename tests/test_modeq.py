@@ -1,16 +1,18 @@
+import cmath
 import dataclasses
 from itertools import islice
-from math import gcd
+from math import gcd, pi, sqrt
 
 import numpy as np
 import pytest
 
 from ordersix import modeq, modp
 from ordersix.arith import hecke_cosets, psi_index
-from ordersix.cusps import INFINITY
+from ordersix.cusps import INFINITY, Cusp, canonical, cusp_set
 from ordersix.eta import EtaQuotient, named_w
 from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
 from ordersix.modeq import (
+    MAX_LEVEL,
     NORMALIZATION_NOTES,
     BivarPoly,
     LevelNotCoprimeTo6Error,
@@ -18,6 +20,7 @@ from ordersix.modeq import (
     MonomialMatrix,
     NotPrimeLevelError,
     certificate_failure,
+    certificate_height,
     check_kronecker,
     check_pattern,
     check_symmetry,
@@ -35,7 +38,14 @@ from ordersix.modeq import (
 )
 from ordersix.verify import golden_poly
 
-from helpers import back_substitute, echelon_mod, monomial_matrix, poly_mul, primitive
+from helpers import (
+    back_substitute,
+    echelon_mod,
+    monomial_matrix,
+    poly_mul,
+    primitive,
+    rank_mod,
+)
 
 
 def test_predict_degrees():
@@ -261,7 +271,7 @@ def test_fresh_solve_expands_w_once(monkeypatch):
 
     monkeypatch.setattr(EtaQuotient, "expand", spy)
     solve_modular_equation(19)
-    assert heights.count(valence_bound(19)) == 1
+    assert heights.count(certificate_height(19)) == 1
 
 
 def test_solve_fails_when_exact_check_always_fails(monkeypatch):
@@ -327,9 +337,141 @@ def test_valence_bound_from_divisor_data():
         assert poles == valence_bound(n) - 1 == 2 * d1 * d2, n
 
 
-def test_precision_used_is_the_valence_bound(solved):
+def test_precision_used_is_the_certificate_height(solved):
+    """d1*d2 + 1 at levels prime to 6, the full valence bound elsewhere."""
+    expected = {5: 37, 7: 65, 11: 145, 13: 197, 17: 325, 19: 401, 25: 901}
+    assert {n: certificate_height(n) for n in expected} == expected
+    for n in range(2, 61):
+        d1, d2 = predict_degrees(n)
+        if gcd(n, 6) == 1:
+            assert d1 == d2 and certificate_height(n) == d1 * d2 + 1, n
+        else:
+            assert certificate_height(n) == valence_bound(n), n
     for n in range(2, 14):
-        assert solved(n).precision_used == valence_bound(n), n
+        assert solved(n).precision_used == certificate_height(n), n
+
+
+def _atkin_lehner(n):
+    """W_n = (n, y; 18n, n*t) with n*t - 18*y = 1, as (a, b, c, d)."""
+    t = pow(n, -1, 18)
+    return n, (n * t - 1) // 18, 18 * n, n * t
+
+
+def test_atkin_lehner_carries_the_divisor_of_w_to_that_of_w_n_tau():
+    """w o W_n = w(n*tau) forces ord_c(w) = ord_(W_n c)(w(n*tau)) at every
+    cusp c of Gamma0(18n); W_n permutes the cusps and sends infinity to the
+    class of 1/18."""
+    for n in range(5, 61):
+        if gcd(n, 6) != 1:
+            continue
+        level = 18 * n
+        a, b, c, d = _atkin_lehner(n)
+        assert a * d - b * c == n
+        ord_w, ord_v = modeq._cusp_orders(n)
+        images = {x: canonical(level, Cusp.make(a * x.a + b * x.c, c * x.a + d * x.c))
+                  for x in cusp_set(level)}
+        assert sorted(images.values(), key=str) == sorted(cusp_set(level), key=str), n
+        assert images[INFINITY] == canonical(level, Cusp(1, 18)) != INFINITY, n
+        for x, image in images.items():
+            assert ord_v[image] == ord_w[x], (n, x)
+
+
+def test_w_at_the_atkin_lehner_image_is_w_of_n_tau():
+    """w(W_n tau) = w(n*tau), constant 1, in complex floats.  At
+    tau = -d/c + i sqrt(n)/c, W_n tau has the same imaginary part as tau
+    (about 0.025 at n = 5), and q^4000 there is below 1e-200."""
+    ws = named_w().expand(4000)
+
+    def w(z):
+        q = cmath.exp(2j * pi * z)
+        total = 0j
+        for coeff in reversed(ws.coeffs):
+            total = total * q + coeff
+        return total * q ** ws.val
+
+    for n in (5, 7):
+        a, b, c, d = _atkin_lehner(n)
+        tau = complex(-d / c, sqrt(n) / c)
+        image = (a * tau + b) / (c * tau + d)
+        assert abs(image.imag - tau.imag) < 1e-12
+        assert abs(cmath.exp(2j * pi * image)) ** 4000 < 1e-200
+        assert abs(w(image) - w(n * tau)) < 1e-12, n
+        assert abs(w(image) - w(tau)) > 1e-3, n  # the identity is not vacuous
+
+
+def test_f_n_is_the_only_symmetric_relation_from_the_certificate_height(solved):
+    """In the symmetric part of the (d2, d1) box, F_n spans the relations
+    of the exact monomial matrix with d1*d2 + 1 rows, and one row fewer
+    leaves two.  The rank mod 2^61 - 1 bounds the rank over Q from below,
+    so with F_n in the kernel it proves the first claim."""
+    p = (1 << 61) - 1
+    for n in (5, 7):
+        d1, d2 = predict_degrees(n)
+        height = certificate_height(n)
+        rows, order = monomial_matrix(n, d1, d2, height)
+        col = {ij: k for k, ij in enumerate(order)}
+        pairs = [(i, j) for i in range(d2 + 1) for j in range(i, d1 + 1)]
+        sym = [[row[col[i, j]] + (row[col[j, i]] if i != j else 0) for i, j in pairs]
+               for row in rows]
+        f = [solved(n).poly.coeff(i, j) for i, j in pairs]
+        assert all(sum(x * y for x, y in zip(row, f)) == 0 for row in sym), n
+        assert rank_mod(sym, p) == len(pairs) - 1, n
+        assert len(nullspace_exact(sym[:-1])) == 2, n
+
+
+def test_half_height_residual_needs_the_symmetry_check(solved):
+    """At n = 5 the full box has a 12-dimensional kernel at height 37, so
+    the residual there also vanishes for F_5 plus a non-symmetric relation.
+    certificate_failure rejects that candidate as not symmetric, and at the
+    full valence bound its residual shows it is no relation at all."""
+    n = 5
+    d1, d2 = predict_degrees(n)
+    height = certificate_height(n)
+    rows, order = monomial_matrix(n, d1, d2, height)
+    basis = nullspace_exact(rows)
+    assert len(basis) == 12
+    relation = next(r for r in (BivarPoly(dict(zip(order, primitive(v)))) for v in basis)
+                    if not r.is_symmetric())
+    scale = 1 + max(abs(c) for c in relation.coeffs.values())
+    f = solved(n).poly
+    candidate = BivarPoly({ij: scale * f.coeff(*ij) + relation.coeff(*ij)
+                           for ij in order}).normalized()
+    assert not candidate.is_symmetric()
+    assert residual_series(candidate, n, named_w().expand(height)).is_zero
+    assert not residual_series(candidate, n, named_w().expand(valence_bound(n))).is_zero
+    assert certificate_failure(n, candidate) == "not symmetric under X <-> Y"
+
+
+def test_symmetric_perturbation_is_rejected_for_its_residual(solved):
+    for n in (5, 7, 13):
+        coeffs = dict(solved(n).poly.coeffs)
+        for ij in ((1, 2), (2, 1)):
+            coeffs[ij] = coeffs.get(ij, 0) + 1
+        bad = BivarPoly(coeffs)
+        assert bad.is_symmetric()
+        assert "residual" in certificate_failure(n, bad), n
+
+
+def test_certificate_height_covers_what_the_lift_reads():
+    """The power sums read w below q^(n*(d1 + 1)); the certificate height
+    is never below that, and a MonomialMatrix refuses a lower height."""
+    for n in range(2, 61):
+        d1, _ = predict_degrees(n)
+        assert certificate_height(n) >= n * (d1 + 1), n
+    for n in (2, 5, 9):
+        d1, d2 = predict_degrees(n)
+        MonomialMatrix(n, d1, d2, n * (d1 + 1))
+        with pytest.raises(ValueError, match="below"):
+            MonomialMatrix(n, d1, d2, n * (d1 + 1) - 1)
+
+
+def test_levels_above_max_level_are_refused():
+    predict_degrees(MAX_LEVEL)
+    for n in (MAX_LEVEL + 1, 1000000000000000003):
+        with pytest.raises(ValueError, match="at most"):
+            predict_degrees(n)
+        with pytest.raises(ValueError):
+            solve_modular_equation(n)
 
 
 def test_degrees_match_pole_degrees(solved):
@@ -357,7 +499,7 @@ def test_level25_spot_check():
     r = solve_modular_equation(25)
     assert r.poly.degx == r.poly.degy == psi_index(25) == 30
     assert r.nullspace_dim == 1
-    assert r.precision_used == 1801
+    assert r.precision_used == certificate_height(25)
     assert certificate_failure(25, r.poly) is None
     assert check_symmetry(r)
     assert check_pattern(r, predict_coefficient_pattern(25))
