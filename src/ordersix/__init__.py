@@ -9,8 +9,8 @@ import os
 # CPU time.  On 2 vCPUs (numpy 2.4), importing numpy and running 50
 # np.convolve calls took a median of 0.25 s CPU with one thread against
 # 0.38 s with two, over 8 runs each.  OpenBLAS reads the variable once,
-# when numpy is first imported.  Only modp imports numpy, and only the
-# first solve imports modp, so the setting takes effect then; it has no
+# when numpy is first imported.  Only modp imports numpy, and only for a
+# solve from level 24 up, so the setting takes effect then; it has no
 # effect in a process that imported numpy before ordersix.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -45,6 +45,13 @@ from .arith import is_prime
 SCHEMA_VERSION = "1"
 CACHE_ENV = "ORDERSIX_CACHE_DIR"
 
+# The largest level `cusps` accepts.  Listing the cusps of Gamma0(N)
+# trial-divides N up to its square root and prints up to about 2*sqrt(N)
+# of them; at N <= 10^6 that is at most 1,000 divisions, and on 2 vCPUs
+# the prime 999983, 720720 and 10^6 (1,800 cusps) each printed within
+# 0.3 s.  The bound refuses a larger N before anything factors it.
+MAX_CUSPS_LEVEL = 10**6
+
 
 class BadSpecError(ValueError):
     """Malformed quotient spec or invalid command input."""
@@ -184,6 +191,8 @@ def cmd_cusps(args) -> int:
     t0 = time.perf_counter()
     if args.level < 1:
         raise BadSpecError("level must be positive")
+    if args.level > MAX_CUSPS_LEVEL:  # checked before anything factors the level
+        raise BadSpecError(f"cusps level must be at most {MAX_CUSPS_LEVEL}")
     quotient = None
     if args.divisor is not None:
         if args.divisor in NAMED_QUOTIENTS:

@@ -66,9 +66,11 @@ certificate_height(n) is d1*d2 + 1 at gcd(n, 6) = 1, where F_n is
 symmetric and _shape_failure rejects any F that is not, and
 valence_bound(n) at every other level.
 
-The arithmetic mod p is in modp, the one module that imports numpy.
-MonomialMatrix imports it at the first solve, so importing this module
-does not load numpy.
+The arithmetic mod p is in modp, which MonomialMatrix imports at the
+first solve.  modp works on Python ints and loads numpy only for a power
+table of length modp._NUMPY_LENGTH or more, from level 24 up, and for
+MonomialMatrix.mod, which no solve calls; so neither this module nor a
+solve at levels 2-23 loads numpy.
 """
 
 from __future__ import annotations
@@ -308,7 +310,7 @@ class MonomialMatrix(Sequence):
     expansion ``w`` of w below q^height is stored: ``kernel_mod(p)`` is
     F_n mod p, which spans the relations mod p, and ``annihilates`` is the
     exact residual check.  The solver never builds the matrix; ``mod(p)`` builds
-    it reduced mod p in int64 numpy arrays, exactly the integer matrix
+    it reduced mod p as an int64 numpy array, exactly the integer matrix
     reduced mod p, and as a sequence its rows are the residues mod the
     kernel's first prime, as Python ints (bench/tracing.py reads the
     kernel's matrix as rows).  ``kernel_mod`` reads w below q^(n*(d1 + 1)),
@@ -330,8 +332,9 @@ class MonomialMatrix(Sequence):
 
     def mod(self, p: int):
         """The matrix mod p as an int64 numpy array, shape (height,
-        #unknowns), entries in [0, p): modp.monomial_matrix_mod."""
-        from . import modp  # loads numpy at the first solve, not with the package
+        #unknowns), entries in [0, p): modp.monomial_matrix_mod, which
+        loads numpy."""
+        from . import modp
 
         return modp.monomial_matrix_mod(self._w_coeffs(), self.level, self.d1, self.d2,
                                         self.height, p)
@@ -340,7 +343,7 @@ class MonomialMatrix(Sequence):
         """F_n mod p from the power sums of its roots,
         modp.conjugate_polynomial_mod, for kernel_int_crt: every relation
         is a multiple of F_n (see the module docstring)."""
-        from . import modp  # loads numpy at the first solve, not with the package
+        from . import modp  # imported at the first solve, not with the package
 
         n = self.level
         return modp.conjugate_polynomial_mod(self._w_coeffs(), n, self.d1, self.d2,

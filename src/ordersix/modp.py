@@ -1,28 +1,48 @@
-"""Exact arithmetic modulo 20-bit primes, in numpy arrays.
+"""Exact arithmetic modulo 20-bit primes, on lists of Python ints.
 
-This is the only module of the package that imports numpy.
-modeq.MonomialMatrix imports it when it first reduces mod p, so numpy,
-and with it OpenBLAS, is loaded by the first solve, and commands that do
-not solve never load it.
-
-* power_table -- the powers of w mod p, by exact float64 convolutions;
+* power_table -- the powers of w mod p;
 * conjugate_polynomial_mod -- F_n mod p from the power sums of the
   conjugates w((a*tau + b)/d) and Newton's identities, with no matrix;
 * monomial_matrix_mod -- the monomial matrix of modeq reduced mod p, from
-  the exact expansion of w, in int64.
+  the exact expansion of w, as an int64 numpy array.
 
-The primes are below 2^20, so a convolution of residues is exact in
-float64 when it sums at most _exact_step(p) products: every partial sum
-is then an integer below 2^53.  Longer products are split into chunks of
-that many coefficients, each reduced mod p in int64 before the next.
+A series of residues is multiplied by Kronecker packing: the residues
+become one Python int with one 64-bit slot per coefficient (_pack), so one
+int product is the whole convolution, read back slot by slot (_unpack).  A
+slot that sums at most ``terms`` products of two residues, plus one
+residue, holds less than 2^64 when _check_slot_bound(terms, p) passes, so
+no slot carries into the next; every function checks before it allocates.
+
+numpy is imported where it is used, never with this module: by
+power_table for a table of length _NUMPY_LENGTH or more, and by
+monomial_matrix_mod.  modeq imports this module at the first solve, so a
+solve loads numpy only at levels whose power table is that long (n = 24
+and up), and commands that do not solve never load it.  On the numpy side
+the truncated products are float64 convolutions.  The primes are below
+2^20, so such a convolution is exact when it sums at most _exact_step(p)
+products: every partial sum is then an integer below 2^53.  Longer
+products are split into chunks of that many coefficients, each reduced mod
+p in int64 before the next.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from math import comb
 
-import numpy as np
+# The power-table length n*(d1 + 1) from which power_table multiplies in
+# numpy.  Measured on 2 vCPUs, median of 9, F_n mod p per prime on the
+# packed route against numpy once imported: 2.0 / 0.7 ms at level 13
+# (length 195), 7.0 / 2.4 ms at 19 (399), 15.3 / 3.5 ms at 23 (575),
+# 14.4 / 3.3 ms at 24 (600) and 27.6 / 5.9 ms at 25 (775).  Importing
+# numpy takes 94-100 ms, and these levels use 3-4 primes, so one solve
+# breaks even near length 775.  The crossover sits lower, at the first
+# length no level 2-23 reaches, so that a process that solves many levels
+# and pays the import once loses at most about 12 ms per prime.
+_NUMPY_LENGTH = 600
+
+_SLOT_BITS = 64
 
 
 def _check_int64_bound(terms: int, p: int) -> None:
@@ -32,6 +52,29 @@ def _check_int64_bound(terms: int, p: int) -> None:
         raise OverflowError(f"{terms} products mod {p} overflow int64")
 
 
+def _check_slot_bound(terms: int, p: int) -> None:
+    """Raise unless a sum of ``terms`` products of two residues mod p, plus
+    one residue, fits in a 64-bit slot: terms * (p - 1)^2 + p < 2^64."""
+    if terms * (p - 1) ** 2 + p >= 1 << _SLOT_BITS:
+        raise OverflowError(f"{terms} products mod {p} overflow a 64-bit slot")
+
+
+def _pack(residues: Sequence[int]) -> int:
+    """The int with residues[k] in its k-th 64-bit slot."""
+    return int.from_bytes(array("Q", residues).tobytes(), "little")
+
+
+def _unpack(x: int, length: int) -> list[int]:
+    """Slots 0 .. length - 1 of a packed nonnegative int."""
+    data = x.to_bytes(max(length, -(-x.bit_length() // _SLOT_BITS)) * 8, "little")
+    return memoryview(data).cast("Q")[:length].tolist()
+
+
+def _mul_packed(x: int, y: int, length: int, p: int) -> list[int]:
+    """The packed product x*y mod p below q^length, as residues."""
+    return [c % p for c in _unpack(x * y, length)]
+
+
 def _exact_step(p: int) -> int:
     """The most products of two residues mod p whose float64 sum is exact:
     each product is at most (p - 1)^2, and the sum must stay below 2^53.
@@ -39,44 +82,51 @@ def _exact_step(p: int) -> int:
     return ((1 << 53) - 1) // (p - 1) ** 2
 
 
-def power_table(w: Sequence[int], top: int, length: int, p: int) -> np.ndarray:
-    """w^0, ..., w^top mod p below q^length, shape (top + 1, length).
+def power_table(w: Sequence[int], top: int, length: int, p: int) -> list[list[int]]:
+    """w^0, ..., w^top mod p below q^length, as top + 1 lists of residues.
 
     ``w`` holds the exact coefficients of q^0, q^1, ... of w, at least
-    below q^length.  Each power is the previous one times w, by
-    _mul_trunc.  The callers sum up to ``length`` products of two entries
-    in int64, so _check_int64_bound(length, p) runs first, before anything
-    of size ``length`` is allocated.
+    below q^length.  Each power is the previous one times w, truncated
+    below q^length: one packed product below _NUMPY_LENGTH, chunked
+    float64 convolutions in numpy from there on.  A product sums at most
+    ``length`` products of two residues, so _check_slot_bound(length, p)
+    runs first, before anything of size ``length`` is allocated.
     """
-    _check_int64_bound(length, p)
-    wp = np.array([c % p for c in w[:length]], dtype=np.float64)
-    powers = np.zeros((top + 1, length), dtype=np.int64)
-    powers[0, 0] = 1
-    for k in range(1, top + 1):
-        powers[k] = _mul_trunc(powers[k - 1].astype(np.float64), wp, p)
+    _check_slot_bound(length, p)
+    wp = [c % p for c in w[:length]]
+    if length >= _NUMPY_LENGTH:
+        return _power_table_float64(wp, top, length, p)
+    packed = _pack(wp)
+    powers = [[1] + [0] * (length - 1)]
+    for _ in range(top):
+        powers.append(_mul_packed(_pack(powers[-1]), packed, length, p))
     return powers
 
 
-def _mul_trunc(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a*b mod p below q^len(a), for float64 residue arrays of equal length,
-    as int64.  One float64 convolution per _exact_step(p) coefficients of a:
-    each output is then a sum of at most that many products, an integer
-    below 2^53 and hence exact.  Truncating the full convolution measured
-    faster than splitting off the half it throws away, at levels 19 and
-    25."""
-    n = len(a)
+def _power_table_float64(wp: list[int], top: int, length: int, p: int) -> list[list[int]]:
+    """power_table in numpy.  Each power is one float64 convolution per
+    _exact_step(p) coefficients of the previous one: each output is then a
+    sum of at most that many products, an integer below 2^53 and hence
+    exact.  Truncating the full convolution measured faster than splitting
+    off the half it throws away, at levels 19 and 25."""
+    import numpy as np
+
+    b = np.array(wp, dtype=np.float64)
     step = _exact_step(p)
-    out = np.zeros(n, dtype=np.int64)
-    for k in range(0, n, step):
-        part = np.convolve(a[k : k + step], b[: n - k])[: n - k]
-        out[k:] = (out[k:] + part.astype(np.int64)) % p
-    return out
+    powers = np.zeros((top + 1, length), dtype=np.int64)
+    powers[0, 0] = 1
+    for k in range(1, top + 1):
+        a = powers[k - 1].astype(np.float64)
+        for i in range(0, length, step):
+            part = np.convolve(a[i : i + step], b[: length - i])[: length - i]
+            powers[k, i:] = (powers[k, i:] + part.astype(np.int64)) % p
+    return powers.tolist()
 
 
 def monomial_matrix_mod(w: Sequence[int], n: int, d1: int, d2: int, height: int,
-                        p: int) -> np.ndarray:
-    """The monomial matrix of modeq.MonomialMatrix mod p, shape (height,
-    (d1 + 1) * (d2 + 1)), entries in [0, p).
+                        p: int):
+    """The monomial matrix of modeq.MonomialMatrix mod p, as an int64 numpy
+    array of shape (height, (d1 + 1) * (d2 + 1)), entries in [0, p).
 
     ``w`` holds the exact coefficients of q^0, q^1, ... of w, at least
     below q^height.  Row e holds the coefficients of q^e; column (i, j),
@@ -84,11 +134,14 @@ def monomial_matrix_mod(w: Sequence[int], n: int, d1: int, d2: int, height: int,
     The powers W^k mod p come from power_table.  V^j is nonzero only at
     multiples of n, so column (i, j) is a sum of about height/n shifted
     copies of W^i scaled by coefficients of w^j.  No sum has more than
-    height products of two residues, so _check_int64_bound(height, p),
-    which power_table runs first, keeps them exact.
+    height products of two residues, so _check_int64_bound(height, p) runs
+    first and keeps them exact.
     """
+    import numpy as np
+
     h = height
-    powers = power_table(w, max(d1, d2), h, p)
+    _check_int64_bound(h, p)
+    powers = np.array(power_table(w, max(d1, d2), h, p), dtype=np.int64)
     wblock = powers[: d2 + 1]
     out = np.empty((h, (d1 + 1) * (d2 + 1)), dtype=np.int64)
     for j in range(d1 + 1):
@@ -103,9 +156,9 @@ def monomial_matrix_mod(w: Sequence[int], n: int, d1: int, d2: int, height: int,
 
 def conjugate_polynomial_mod(w: Sequence[int], n: int, d1: int, d2: int,
                              traces: Sequence[tuple[int, int, int]], m: int,
-                             p: int) -> np.ndarray:
+                             p: int) -> list[int]:
     """F_n = (1 - 3Y)^m prod (X - w((a*tau + b)/d)) mod p, with Y = w, over
-    the d2 cosets of modeq.conjugate_traces, as a vector in the column order
+    the d2 cosets of modeq.conjugate_traces, as a list in the column order
     of monomial_matrix_mod: entry (i, j) is the coefficient of X^i Y^j.
     The entry at (d2, 0) is 1.
 
@@ -118,40 +171,50 @@ def conjugate_polynomial_mod(w: Sequence[int], n: int, d1: int, d2: int,
     q^0 .. q^d1 fix them.  Newton's identities
     k e_k = sum_{i<=k} (-1)^(i-1) e_(k-i) p_i, with k <= d2 < p, give the
     elementary symmetric functions e_k of the roots; (1 - 3w)^m e_k is a
-    polynomial in w, read off by triangular subtraction of the powers of
-    w, and the coefficient of X^(d2-k) is (-1)^k times it.
+    polynomial sum_j g_j w^j, and the coefficient of X^(d2-k) Y^j is
+    (-1)^k g_j.
+
+    Every series below q^(d1 + 1) is packed.  A slot of a Newton sum adds
+    at most d2*(d1 + 1) products of two residues, and every other sum
+    fewer, so _check_slot_bound((d2 + 1)*(d1 + 1), p) runs first.  The
+    read-off of g_j from e = (1 - 3w)^m e_k works on one packed int: it
+    adds (p - g_j) w^j for j = 0, 1, ..., which keeps every slot
+    nonnegative, and since w^j = q^j + O(q^(j+1)), slot j is final, equal
+    to g_j mod p, once the terms for i < j are in.
     """
     size = d1 + 1
+    _check_slot_bound((d2 + 1) * size, p)
     powers = power_table(w, max(d1, d2), n * size, p)
-    if powers[1, 0] or powers[1, 1] != 1:
+    if powers[1][0] or powers[1][1] != 1:
         raise ValueError("w must be q + O(q^2)")
-    sums = np.zeros((d2 + 1, size), dtype=np.int64)
-    for s, t, c in traces:
-        u = d1 // s + 1
-        sums[:, : s * u : s] += c * powers[: d2 + 1, : t * u : t]
-    # Newton's identities: a coefficient of e_k is a sum of at most
-    # k * size products of two residues
-    _check_int64_bound(d2 * size, p)
-    sums[2::2] = -sums[2::2]
-    sums %= p
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    toeplitz = np.where(lag >= 0, sums[:, np.maximum(lag, 0)], 0)
-    elem = np.zeros((d2 + 1, size), dtype=np.int64)
-    elem[0, 0] = 1
+    signed_sums = [0]
     for k in range(1, d2 + 1):
-        acc = np.einsum("imr,ir->m", toeplitz[1 : k + 1], elem[k - 1 :: -1])
-        elem[k] = acc % p * pow(k, -1, p) % p
+        row = [0] * size
+        for s, t, c in traces:
+            u = d1 // s + 1
+            row[: s * u : s] = [x + c * y for x, y in zip(row[: s * u : s], powers[k][: t * u : t])]
+        signed_sums.append(_pack([x % p if k % 2 else -x % p for x in row]))
+    elem = [1]
+    for k in range(1, d2 + 1):
+        acc = sum(elem[k - i] * signed_sums[i] for i in range(1, k + 1))
+        inverse = pow(k, -1, p)
+        elem.append(_pack([x * inverse % p for x in _unpack(acc, size)]))
     if m:
         # times (1 - 3w)^m = sum_i C(m, i) (-3)^i w^i, m < d2, below q^size
-        binomials = np.array([comb(m, i) * (-3) ** i % p for i in range(m + 1)])
-        lead = binomials @ powers[: m + 1, :size] % p
-        elem = elem @ np.where(lag >= 0, lead[np.maximum(lag, 0)], 0).T % p
-    grid = np.zeros((d2 + 1, size), dtype=np.int64)
-    for j in range(size):
-        grid[::-1, j] = elem[:, j]
-        elem = (elem - np.outer(elem[:, j], powers[j, :size])) % p
-    grid[d2 - 1 :: -2] = -grid[d2 - 1 :: -2] % p
-    return grid.ravel()
+        lead = _pack([sum(comb(m, i) * (-3) ** i * powers[i][r] for i in range(m + 1)) % p
+                      for r in range(size)])
+        elem = [_pack(_mul_packed(e, lead, size, p)) for e in elem]
+    basis = [_pack(row[:size]) for row in powers[:size]]
+    mask = (1 << _SLOT_BITS) - 1
+    grid = [[0] * size for _ in range(d2 + 1)]
+    for k, acc in enumerate(elem):
+        row = grid[d2 - k]
+        for j in range(size):
+            g = (acc >> (_SLOT_BITS * j) & mask) % p
+            if g:
+                row[j] = -g % p if k % 2 else g
+                acc += (p - g) * basis[j]
+    return [x for row in grid for x in row]
 
 
 __all__ = ["power_table", "monomial_matrix_mod", "conjugate_polynomial_mod"]

@@ -110,6 +110,20 @@ def test_cusps_with_divisor(capsys):
     assert orders == ["1", "0", "-1", "0", "0", "0", "0", "0"]
 
 
+@pytest.mark.parametrize("level", [str(cli.MAX_CUSPS_LEVEL + 1), "1000000000000000003"])
+def test_cusps_level_above_max_is_usage_error(capsys, level):
+    """A level past MAX_CUSPS_LEVEL is refused before it is factored, so
+    the command returns at once instead of trial-dividing a 19-digit
+    prime; the bound itself is accepted."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cusps", level, "--divisor", "w")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: cusps level must be at most {cli.MAX_CUSPS_LEVEL}\n"
+    code, doc, _ = run_json(capsys, "cusps", str(cli.MAX_CUSPS_LEVEL), "--no-timing")
+    assert code == 0 and doc["result"]["count"] == 1800
+
+
 def test_cusps_divisor_level_mismatch(capsys):
     code, _, err = run_cli(capsys, "cusps", "12", "--divisor", "w")
     assert code == 2 and "does not divide" in err
@@ -403,7 +417,9 @@ MODEQ_JSON_SHA256 = {
     25: "074ed56d49ac4892da4e081465d1932eda7276d154d3700d26a2a9c4c67008f0",
     26: "8f5d2a00edfbc2423e78e237127f96c89736a43e7c77faf864e6c72b7a62a2ae",
     27: "e0213a7691a08b4e9347080eb15f6eff4b5ff2bc07addb93bcd50d3fcf261dc5",
+    28: "5d77bef333767dd249847e7364f60f7f25403cdb02a9f968e6acc753a757f0a6",
     29: "7040733ba16696528a79076ac0dff948d4ea36cd81198237bfd01c592fb9ce92",
+    30: "f459371a06bfcaff96258892532f3cbc48292c2cc04d10f3b6624be08a2a435d",
 }
 
 
@@ -460,7 +476,9 @@ MODEQ_COEFF_SHA256 = {
     25: "a1e10a22184a064ac6fa16160eb602b8b4abc5afa28e3039abf3132d43a97d2d",
     26: "0f52d0cb2f31e01ba22fb2730c70bcce9a2619bf2c7f0490a73b651a2542a28e",
     27: "393aad3b6fb62ab50ba9b5d20f0ca7c80fd7df8b01234a8818b0d9daa5ddee26",
+    28: "3688a43147a11a4caec9576e2e7c1d02fdab4a5b592aed00b93c442e35a30f28",
     29: "962f84a1149f97862f1174855baa7c069f928c5547cebb4c13f83d62eeddf645",
+    30: "553b861d3ec818891c136770950297a99c996763c57d7244605403c9a008df0d",
 }
 
 

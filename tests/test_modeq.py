@@ -111,18 +111,30 @@ def test_int64_bound_is_checked():
         matrix.mod(p)
 
 
+def _schoolbook_powers(w, top, length, p):
+    expected = [[1] + [0] * (length - 1)]
+    for _ in range(top):
+        expected.append([c % p for c in poly_mul(expected[-1], w, length)])
+    return expected
+
+
 def test_power_table_matches_schoolbook_products(monkeypatch):
-    """Exact past one float64 convolution: with _exact_step cut to 37, every
-    truncated product runs in several chunks."""
+    """On both sides of the crossover, one length below it (packed ints)
+    and at it (numpy), for w and for the largest residues p - 1, p - 2,
+    which fill a 64-bit slot the most; then in numpy with _exact_step cut
+    to 37, so every truncated product runs in several chunks."""
     p = next(kernel_primes())
-    ws = named_w().expand(300)
-    w = [0] * ws.val + list(ws.coeffs)
-    expected = [[1] + [0] * 299]
-    for _ in range(6):
-        expected.append([c % p for c in poly_mul(expected[-1], w, 300)])
-    assert modp.power_table(w, 6, 300, p).tolist() == expected
+    crossover = modp._NUMPY_LENGTH
+    ws = named_w().expand(crossover)
+    named = [0] * ws.val + list(ws.coeffs)
+    largest = [p - 1, p - 2] * crossover
+    for length in (crossover - 1, crossover):
+        for w, top in ((named, 4), (largest, 2)):
+            expected = _schoolbook_powers(w, top, length, p)
+            assert modp.power_table(w, top, length, p) == expected, (length, top)
     monkeypatch.setattr(modp, "_exact_step", lambda p: 37)
-    assert modp.power_table(w, 6, 300, p).tolist() == expected
+    assert modp.power_table(largest, 2, crossover, p) == _schoolbook_powers(
+        largest, 2, crossover, p)
 
 
 def test_power_table_is_exact_past_one_float64_convolution():
@@ -136,7 +148,7 @@ def test_power_table_is_exact_past_one_float64_convolution():
     assert step * (p - 1) ** 2 < 1 << 53 <= (step + 1) * (p - 1) ** 2
     length = 2 * step + 3
     square = modp.power_table([-2, -1] * (step + 2), 2, length, p)[2]
-    assert square.tolist() == [(4 * (k // 2 + 1) + k // 2 if k % 2 == 0 else 2 * (k + 1)) % p
+    assert square == [(4 * (k // 2 + 1) + k // 2 if k % 2 == 0 else 2 * (k + 1)) % p
                                for k in range(length)]
 
 
@@ -145,6 +157,21 @@ def test_power_table_checks_int64_bound_before_allocating():
     w = [0] + list(named_w().expand(20).coeffs)
     with pytest.raises(OverflowError):
         modp.power_table(w, 20, 1 << 40, p)
+
+
+def test_slot_bound_is_checked_before_allocating():
+    """A packed 64-bit slot holds a sum of at most `most` products of two
+    residues and one residue.  conjugate_polynomial_mod, like power_table
+    above, raises OverflowError for a series far past that, where
+    allocating it would raise MemoryError."""
+    p = next(kernel_primes())
+    most = ((1 << 64) - 1 - p) // (p - 1) ** 2
+    modp._check_slot_bound(most, p)
+    with pytest.raises(OverflowError):
+        modp._check_slot_bound(most + 1, p)
+    w = [0] + list(named_w().expand(20).coeffs)
+    with pytest.raises(OverflowError):
+        modp.conjugate_polynomial_mod(w, 1, 1 << 40, 0, [(1, 1, 1)], 0, p)
 
 
 def test_power_sums_agree_with_elimination_per_prime():
@@ -161,7 +188,7 @@ def test_power_sums_agree_with_elimination_per_prime():
             lead = matrix.order.index((d2, 0))
             assert conj[lead] == 1, (n, p)
             scale = pow(kern[lead], -1, p)
-            assert conj.tolist() == [x * scale % p for x in kern], (n, p)
+            assert conj == [x * scale % p for x in kern], (n, p)
 
 
 def test_route_follows_gcd_with_6(monkeypatch):

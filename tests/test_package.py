@@ -89,8 +89,11 @@ print(json.dumps(seen))
 
 
 def test_commands_that_do_not_solve_never_load_numpy(tmp_path):
-    """numpy stays unloaded after `import ordersix.cli` and through every
-    command that does not solve, a validated cache hit among them."""
+    """numpy stays unloaded after `import ordersix.cli`, through every
+    command that does not solve, a validated cache hit among them, and
+    through solves whose power table is shorter than modp._NUMPY_LENGTH:
+    `verify all`, levels 7, 13 and 19, the levels of the benchmark, and
+    level 23, the last level below it (23 * 25 = 575 coefficients)."""
     cache = str(tmp_path)
     subprocess.run([sys.executable, "-m", "ordersix", "modeq", "5", "--cache-dir", cache],
                    capture_output=True, check=True)
@@ -101,17 +104,29 @@ def test_commands_that_do_not_solve_never_load_numpy(tmp_path):
         ["verify", "identities"],
         ["verify", "cusps"],
         ["modeq", "5", "--cache-dir", cache],
+        ["modeq", "7", "--no-cache"],
+        ["modeq", "13", "--no-cache"],
+        ["modeq", "19", "--no-cache"],
+        ["modeq", "23", "--no-cache"],
+        ["verify", "all"],
     ]
     seen = json.loads(_run_fresh(_NUMPY_PROBE, json.dumps(commands)))
     assert seen == [False] + [[0, "", False]] * len(commands)
 
 
+def test_importing_modp_does_not_load_numpy():
+    code = "import sys, ordersix.modp\nprint('numpy' in sys.modules)\n"
+    assert _run_fresh(code) == "False\n"
+
+
 @needs_proc_tasks
 def test_first_solve_loads_numpy_on_one_openblas_thread():
+    """Level 24 is the first level whose power table, 24 * 25 = 600
+    coefficients long, reaches modp._NUMPY_LENGTH."""
     code = _NUMPY_PROBE + (
         "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
     )
-    out = _run_fresh(code, json.dumps([["modeq", "7", "--no-cache"]]))
+    out = _run_fresh(code, json.dumps([["modeq", "24", "--no-cache"]]))
     seen, threads = out.splitlines()
     assert json.loads(seen) == [False, [0, "", True]]
     assert threads.split() == ["1", "1"]
