@@ -37,9 +37,22 @@ from .modeq import (
     solve_modular_equation,
 )
 from .series import QSeries, euler_product
-from .verify import CheckReport, run_checks
 
 __version__ = "0.1.0"
+
+# The subsets verify.run_checks accepts.  They live here so the command
+# line parser can offer them without importing verify, which only the
+# verify command needs.
+SUBSETS = ("all", "tables", "identities", "cusps")
+
+
+def __getattr__(name):
+    """Load verify on first use of CheckReport or run_checks (PEP 562)."""
+    if name in ("CheckReport", "run_checks"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "QSeries",

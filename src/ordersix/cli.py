@@ -20,10 +20,10 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
+from . import SUBSETS
 from .cusps import cusp_set, width
 from .eta import EtaQuotient, NAMED_QUOTIENTS, named_j
 from .modeq import (
@@ -39,7 +39,6 @@ from .modeq import (
     solve_modular_equation,
 )
 from .series import QSeries
-from .verify import SUBSETS, run_checks
 from .arith import is_prime
 
 SCHEMA_VERSION = "1"
@@ -150,13 +149,10 @@ def poly_payload(poly) -> list[dict]:
     ]
 
 
-def emit(doc: dict, fmt: str, plain_text: str, latex_text: str) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=False))
-    elif fmt == "plain":
-        print(plain_text)
-    else:
-        print(latex_text)
+def emit(doc: dict, fmt: str, render) -> None:
+    """Print ``doc`` as JSON, or ``render(fmt)`` for plain and latex, so only
+    the requested text is built."""
+    print(json.dumps(doc, indent=2, sort_keys=False) if fmt == "json" else render(fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +179,7 @@ def cmd_expand(args) -> int:
         }
     result = series_payload(s)
     doc = make_document("expand", inputs, result, _elapsed(args, t0))
-    emit(doc, args.format, repr(s), series_latex(s))
+    emit(doc, args.format, lambda style: repr(s) if style == "plain" else series_latex(s))
     return 0
 
 
@@ -215,17 +211,18 @@ def cmd_cusps(args) -> int:
         inputs["divisor"] = args.divisor
     result = {"count": len(entries), "cusps": entries}
     doc = make_document("cusps", inputs, result, _elapsed(args, t0))
-    plain_lines = [
-        "  ".join(
-            [f"{e['cusp']:>8}", f"width {e['width']}"]
-            + ([f"order {e['order']}"] if "order" in e else [])
+
+    def render(style):
+        if style == "latex":
+            return ", ".join(("\\infty" if e["cusp"] == "inf" else e["cusp"])
+                             for e in entries)
+        return "\n".join(
+            "  ".join([f"{e['cusp']:>8}", f"width {e['width']}"]
+                      + ([f"order {e['order']}"] if "order" in e else []))
+            for e in entries
         )
-        for e in entries
-    ]
-    latex = ", ".join(
-        ("\\infty" if e["cusp"] == "inf" else e["cusp"]) for e in entries
-    )
-    emit(doc, args.format, "\n".join(plain_lines), latex)
+
+    emit(doc, args.format, render)
     return 0
 
 
@@ -243,6 +240,8 @@ def _cache_path(args, level: int) -> Path:
 
 
 def _write_atomic(path: Path, payload: str) -> None:
+    import tempfile  # only a cache write needs it
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -340,13 +339,13 @@ def cmd_modeq(args) -> int:
     if not args.no_timing:
         doc = dict(doc)
         doc["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-    poly = _doc_poly(doc)
-    emit(doc, args.format, format_polynomial(poly, "plain"),
-         format_polynomial(poly, "latex"))
+    emit(doc, args.format, lambda style: format_polynomial(_doc_poly(doc), style))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks  # loaded only by this command
+
     t0 = time.perf_counter()
     reports = run_checks(args.subset, fail_fast=args.fail_fast)
     all_passed = all(r.passed for r in reports)
@@ -360,9 +359,9 @@ def cmd_verify(args) -> int:
         ],
     }
     doc = make_document("verify", {"subset": args.subset}, result, _elapsed(args, t0))
-    plain = "\n".join(f"{r.status.upper():4} {r.name}: {r.detail}" for r in reports)
-    latex = plain
-    emit(doc, args.format, plain, latex)
+    # plain and latex are the same text
+    emit(doc, args.format,
+         lambda _: "\n".join(f"{r.status.upper():4} {r.name}: {r.detail}" for r in reports))
     return 0 if all_passed else 1
 
 

@@ -11,25 +11,25 @@ cusp_set results are memoized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
 from .arith import divisors, euler_phi
 
 
-@dataclass(frozen=True)
-class Cusp:
-    a: int
-    c: int
+class Cusp(namedtuple("Cusp", "a c")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if self.c < 0:
+    def __new__(cls, a: int, c: int):
+        if c < 0:
             raise ValueError("cusp denominator must be non-negative")
-        if self.c == 0 and self.a != 1:
+        if c == 0 and a != 1:
             raise ValueError("infinity is represented as 1/0")
-        if gcd(self.a, self.c) != 1:
-            raise ValueError(f"cusp {self.a}/{self.c} is not reduced")
+        if gcd(a, c) != 1:
+            raise ValueError(f"cusp {a}/{c} is not reduced")
+        return super().__new__(cls, a, c)
 
     @classmethod
     def make(cls, a: int, c: int) -> Cusp:

@@ -9,11 +9,9 @@ w(tau) = X(tau) X(3*tau) on Gamma0(18), and the j-invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from math import gcd
-
-from math import lcm
+from math import gcd, lcm
 
 from .arith import sigma3_table
 from .cusps import Cusp, cusp_set, denominator_in_level
@@ -24,21 +22,20 @@ class NotModularError(Exception):
     """Operation requires an eta quotient that is a modular function."""
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
-    level: int
-    exponents: dict[int, int] = field(default_factory=dict)
+class EtaQuotient(namedtuple("EtaQuotient", "level exponents")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __new__(cls, level: int, exponents: dict[int, int] | None = None):
+        if level < 1:
             raise ValueError("level must be positive")
         cleaned = {}
-        for d, r in sorted(self.exponents.items()):
-            if d < 1 or self.level % d:
-                raise ValueError(f"{d} does not divide level {self.level}")
+        for d, r in sorted((exponents or {}).items()):
+            if d < 1 or level % d:
+                raise ValueError(f"{d} does not divide level {level}")
             if r:
                 cleaned[d] = int(r)
-        object.__setattr__(self, "exponents", cleaned)
+        return super().__new__(cls, level, cleaned)
 
     # -------------------- structure --------------------
 
@@ -122,10 +119,7 @@ class EtaQuotient:
         return Fraction(N, 24 * d * gcd(d, N // d)) * total
 
 
-@dataclass(frozen=True)
-class CuspOrder:
-    cusp: Cusp
-    order: int
+CuspOrder = namedtuple("CuspOrder", "cusp order")
 
 
 def divisor(f: EtaQuotient) -> list[CuspOrder]:

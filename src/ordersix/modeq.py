@@ -31,9 +31,10 @@ equation (a cache entry).  The vector is F_n itself, with coefficient 1 at
 X^d2 Y^0, so it is primitive and has the sign of BivarPoly.normalized.  A
 certified equation is fixed by its level and polynomial: result_for
 derives every other field from those two, for a fresh solve and a cache
-hit alike.  Structural checks cover the forced zero/nonzero coefficient
-pattern, X<->Y symmetry for levels coprime to 6, and the Kronecker
-congruence at prime levels.
+hit alike.  _shape_failure also requires the coefficient of X^d2 to be
+exactly (1 - 3Y)^m.  Structural checks cover the forced zero/nonzero
+coefficient pattern, X<->Y symmetry for levels coprime to 6, and the
+Kronecker congruence at prime levels.
 
 Why the certificate proves F(w, w(n*tau)) = 0.  For F in the (d2, d1) box,
 G = F(w, w(n*tau)) is a modular function on Gamma0(18n).  It has no pole
@@ -75,10 +76,10 @@ solve at levels 2-23 loads numpy.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd
+from math import comb, gcd
 from types import MappingProxyType
 
 from .arith import divisors, hecke_cosets, is_prime, moebius
@@ -116,15 +117,14 @@ class LevelNotCoprimeTo6Error(ValueError):
 MAX_LEVEL = 1000
 
 
-@dataclass(frozen=True)
-class BivarPoly:
+class BivarPoly(namedtuple("BivarPoly", "coeffs")):
     """Bivariate integer polynomial as a sparse (i, j) -> coefficient map."""
 
-    coeffs: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        cleaned = {ij: int(c) for ij, c in self.coeffs.items() if c}
-        object.__setattr__(self, "coeffs", cleaned)
+    def __new__(cls, coeffs: dict[tuple[int, int], int] | None = None):
+        return super().__new__(cls, {ij: int(c) for ij, c in (coeffs or {}).items() if c})
 
     @property
     def degx(self) -> int:
@@ -185,27 +185,21 @@ class BivarPoly:
         return all(c.get((j, i), 0) == v for (i, j), v in c.items())
 
 
-@dataclass(frozen=True)
-class ModEqResult:
-    level: int
-    d1: int
-    d2: int
-    poly: BivarPoly
-    precision_used: int
-    nullspace_dim: int
-    normalization: str
-    method: str  # always "crt"; bench/gate.py still passes method="crt"
+# method is always "crt"; bench/gate.py still passes method="crt"
+ModEqResult = namedtuple("ModEqResult", "level d1 d2 poly precision_used nullspace_dim "
+                                        "normalization method")
 
 
-@dataclass(frozen=True)
-class CoeffPattern:
-    level: int
-    forced_zero: frozenset[tuple[int, int]]
-    forced_nonzero: frozenset[tuple[int, int]]
+class CoeffPattern(namedtuple("CoeffPattern", "level forced_zero forced_nonzero")):
+    """Coefficient positions (i, j) forced to be zero or nonzero, as frozensets."""
 
-    def __post_init__(self):
-        if self.forced_zero & self.forced_nonzero:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
+
+    def __new__(cls, level: int, forced_zero: frozenset, forced_nonzero: frozenset):
+        if forced_zero & forced_nonzero:
             raise AssertionError("forced zero and nonzero positions overlap")
+        return super().__new__(cls, level, forced_zero, forced_nonzero)
 
 
 @lru_cache(maxsize=None)
@@ -434,7 +428,8 @@ def _shape_failure(n: int, poly: BivarPoly) -> str | None:
     every term must lie in the (d2, d1) box of predict_degrees, the
     bidegree must fill it, and the polynomial must be in normal form.  At
     gcd(n, 6) = 1 it must also be X<->Y symmetric, which the
-    certificate_height proof needs."""
+    certificate_height proof needs.  Its coefficient of X^d2 must be
+    exactly (1 - 3Y)^m, m = leading_exponent(n), as F_n's is."""
     d1, d2 = predict_degrees(n)
     outside = [(i, j) for i, j in poly.coeffs if not (0 <= i <= d2 and 0 <= j <= d1)]
     if outside:
@@ -445,6 +440,10 @@ def _shape_failure(n: int, poly: BivarPoly) -> str | None:
         return "not primitive and sign-normalized"
     if gcd(n, 6) == 1 and not poly.is_symmetric():
         return "not symmetric under X <-> Y"
+    m = leading_exponent(n)
+    if ({j: c for (i, j), c in poly.coeffs.items() if i == d2}
+            != {j: comb(m, j) * (-3) ** j for j in range(m + 1)}):
+        return f"coefficient of X^{d2} is not (1 - 3Y)^{m}"
     return None
 
 

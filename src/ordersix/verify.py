@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+
+from . import SUBSETS
 from .cusps import Cusp, are_equivalent, cusp_set
 from .eta import divisor, named_j, named_w, named_x
 from .modeq import (
@@ -31,12 +33,8 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    status: str
-    detail: str
-    precision: int
+class CheckReport(namedtuple("CheckReport", "name status detail precision")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -372,9 +370,6 @@ def check_scope_notes() -> CheckReport:
         "one-dimensional space"
     )
     return CheckReport("scope-acknowledgment", PASS, detail, 0)
-
-
-SUBSETS = ("all", "tables", "identities", "cusps")
 
 
 def run_checks(subset: str = "all", fail_fast: bool = False) -> list[CheckReport]:

@@ -203,6 +203,27 @@ def test_modeq_asymmetric_cache_edit_recomputes(capsys, tmp_path):
     assert err.startswith("warning: cache entry") and "not symmetric" in err
 
 
+def test_modeq_cache_edit_of_the_leading_column_is_refused_by_shape(capsys, tmp_path):
+    """At level 8 the coefficient of X^8 is (1 - 3Y)^7.  Adding 1 to its
+    Y^3 term keeps the entry primitive and sign-normalized, and the shape
+    check refuses it before the residual runs."""
+    code, out1, _ = run_cli(capsys, "modeq", "8", "--cache-dir", str(tmp_path),
+                            "--no-timing")
+    assert code == 0
+    path = cache_file(tmp_path, 8)
+    doc = json.loads(path.read_text())
+    [entry] = [e for e in doc["result"]["coefficients"] if (e["i"], e["j"]) == (8, 3)]
+    assert int(entry["value"]) == comb(7, 3) * (-3) ** 3
+    entry["value"] = str(int(entry["value"]) + 1)
+    path.write_text(json.dumps(doc, indent=2))
+    code, out2, err = run_cli(capsys, "modeq", "8", "--cache-dir", str(tmp_path),
+                              "--no-timing")
+    assert code == 0 and out1 == out2
+    assert err.startswith("warning: cache entry")
+    assert "coefficient of X^8 is not (1 - 3Y)^7" in err
+    assert json.loads(path.read_text()) == json.loads(out1)
+
+
 def test_modeq_entry_of_another_schema_is_replaced_in_place(capsys, tmp_path):
     doc = cli.modeq_document(5)
     doc["schema_version"] = "0"
@@ -643,6 +664,15 @@ def test_verify_corrupted_golden_fails_fast(capsys, monkeypatch):
     assert reports[-1]["status"] == "fail"
     assert "C(0, 2)" in reports[-1]["detail"]
     assert len(reports) == 1  # fail-fast stopped after the first table
+
+
+def test_verify_unknown_subset_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument subset: invalid choice: 'bogus'" in err
+    assert "'all', 'tables', 'identities', 'cusps'" in err
 
 
 def test_verify_output_deterministic(capsys):

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 from itertools import islice
 from math import gcd, pi, sqrt
 
@@ -275,7 +274,7 @@ def test_residual_detects_one_perturbed_coefficient(solved):
         r = solved(n)
         coeffs = dict(r.poly.coeffs)
         coeffs[(3, 2)] = coeffs.get((3, 2), 0) + 1
-        bad = dataclasses.replace(r, poly=BivarPoly(coeffs))
+        bad = r._replace(poly=BivarPoly(coeffs))
         res = residual_series(bad.poly, n, named_w().expand(r.precision_used))
         assert not res.is_zero, n
         assert res.prec == r.precision_used

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ordersix
+from ordersix import BivarPoly, CoeffPattern, Cusp, EtaQuotient, ModEqResult
 from ordersix.modeq import NORMALIZATION_NOTES
 
 
@@ -130,3 +131,131 @@ def test_first_solve_loads_numpy_on_one_openblas_thread():
     seen, threads = out.splitlines()
     assert json.loads(seen) == [False, [0, "", True]]
     assert threads.split() == ["1", "1"]
+
+
+# Runs each command of the JSON argv list through cli.main and prints, as
+# JSON, which of the modules named in argv[2] that a bare interpreter had
+# not loaded are loaded after the import and after each command, with each
+# command's exit code and stderr; then where the package's CheckReport and
+# run_checks come from.
+_IMPORT_PROBE = """\
+import contextlib, io, json, sys
+guarded = set(json.loads(sys.argv[2])) - set(sys.modules)
+import ordersix.cli as cli
+seen = [sorted(guarded & set(sys.modules))]
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    seen.append([code, err.getvalue(), sorted(guarded & set(sys.modules))])
+from ordersix import CheckReport, run_checks
+seen.append([CheckReport.__module__, run_checks.__module__])
+print(json.dumps(seen))
+"""
+
+
+def test_only_verify_loads_verify(tmp_path):
+    """`import ordersix.cli` and every command but `verify` leave
+    ordersix.verify, dataclasses, inspect and hashlib unloaded: the solves
+    of the benchmark's levels, a cache miss that writes an entry, the
+    validated hit that reads it, `expand` and `cusps`.  `verify all` then
+    loads verify and passes, and the package resolves its names."""
+    cache = str(tmp_path)
+    commands = [
+        ["modeq", "7", "--no-cache"],
+        ["modeq", "13", "--no-cache"],
+        ["modeq", "19", "--no-cache"],
+        ["modeq", "5", "--cache-dir", cache],
+        ["modeq", "5", "--cache-dir", cache],
+        ["expand", "--name", "w", "--prec", "40"],
+        ["cusps", "90", "--divisor", "w"],
+    ]
+    guarded = ["ordersix.verify", "dataclasses", "inspect", "hashlib"]
+    seen = json.loads(_run_fresh(_IMPORT_PROBE, json.dumps(commands + [["verify", "all"]]),
+                                 json.dumps(guarded)))
+    assert os.path.exists(os.path.join(cache, "modeq-level5.json"))
+    assert seen[:len(commands) + 1] == [[]] + [[0, "", []]] * len(commands)
+    code, err, loaded = seen[-2]
+    assert (code, err) == (0, "") and "ordersix.verify" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert seen[-1] == ["ordersix.verify", "ordersix.verify"]
+    # with nothing run first, the package's own lookup loads verify
+    code = "from ordersix import CheckReport, run_checks\nprint(run_checks.__module__)\n"
+    assert _run_fresh(code) == "ordersix.verify\n"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ordersix.no_such_name
+
+
+def _value_types():
+    """(value, field, repr) for each immutable value type of the package;
+    the repr strings were recorded while the types were frozen dataclasses."""
+    from ordersix.eta import CuspOrder
+    from ordersix.modeq import result_for
+    from ordersix.verify import CheckReport
+
+    f2 = BivarPoly({(2, 0): 1, (0, 1): -1, (1, 1): 2, (2, 1): -3, (0, 2): 1})
+    return [
+        (Cusp(-1, 2), "a", "Cusp(a=-1, c=2)"),
+        (EtaQuotient(18, {1: 1, 2: -1, 3: 0}), "exponents",
+         "EtaQuotient(level=18, exponents={1: 1, 2: -1})"),
+        (CuspOrder(Cusp(1, 3), -2), "order", "CuspOrder(cusp=Cusp(a=1, c=3), order=-2)"),
+        (BivarPoly({(2, 0): 1, (0, 1): -1, (1, 1): 0}), "coeffs",
+         "BivarPoly(coeffs={(2, 0): 1, (0, 1): -1})"),
+        (result_for(2, f2), "poly",
+         "ModEqResult(level=2, d1=2, d2=2, poly=BivarPoly(coeffs={(2, 0): 1, (0, 1): -1, "
+         "(1, 1): 2, (2, 1): -3, (0, 2): 1}), precision_used=9, nullspace_dim=1, "
+         "normalization='denominators cleared by 1, content 1 removed, sign flipped', "
+         "method='crt')"),
+        (CoeffPattern(5, frozenset({(1, 2)}), frozenset({(0, 0)})), "forced_zero",
+         "CoeffPattern(level=5, forced_zero=frozenset({(1, 2)}), "
+         "forced_nonzero=frozenset({(0, 0)}))"),
+        (CheckReport("x", "pass", "detail 'q'", 3), "status",
+         "CheckReport(name='x', status='pass', detail=\"detail 'q'\", precision=3)"),
+    ]
+
+
+def test_value_types_are_immutable_with_stable_repr_equality_and_hash():
+    values = _value_types()
+    types = {type(value).__name__: type(value) for value, _, _ in values}
+    for value, field, text in values:
+        assert repr(value) == text
+        copy = eval(text, types)
+        assert copy == value and copy is not value, text
+        try:
+            hash(value)
+        except TypeError:  # a dict field: unhashable, as the dataclasses were
+            assert isinstance(value, (EtaQuotient, BivarPoly, ModEqResult)), text
+        else:
+            assert hash(copy) == hash(value), text
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        assert repr(value) == text
+
+
+def test_value_types_keep_their_constructor_errors():
+    with pytest.raises(ValueError, match="infinity is represented as 1/0"):
+        Cusp(2, 0)
+    with pytest.raises(ValueError, match="not reduced"):
+        Cusp(2, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        Cusp(1, -2)
+    with pytest.raises(ValueError, match="5 does not divide level 18"):
+        EtaQuotient(18, {5: 1})
+    with pytest.raises(ValueError, match="level must be positive"):
+        EtaQuotient(0)
+    with pytest.raises(AssertionError, match="overlap"):
+        CoeffPattern(5, frozenset({(0, 0)}), frozenset({(0, 0), (1, 1)}))
+    # _replace builds through the same checks
+    with pytest.raises(ValueError, match="not reduced"):
+        Cusp(2, 3)._replace(c=4)
+    with pytest.raises(ValueError, match="does not divide"):
+        EtaQuotient(18, {2: 1})._replace(exponents={4: 1})
+    with pytest.raises(AssertionError, match="overlap"):
+        CoeffPattern(5, frozenset(), frozenset({(0, 0)}))._replace(forced_zero={(0, 0)})
+    assert BivarPoly({(1, 1): 1})._replace(coeffs={(1, 1): 0}) == BivarPoly()
+    # the keyword and positional forms bench/gate.py builds
+    assert ModEqResult(level=2, d1=2, d2=2, poly=BivarPoly({(2, 0): 1}), precision_used=9,
+                       nullspace_dim=1, normalization="", method="crt").poly.coeffs == {(2, 0): 1}
+    assert EtaQuotient(6).exponents == {} and BivarPoly().coeffs == {}
