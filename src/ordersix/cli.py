@@ -30,7 +30,6 @@ from .modeq import (
     MAX_LEVEL,
     BivarPoly,
     ModEqResult,
-    NullspaceEmptyError,
     certificate_failure,
     extract_inner_factor,
     format_polynomial,
@@ -107,17 +106,13 @@ def resolve_quotient(name: str | None, spec: str | None) -> tuple[str, EtaQuotie
 # output documents
 # ---------------------------------------------------------------------------
 
-def make_document(command: str, inputs: dict, result: dict,
-                  timing_ms: float | None) -> dict:
-    doc = {
+def make_document(command: str, inputs: dict, result: dict) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
         "result": result,
     }
-    if timing_ms is not None:
-        doc["timing_ms"] = round(timing_ms, 3)
-    return doc
 
 
 def series_payload(s: QSeries) -> dict:
@@ -156,11 +151,11 @@ def emit(doc: dict, fmt: str, render) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its document, the renderer emit takes for plain
+# and latex, and its exit code
 # ---------------------------------------------------------------------------
 
-def cmd_expand(args) -> int:
-    t0 = time.perf_counter()
+def cmd_expand(args):
     name, quotient = resolve_quotient(args.name, args.quotient)
     if args.prec < 1:
         raise BadSpecError("--prec must be at least 1")
@@ -177,14 +172,11 @@ def cmd_expand(args) -> int:
             "exponents": {str(d): r for d, r in quotient.exponents.items()},
             "prec": args.prec,
         }
-    result = series_payload(s)
-    doc = make_document("expand", inputs, result, _elapsed(args, t0))
-    emit(doc, args.format, lambda style: repr(s) if style == "plain" else series_latex(s))
-    return 0
+    doc = make_document("expand", inputs, series_payload(s))
+    return doc, lambda style: repr(s) if style == "plain" else series_latex(s), 0
 
 
-def cmd_cusps(args) -> int:
-    t0 = time.perf_counter()
+def cmd_cusps(args):
     if args.level < 1:
         raise BadSpecError("level must be positive")
     if args.level > MAX_CUSPS_LEVEL:  # checked before anything factors the level
@@ -210,7 +202,7 @@ def cmd_cusps(args) -> int:
     if args.divisor is not None:
         inputs["divisor"] = args.divisor
     result = {"count": len(entries), "cusps": entries}
-    doc = make_document("cusps", inputs, result, _elapsed(args, t0))
+    doc = make_document("cusps", inputs, result)
 
     def render(style):
         if style == "latex":
@@ -222,8 +214,7 @@ def cmd_cusps(args) -> int:
             for e in entries
         )
 
-    emit(doc, args.format, render)
-    return 0
+    return doc, render, 0
 
 
 def _cache_dir(args) -> Path:
@@ -273,7 +264,7 @@ def _equation_document(res: ModEqResult) -> dict:
             "frame": f"(X^{level} - Y)(X - Y^{level}) - {level} X Y G(X, Y)",
             "inner_coefficients": poly_payload(inner),
         }
-    return make_document("modeq", {"level": level}, result, None)
+    return make_document("modeq", {"level": level}, result)
 
 
 def modeq_document(level: int) -> dict:
@@ -303,8 +294,7 @@ def validate_document(doc, level: int) -> None:
         raise CacheCorruptError(reason)
 
 
-def cmd_modeq(args) -> int:
-    t0 = time.perf_counter()
+def cmd_modeq(args):
     if args.level < 2:
         raise BadSpecError("modeq level must be at least 2")
     if args.level > MAX_LEVEL:  # checked before anything factors the level
@@ -336,17 +326,12 @@ def cmd_modeq(args) -> int:
             except OSError as exc:
                 print(f"warning: cache entry {path} not written ({exc})",
                       file=sys.stderr)
-    if not args.no_timing:
-        doc = dict(doc)
-        doc["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-    emit(doc, args.format, lambda style: format_polynomial(_doc_poly(doc), style))
-    return 0
+    return doc, lambda style: format_polynomial(_doc_poly(doc), style), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .verify import run_checks  # loaded only by this command
 
-    t0 = time.perf_counter()
     reports = run_checks(args.subset, fail_fast=args.fail_fast)
     all_passed = all(r.passed for r in reports)
     result = {
@@ -358,17 +343,11 @@ def cmd_verify(args) -> int:
             for r in reports
         ],
     }
-    doc = make_document("verify", {"subset": args.subset}, result, _elapsed(args, t0))
+    doc = make_document("verify", {"subset": args.subset}, result)
     # plain and latex are the same text
-    emit(doc, args.format,
-         lambda _: "\n".join(f"{r.status.upper():4} {r.name}: {r.detail}" for r in reports))
-    return 0 if all_passed else 1
-
-
-def _elapsed(args, t0) -> float | None:
-    if getattr(args, "no_timing", False):
-        return None
-    return 1000 * (time.perf_counter() - t0)
+    return (doc,
+            lambda _: "\n".join(f"{r.status.upper():4} {r.name}: {r.detail}" for r in reports),
+            0 if all_passed else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        code = args.func(args)
+        doc, render, code = args.func(args)
+        if not args.no_timing:
+            doc = {**doc, "timing_ms": round(1000 * (time.perf_counter() - t0), 3)}
+        emit(doc, args.format, render)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -438,8 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     except BadSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NullspaceEmptyError, RuntimeError) as exc:
-        # RuntimeError: kernel_int_crt did not converge
+    except RuntimeError as exc:
+        # a solver failure, such as kernel_int_crt certifying no lift
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -11,9 +11,11 @@
 kernel_int_crt reads its matrix through two methods only, so a caller can
 hand it a matrix that never exists over Z:
 
-* ``kernel_mod(p)`` -- the residues mod p of one integer vector, the same
-  for every p, as modeq.MonomialMatrix returns F_n mod p;
-* ``annihilates(vec)`` -- the exact check of an integer vector.
+* ``kernel_mod(p)`` -- the residues mod p of one integer vector, as
+  Python ints, the same for every p, as modeq.MonomialMatrix returns F_n
+  mod p;
+* ``annihilates(vec)`` -- whether an integer vector is certified, which
+  modeq.MonomialMatrix decides by modeq.certificate_failure alone.
 
 The lifted vector is accepted only when ``annihilates`` passes, so the
 result is exact despite the modular detour.  Both functions are
@@ -22,6 +24,7 @@ deterministic and pure, and this module does not import numpy.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -84,13 +87,9 @@ def _crt_vector(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:
     return [a + m1 * ((b - a) * inv % m2) for a, b in zip(r1, r2)]
 
 
-class KernelResult:
-    """Outcome of kernel_int_crt: the lifted integer vector and the number
-    of primes it took."""
-
-    def __init__(self, vector: list[int], primes_used: int):
-        self.vector = vector
-        self.primes_used = primes_used
+# Outcome of kernel_int_crt: the lifted integer vector and the number of
+# primes it took.
+KernelResult = namedtuple("KernelResult", "vector primes_used")
 
 
 def kernel_primes():
@@ -111,7 +110,7 @@ def kernel_int_crt(matrix) -> KernelResult:
     """
     modulus, residues, lifted = 1, None, None
     for used, p in enumerate(islice(kernel_primes(), _MAX_PRIMES), 1):
-        v = [int(x) for x in matrix.kernel_mod(p)]
+        v = matrix.kernel_mod(p)
         residues = _crt_vector(residues or [0] * len(v), modulus, v, p)
         modulus *= p
         previous, lifted = lifted, [r - modulus if 2 * r > modulus else r for r in residues]

@@ -22,19 +22,19 @@ C(X0(18n)) = C(w, w(n*tau)).  So w(tau) has degree
 polynomial up to a factor in C(Y), and every relation in the (d2, d1) box
 is a constant multiple of F_n.
 
-Exactly one check over Z accepts an equation, residual_series: the
-Horner-rule residual F(w, w(n*tau)) vanishing below
-q^certificate_height(n), together with the shape checks of _shape_failure,
-proves it is 0.  MonomialMatrix.annihilates applies the residual to the
-solver's lifted vector and certificate_failure applies both to a stored
-equation (a cache entry).  The vector is F_n itself, with coefficient 1 at
-X^d2 Y^0, so it is primitive and has the sign of BivarPoly.normalized.  A
-certified equation is fixed by its level and polynomial: result_for
-derives every other field from those two, for a fresh solve and a cache
-hit alike.  _shape_failure also requires the coefficient of X^d2 to be
-exactly (1 - 3Y)^m.  Structural checks cover the forced zero/nonzero
-coefficient pattern, X<->Y symmetry for levels coprime to 6, and the
-Kronecker congruence at prime levels.
+Exactly one check accepts an equation, certificate_failure: its shape
+checks, then the Horner-rule residual F(w, w(n*tau)) (residual_series)
+vanishing below q^certificate_height(n), which proves it is 0.  It
+accepts the solver's lifted vector (through MonomialMatrix.annihilates,
+on the solve's own expansion of w) and a stored equation (a cache entry)
+alike.  The vector is F_n itself, with coefficient 1 at X^d2 Y^0, so it
+is primitive and has the sign of BivarPoly.normalized.  A certified
+equation is fixed by its level and polynomial: result_for derives every
+other field from those two, for a fresh solve and a cache hit alike.  The
+shape checks also require the coefficient of X^d2 to be exactly
+(1 - 3Y)^m.  Structural checks cover the forced zero/nonzero coefficient
+pattern, X<->Y symmetry for levels coprime to 6, and the Kronecker
+congruence at prime levels.
 
 Why the certificate proves F(w, w(n*tau)) = 0.  For F in the (d2, d1) box,
 G = F(w, w(n*tau)) is a modular function on Gamma0(18n).  It has no pole
@@ -64,7 +64,7 @@ gcd(n, 6) = 1 and F is symmetric, half that height suffices:
   proves G = 0.
 
 certificate_height(n) is d1*d2 + 1 at gcd(n, 6) = 1, where F_n is
-symmetric and _shape_failure rejects any F that is not, and
+symmetric and certificate_failure rejects any F that is not, and
 valence_bound(n) at every other level.
 
 The arithmetic mod p is in modp, which MonomialMatrix imports at the
@@ -96,10 +96,6 @@ NORMALIZATION_NOTES = (
     "denominators cleared by 1, content 1 removed",
     "denominators cleared by 1, content 1 removed, sign flipped",
 )
-
-
-class NullspaceEmptyError(Exception):
-    """No relation found at the predicted bidegree; indicates a bug."""
 
 
 class NotPrimeLevelError(ValueError):
@@ -302,8 +298,8 @@ class MonomialMatrix(Sequence):
     Row e holds the coefficients of q^e for e < height; columns are ordered
     by (i, j) lexicographic, 0 <= i <= d2, 0 <= j <= d1.  Only the exact
     expansion ``w`` of w below q^height is stored: ``kernel_mod(p)`` is
-    F_n mod p, which spans the relations mod p, and ``annihilates`` is the
-    exact residual check.  The solver never builds the matrix; ``mod(p)`` builds
+    F_n mod p, which spans the relations mod p, and ``annihilates`` is
+    certificate_failure on that expansion.  The solver never builds the matrix; ``mod(p)`` builds
     it reduced mod p as an int64 numpy array, exactly the integer matrix
     reduced mod p, and as a sequence its rows are the residues mod the
     kernel's first prime, as Python ints (bench/tracing.py reads the
@@ -344,10 +340,10 @@ class MonomialMatrix(Sequence):
                                              conjugate_traces(n), leading_exponent(n), p)
 
     def annihilates(self, vec: list[int]) -> bool:
-        """Exact check: sum of vec[k] * W^i V^j, (i, j) = order[k], vanishes
-        below q^height."""
+        """Whether sum of vec[k] * X^i Y^j, (i, j) = order[k], passes
+        certificate_failure, read on this expansion of w."""
         poly = BivarPoly(dict(zip(self.order, vec)))
-        return bool(poly.coeffs) and residual_series(poly, self.level, self.w).is_zero
+        return certificate_failure(self.level, poly, self.w) is None
 
     @cached_property
     def _first_residues(self):
@@ -379,21 +375,15 @@ def result_for(n: int, poly: BivarPoly) -> ModEqResult:
 
 
 def solve_modular_equation(n: int) -> ModEqResult:
-    """Derive and verify the level-n modular equation for w.
-
-    kernel_int_crt lifts F_n mod p and accepts the vector only after the
-    exact residual check at certificate_height(n), so only the shape
-    checks remain, and they complete the certificate.  F_n has the
-    coefficient 1 at X^d2 Y^0, so the lift is already in normal form, and
-    at gcd(n, 6) = 1 it is symmetric, which _shape_failure checks.
+    """Derive and certify the level-n modular equation for w: expand w to
+    certificate_height(n), lift F_n mod p by kernel_int_crt, which returns
+    only a lift that certificate_failure accepts, and build its result.
+    F_n has the coefficient 1 at X^d2 Y^0, so the lift is already in
+    normal form.  Raises RuntimeError when no lift is certified.
     """
     d1, d2 = predict_degrees(n)
     matrix = MonomialMatrix(n, d1, d2, certificate_height(n))
-    poly = BivarPoly(dict(zip(matrix.order, kernel_int_crt(matrix).vector)))
-    reason = _shape_failure(n, poly)
-    if reason:
-        raise NullspaceEmptyError(f"level {n}: kernel polynomial {reason}")
-    return result_for(n, poly)
+    return result_for(n, BivarPoly(dict(zip(matrix.order, kernel_int_crt(matrix).vector))))
 
 
 def residual_series(poly: BivarPoly, n: int, ws: QSeries) -> QSeries:
@@ -423,13 +413,18 @@ def residual_series(poly: BivarPoly, n: int, ws: QSeries) -> QSeries:
     return total.truncate(prec)
 
 
-def _shape_failure(n: int, poly: BivarPoly) -> str | None:
-    """Why ``poly`` cannot be the level-n equation by its shape, or None:
-    every term must lie in the (d2, d1) box of predict_degrees, the
-    bidegree must fill it, and the polynomial must be in normal form.  At
-    gcd(n, 6) = 1 it must also be X<->Y symmetric, which the
+def certificate_failure(n: int, poly: BivarPoly, ws: QSeries | None = None) -> str | None:
+    """Why ``poly`` is not the certified level-n equation, or None.
+
+    By shape: every term must lie in the (d2, d1) box of predict_degrees,
+    the bidegree must fill it, and the polynomial must be in normal form.
+    At gcd(n, 6) = 1 it must also be X<->Y symmetric, which the
     certificate_height proof needs.  Its coefficient of X^d2 must be
-    exactly (1 - 3Y)^m, m = leading_exponent(n), as F_n's is."""
+    exactly (1 - 3Y)^m, m = leading_exponent(n), as F_n's is.  Then its
+    residual must vanish below certificate_height(n).  ``ws`` is an exact
+    expansion of w to at least that height, such as the one a solve
+    holds; without it, w is expanded here.
+    """
     d1, d2 = predict_degrees(n)
     outside = [(i, j) for i, j in poly.coeffs if not (0 <= i <= d2 and 0 <= j <= d1)]
     if outside:
@@ -444,18 +439,14 @@ def _shape_failure(n: int, poly: BivarPoly) -> str | None:
     if ({j: c for (i, j), c in poly.coeffs.items() if i == d2}
             != {j: comb(m, j) * (-3) ** j for j in range(m + 1)}):
         return f"coefficient of X^{d2} is not (1 - 3Y)^{m}"
+    height = certificate_height(n)
+    if ws is None:
+        ws = named_w().expand(height)
+    elif ws.prec < height:
+        raise ValueError(f"w is known below q^{ws.prec}, under the certificate height {height}")
+    if not residual_series(poly, n, ws.truncate(height)).is_zero:
+        return "residual F_n(w, w(n*tau)) does not vanish"
     return None
-
-
-def certificate_failure(n: int, poly: BivarPoly) -> str | None:
-    """Why ``poly`` is not the certified level-n equation, or None: it must
-    pass the shape checks, and its residual must vanish below
-    certificate_height(n)."""
-    reason = _shape_failure(n, poly)
-    if reason is None and not residual_series(poly, n,
-                                               named_w().expand(certificate_height(n))).is_zero:
-        reason = "residual F_n(w, w(n*tau)) does not vanish"
-    return reason
 
 
 def predict_coefficient_pattern(n: int) -> CoeffPattern:
@@ -588,7 +579,6 @@ __all__ = [
     "BivarPoly",
     "ModEqResult",
     "CoeffPattern",
-    "NullspaceEmptyError",
     "NotPrimeLevelError",
     "LevelNotCoprimeTo6Error",
     "predict_degrees",

@@ -15,7 +15,7 @@ import ordersix.cli as cli
 import ordersix.modeq as modeq
 import ordersix.verify as verify
 from ordersix.linalg import kernel_int_crt
-from ordersix.modeq import MAX_LEVEL, NullspaceEmptyError, certificate_height, leading_exponent
+from ordersix.modeq import MAX_LEVEL, certificate_height, leading_exponent
 from ordersix.verify import GOLDEN_INNER
 
 
@@ -108,6 +108,15 @@ def test_cusps_with_divisor(capsys):
     assert code == 0
     orders = [entry["order"] for entry in doc["result"]["cusps"]]
     assert orders == ["1", "0", "-1", "0", "0", "0", "0", "0"]
+
+
+def test_cusps_divisor_spec_matches_the_named_quotient(capsys):
+    spec = "18; 1:1, 2:-2, 9:-1, 18:2"  # w spelled out as an eta quotient
+    code, named, _ = run_json(capsys, "cusps", "18", "--divisor", "w", "--no-timing")
+    code2, explicit, _ = run_json(capsys, "cusps", "18", "--divisor", spec, "--no-timing")
+    assert code == code2 == 0
+    assert explicit["inputs"]["divisor"] == spec
+    assert explicit["result"] == named["result"]
 
 
 @pytest.mark.parametrize("level", [str(cli.MAX_CUSPS_LEVEL + 1), "1000000000000000003"])
@@ -371,7 +380,7 @@ def test_modeq_usage_and_solver_errors(capsys, tmp_path, monkeypatch):
     assert code == 2
 
     def boom(level):
-        raise NullspaceEmptyError("synthetic failure")
+        raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(cli, "solve_modular_equation", boom)
     code, _, err = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
@@ -639,6 +648,46 @@ def test_modeq_cache_write_failure_warns(capsys, tmp_path):
     assert doc["result"]["level"] == 2
     assert err.count("\n") == 1 and err.startswith("warning: cache entry")
     assert "Traceback" not in err
+
+
+def test_modeq_cache_replace_failure_warns_and_leaves_no_temp_file(capsys, tmp_path,
+                                                                   monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
+                             "--no-timing")
+    monkeypatch.undo()
+    assert code == 0
+    assert out == run_cli(capsys, "modeq", "2", "--no-cache", "--no-timing")[1]
+    assert err.count("\n") == 1 and err.startswith("warning: cache entry")
+    assert "replace refused" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_timing_field_is_all_that_timing_adds(capsys, tmp_path, monkeypatch):
+    """Without --no-timing each command prints timing_ms >= 0, and without
+    that key the document is the --no-timing one; a cache entry never
+    holds it."""
+    fresh = run_json(capsys, "modeq", "5", "--no-cache", "--no-timing")[1]
+    cache = ("--cache-dir", str(tmp_path))
+    runs = [
+        (("expand", "--name", "w", "--prec", "8"), None),
+        (("cusps", "18", "--divisor", "w"), None),
+        (("modeq", "5", *cache), fresh),  # a miss: solves and writes the entry
+        (("modeq", "5", *cache), fresh),  # a hit
+        (("verify", "cusps"), None),
+    ]
+    for argv, untimed in runs:
+        code, timed, err = run_json(capsys, *argv)
+        assert code == 0 and err == "", argv
+        timing = timed.pop("timing_ms")
+        assert isinstance(timing, float) and timing >= 0, argv
+        assert timed == (untimed or run_json(capsys, *argv, "--no-timing")[1]), argv
+        if argv[0] == "modeq":
+            monkeypatch.setattr(cli, "solve_modular_equation", None)  # a hit never solves
+    assert "timing_ms" not in json.loads(cache_file(tmp_path, 5).read_text())
 
 
 def test_verify_identities_exit_zero(capsys):

@@ -5,7 +5,7 @@ from math import gcd, pi, sqrt
 import numpy as np
 import pytest
 
-from ordersix import modeq, modp
+from ordersix import linalg, modeq, modp
 from ordersix.arith import hecke_cosets, psi_index
 from ordersix.cusps import INFINITY, Cusp, canonical, cusp_set
 from ordersix.eta import EtaQuotient, named_w
@@ -267,6 +267,43 @@ def test_lift_carries_on_past_a_rejected_stable_lift(monkeypatch):
     assert kernel.primes_used == 4
     assert checked == [kernel.vector, kernel.vector]
     assert BivarPoly(dict(zip(matrix.order, kernel.vector))) == golden_poly(13)
+
+
+def test_asymmetric_stable_lift_is_refused_before_its_residual(monkeypatch, solved):
+    """The lift accepts a vector through certificate_failure alone, shape
+    first: a stable lift of F_5 with one coefficient off the diagonal
+    changed is refused as not symmetric, prime after prime, and the
+    residual never runs."""
+    n = 5
+    d1, d2 = predict_degrees(n)
+    coeffs = dict(solved(n).poly.coeffs)
+    coeffs[(1, 2)] = coeffs.get((1, 2), 0) + 1
+    asymmetric = BivarPoly(coeffs)
+    assert not asymmetric.is_symmetric()
+    assert certificate_failure(n, asymmetric) == "not symmetric under X <-> Y"
+    vector = [asymmetric.coeff(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]
+    primes, residuals = [], []
+    monkeypatch.setattr(MonomialMatrix, "kernel_mod",
+                        lambda self, p: primes.append(p) or [c % p for c in vector])
+    monkeypatch.setattr(modeq, "residual_series", lambda *args: residuals.append(args))
+    with pytest.raises(RuntimeError):
+        solve_modular_equation(n)
+    assert len(primes) == linalg._MAX_PRIMES
+    assert residuals == []
+
+
+def test_certificate_never_runs_below_its_height(solved):
+    """An expansion of w shorter than certificate_height(n) is refused, in
+    a cache check and in the lift alike, not read as a lower height."""
+    for n in (5, 9):
+        poly, height = solved(n).poly, certificate_height(n)
+        assert certificate_failure(n, poly, named_w().expand(height + 7)) is None
+        with pytest.raises(ValueError, match="certificate height"):
+            certificate_failure(n, poly, named_w().expand(height - 1))
+        d1, d2 = predict_degrees(n)
+        short = MonomialMatrix(n, d1, d2, height - 1)
+        with pytest.raises(ValueError, match="certificate height"):
+            short.annihilates([poly.coeff(*ij) for ij in short.order])
 
 
 def test_residual_detects_one_perturbed_coefficient(solved):

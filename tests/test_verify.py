@@ -2,7 +2,7 @@ import pytest
 
 import ordersix.verify as verify
 from ordersix.eta import EtaQuotient
-from ordersix.modeq import BivarPoly
+from ordersix.modeq import BivarPoly, CoeffPattern
 from ordersix.verify import (
     GOLDEN_INNER,
     check_cusp_lists,
@@ -141,6 +141,29 @@ def test_golden_tables_negative_control(monkeypatch):
     reports = check_golden_tables(fail_fast=True)
     assert len(reports) == 1 and not reports[0].passed
     assert "C(0, 2)" in reports[0].detail
+
+
+@pytest.mark.parametrize("stub, witness, failing", [
+    ("predict_coefficient_pattern", "forced coefficient pattern violated", [2, 3, 5, 7, 11, 13]),
+    ("check_kronecker", "Kronecker congruence violated", [5, 7, 11, 13]),
+    ("check_symmetry", "X/Y symmetry violated", [5, 7, 11, 13]),
+])
+def test_golden_tables_report_each_structural_witness(monkeypatch, solved, stub, witness,
+                                                      failing):
+    """A level that matches its golden grid still fails when a structural
+    check does, and the report names that check."""
+    stubs = {
+        # every coefficient of the solved equation forced to zero
+        "predict_coefficient_pattern":
+            lambda n: CoeffPattern(n, frozenset(solved(n).poly.coeffs), frozenset()),
+        "check_kronecker": lambda result: False,
+        "check_symmetry": lambda result: False,
+    }
+    monkeypatch.setattr(verify, "solve_modular_equation", solved)
+    monkeypatch.setattr(verify, stub, stubs[stub])
+    reports = check_golden_tables()
+    assert [r.name for r in reports if not r.passed] == [f"equation-level-{n}" for n in failing]
+    assert all(r.detail == witness for r in reports if not r.passed)
 
 
 def test_scope_notes_report():
