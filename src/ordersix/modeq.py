@@ -11,8 +11,8 @@ where w = 1/3 at the cusp 0 of Gamma0(18) and m (leading_exponent) is the
 pole order of w at the cusps of Gamma0(18n) where w(n*tau) is regular;
 m = 0 exactly when n is odd.  modp.conjugate_polynomial_mod computes F_n
 mod p from the power sums of the roots (conjugate_traces) by Newton's
-identities, with no matrix, and the multimodular lift in linalg combines
-the primes.
+identities, with no matrix, and kernel_int_crt lifts F_n from its
+residues by CRT.
 
 That the relation is unique up to a constant is derived, not read off a
 nullity mod p: with alpha = diag(n, 1), Gamma0(18) intersected with
@@ -25,16 +25,15 @@ is a constant multiple of F_n.
 Exactly one check accepts an equation, certificate_failure: its shape
 checks, then the Horner-rule residual F(w, w(n*tau)) (residual_series)
 vanishing below q^certificate_height(n), which proves it is 0.  It
-accepts the solver's lifted vector (through MonomialMatrix.annihilates,
-on the solve's own expansion of w) and a stored equation (a cache entry)
-alike.  The vector is F_n itself, with coefficient 1 at X^d2 Y^0, so it
-is primitive and has the sign of BivarPoly.normalized.  A certified
-equation is fixed by its level and polynomial: result_for derives every
-other field from those two, for a fresh solve and a cache hit alike.  The
-shape checks also require the coefficient of X^d2 to be exactly
-(1 - 3Y)^m.  Structural checks cover the forced zero/nonzero coefficient
-pattern, X<->Y symmetry for levels coprime to 6, and the Kronecker
-congruence at prime levels.
+accepts the solver's lift (kernel_int_crt calls it on the solve's own
+expansion of w) and a stored equation (a cache entry) alike.  The shape
+checks require the coefficient of X^d2 to be exactly (1 - 3Y)^m, as F_n's
+is, so an accepted equation has the coefficient 1 at X^d2 Y^0: it is
+primitive, with a positive leading coefficient.  A certified equation is
+fixed by its level and polynomial: result_for derives every other field
+from those two, for a fresh solve and a cache hit alike.  Structural
+checks cover the forced zero/nonzero coefficient pattern, X<->Y symmetry
+for levels coprime to 6, and the Kronecker congruence at prime levels.
 
 Why the certificate proves F(w, w(n*tau)) = 0.  For F in the (d2, d1) box,
 G = F(w, w(n*tau)) is a modular function on Gamma0(18n).  It has no pole
@@ -67,11 +66,10 @@ certificate_height(n) is d1*d2 + 1 at gcd(n, 6) = 1, where F_n is
 symmetric and certificate_failure rejects any F that is not, and
 valence_bound(n) at every other level.
 
-The arithmetic mod p is in modp, which MonomialMatrix imports at the
+The arithmetic mod p is in modp, which kernel_int_crt imports at the
 first solve.  modp works on Python ints and loads numpy only for a power
-table of length modp._NUMPY_LENGTH or more, from level 24 up, and for
-MonomialMatrix.mod, which no solve calls; so neither this module nor a
-solve at levels 2-23 loads numpy.
+table of length modp._NUMPY_LENGTH or more, from level 24 up; so neither
+this module nor a solve at levels 2-23 loads numpy.
 """
 
 from __future__ import annotations
@@ -79,13 +77,14 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import comb, gcd
 from types import MappingProxyType
 
-from .arith import divisors, hecke_cosets, is_prime, moebius
+from .arith import divisors, hecke_cosets, is_prime, moebius, primes_below
 from .eta import divisor, named_w
 # nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
-from .linalg import kernel_int_crt, kernel_primes, nullspace_exact  # noqa: F401
+from .linalg import nullspace_exact  # noqa: F401
 from .series import QSeries
 
 # The two normalization notes, indexed by whether the first nonzero
@@ -132,22 +131,6 @@ class BivarPoly(namedtuple("BivarPoly", "coeffs")):
 
     def coeff(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, abs(c))
-        return g
-
-    def normalized(self) -> BivarPoly:
-        """Primitive form with the sign rule: the coefficient of
-        X^degx Y^j0 is positive, j0 the least j present at i = degx."""
-        if not self.coeffs:
-            return self
-        dx = self.degx
-        j0 = min(j for i, j in self.coeffs if i == dx)
-        g = self.content() if self.coeffs[(dx, j0)] > 0 else -self.content()
-        return BivarPoly({ij: c // g for ij, c in self.coeffs.items()})
 
     def evaluate(self, xs: QSeries, ys: QSeries) -> QSeries:
         """Substitute series for X and Y; grouped so only degx + degy
@@ -293,18 +276,19 @@ def leading_exponent(n: int) -> int:
 
 
 class MonomialMatrix(Sequence):
-    """Coefficient matrix of the monomials W^i V^j, W = w and V = w(n*tau).
+    """The unknowns of the level-n equation and the expansion of w that a
+    solve derives and certifies them from.
 
-    Row e holds the coefficients of q^e for e < height; columns are ordered
-    by (i, j) lexicographic, 0 <= i <= d2, 0 <= j <= d1.  Only the exact
-    expansion ``w`` of w below q^height is stored: ``kernel_mod(p)`` is
-    F_n mod p, which spans the relations mod p, and ``annihilates`` is
-    certificate_failure on that expansion.  The solver never builds the matrix; ``mod(p)`` builds
-    it reduced mod p as an int64 numpy array, exactly the integer matrix
-    reduced mod p, and as a sequence its rows are the residues mod the
-    kernel's first prime, as Python ints (bench/tracing.py reads the
-    kernel's matrix as rows).  ``kernel_mod`` reads w below q^(n*(d1 + 1)),
-    so a lower height raises ValueError.
+    The unknowns are the coefficients of X^i Y^j, (i, j) in ``order``:
+    lexicographic, 0 <= i <= d2, 0 <= j <= d1.  ``w`` is the exact
+    expansion of w below q^height.  kernel_int_crt reads its power sums
+    below q^(n*(d1 + 1)), so a lower height raises ValueError, and
+    certifies on all of it.  No solve builds a matrix.  As a sequence this
+    is the exact integer matrix of the monomials W^i V^j, W = w and
+    V = w(n*tau): row e holds the coefficients of q^e for e < height, one
+    column per unknown.  The rows are built on first read, for a caller
+    that inspects the system (bench/tracing.py reads the lift's argument
+    as rows).
     """
 
     def __init__(self, n: int, d1: int, d2: int, height: int):
@@ -317,43 +301,69 @@ class MonomialMatrix(Sequence):
         if self.w.h != 1 or self.w.val < 0:
             raise AssertionError("w must expand in integer powers of q")
 
-    def _w_coeffs(self) -> tuple[int, ...]:
-        return (0,) * self.w.val + self.w.coeffs
-
-    def mod(self, p: int):
-        """The matrix mod p as an int64 numpy array, shape (height,
-        #unknowns), entries in [0, p): modp.monomial_matrix_mod, which
-        loads numpy."""
-        from . import modp
-
-        return modp.monomial_matrix_mod(self._w_coeffs(), self.level, self.d1, self.d2,
-                                        self.height, p)
-
-    def kernel_mod(self, p: int):
-        """F_n mod p from the power sums of its roots,
-        modp.conjugate_polynomial_mod, for kernel_int_crt: every relation
-        is a multiple of F_n (see the module docstring)."""
-        from . import modp  # imported at the first solve, not with the package
-
-        n = self.level
-        return modp.conjugate_polynomial_mod(self._w_coeffs(), n, self.d1, self.d2,
-                                             conjugate_traces(n), leading_exponent(n), p)
-
-    def annihilates(self, vec: list[int]) -> bool:
-        """Whether sum of vec[k] * X^i Y^j, (i, j) = order[k], passes
-        certificate_failure, read on this expansion of w."""
-        poly = BivarPoly(dict(zip(self.order, vec)))
-        return certificate_failure(self.level, poly, self.w) is None
-
     @cached_property
-    def _first_residues(self):
-        return self.mod(next(kernel_primes()))
+    def _rows(self) -> list[list[int]]:
+        powers = [QSeries.one(self.height)]
+        for _ in range(max(self.d1, self.d2)):
+            powers.append(powers[-1] * self.w)
+        shifted = [x.rescale(self.level).truncate(self.height) for x in powers[: self.d1 + 1]]
+        cols = [(powers[i] * shifted[j]).truncate(self.height) for i, j in self.order]
+        return [list(row) for row in zip(*((0,) * c.val + c.coeffs for c in cols))]
 
     def __len__(self) -> int:
         return self.height
 
     def __getitem__(self, e: int) -> list[int]:
-        return self._first_residues[e].tolist()
+        return self._rows[e]
+
+
+_PRIME_START = (1 << 20) - 1
+_MAX_PRIMES = 64
+
+# Outcome of kernel_int_crt: the lifted integer vector and the number of
+# primes it took.
+KernelResult = namedtuple("KernelResult", "vector primes_used")
+
+
+def kernel_primes():
+    """The primes kernel_int_crt reduces modulo, in the order it tries them."""
+    return primes_below(_PRIME_START)
+
+
+def _crt_vector(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:
+    """The residues mod m1*m2 congruent to r1 mod m1 and r2 mod m2, entry by
+    entry, with one modular inverse for the whole vector."""
+    inv = pow(m1, -1, m2)
+    return [a + m1 * ((b - a) * inv % m2) for a, b in zip(r1, r2)]
+
+
+def kernel_int_crt(matrix: MonomialMatrix) -> KernelResult:
+    """F_n as its coefficients in ``matrix.order``, lifted from F_n mod p,
+    modp.conjugate_polynomial_mod on the expansion ``matrix.w``.
+
+    F_n has integer coefficients, so the residues mod every prime are
+    those of one integer vector.  They are CRT combined prime by prime and
+    lifted to symmetric residues in (-M/2, M/2], M the product of the
+    primes so far; once M exceeds 2*max|c| the lift is the vector.  When
+    a prime leaves the lift unchanged, certificate_failure checks it on
+    ``matrix.w``, and the lift goes on to the next prime if the check
+    fails.  Raises RuntimeError when _MAX_PRIMES primes do not suffice.
+    """
+    from . import modp  # imported at the first solve, not with the package
+
+    n, order = matrix.level, matrix.order
+    w = (0,) * matrix.w.val + matrix.w.coeffs
+    traces, m = conjugate_traces(n), leading_exponent(n)
+    modulus, residues, lifted = 1, None, None
+    for used, p in enumerate(islice(kernel_primes(), _MAX_PRIMES), 1):
+        v = modp.conjugate_polynomial_mod(w, n, matrix.d1, matrix.d2, traces, m, p)
+        residues = _crt_vector(residues or [0] * len(v), modulus, v, p)
+        modulus *= p
+        previous, lifted = lifted, [r - modulus if 2 * r > modulus else r for r in residues]
+        if lifted == previous and certificate_failure(
+                n, BivarPoly(dict(zip(order, lifted))), matrix.w) is None:
+            return KernelResult(lifted, used)
+    raise RuntimeError("kernel reconstruction did not converge")
 
 
 def result_for(n: int, poly: BivarPoly) -> ModEqResult:
@@ -378,8 +388,7 @@ def solve_modular_equation(n: int) -> ModEqResult:
     """Derive and certify the level-n modular equation for w: expand w to
     certificate_height(n), lift F_n mod p by kernel_int_crt, which returns
     only a lift that certificate_failure accepts, and build its result.
-    F_n has the coefficient 1 at X^d2 Y^0, so the lift is already in
-    normal form.  Raises RuntimeError when no lift is certified.
+    Raises RuntimeError when no lift is certified.
     """
     d1, d2 = predict_degrees(n)
     matrix = MonomialMatrix(n, d1, d2, certificate_height(n))
@@ -416,14 +425,15 @@ def residual_series(poly: BivarPoly, n: int, ws: QSeries) -> QSeries:
 def certificate_failure(n: int, poly: BivarPoly, ws: QSeries | None = None) -> str | None:
     """Why ``poly`` is not the certified level-n equation, or None.
 
-    By shape: every term must lie in the (d2, d1) box of predict_degrees,
-    the bidegree must fill it, and the polynomial must be in normal form.
-    At gcd(n, 6) = 1 it must also be X<->Y symmetric, which the
-    certificate_height proof needs.  Its coefficient of X^d2 must be
-    exactly (1 - 3Y)^m, m = leading_exponent(n), as F_n's is.  Then its
-    residual must vanish below certificate_height(n).  ``ws`` is an exact
-    expansion of w to at least that height, such as the one a solve
-    holds; without it, w is expanded here.
+    By shape: every term must lie in the (d2, d1) box of predict_degrees
+    and the bidegree must fill it.  At gcd(n, 6) = 1 it must also be X<->Y
+    symmetric, which the certificate_height proof needs.  Its coefficient
+    of X^d2 must be exactly (1 - 3Y)^m, m = leading_exponent(n), as F_n's
+    is; that puts a 1 at X^d2 Y^0, so the polynomial is primitive, with a
+    positive leading coefficient.  Then its residual must vanish below
+    certificate_height(n).  ``ws`` is an exact expansion of w to at least
+    that height, such as the one a solve holds; without it, w is expanded
+    here.
     """
     d1, d2 = predict_degrees(n)
     outside = [(i, j) for i, j in poly.coeffs if not (0 <= i <= d2 and 0 <= j <= d1)]
@@ -431,8 +441,6 @@ def certificate_failure(n: int, poly: BivarPoly, ws: QSeries | None = None) -> s
         return f"term at {outside[0]} outside the ({d2}, {d1}) box"
     if (poly.degx, poly.degy) != (d2, d1):
         return f"bidegree ({poly.degx}, {poly.degy}) differs from the predicted ({d2}, {d1})"
-    if poly.normalized() != poly:
-        return "not primitive and sign-normalized"
     if gcd(n, 6) == 1 and not poly.is_symmetric():
         return "not symmetric under X <-> Y"
     m = leading_exponent(n)
@@ -591,6 +599,9 @@ __all__ = [
     "residual_series",
     "certificate_failure",
     "MonomialMatrix",
+    "KernelResult",
+    "kernel_primes",
+    "kernel_int_crt",
     "predict_coefficient_pattern",
     "check_pattern",
     "check_kronecker",

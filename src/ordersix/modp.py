@@ -2,9 +2,7 @@
 
 * power_table -- the powers of w mod p;
 * conjugate_polynomial_mod -- F_n mod p from the power sums of the
-  conjugates w((a*tau + b)/d) and Newton's identities, with no matrix;
-* monomial_matrix_mod -- the monomial matrix of modeq reduced mod p, from
-  the exact expansion of w, as an int64 numpy array.
+  conjugates w((a*tau + b)/d) and Newton's identities, with no matrix.
 
 A series of residues is multiplied by Kronecker packing: the residues
 become one Python int with one 64-bit slot per coefficient (_pack), so one
@@ -13,9 +11,9 @@ slot that sums at most ``terms`` products of two residues, plus one
 residue, holds less than 2^64 when _check_slot_bound(terms, p) passes, so
 no slot carries into the next; every function checks before it allocates.
 
-numpy is imported where it is used, never with this module: by
-power_table for a table of length _NUMPY_LENGTH or more, and by
-monomial_matrix_mod.  modeq imports this module at the first solve, so a
+numpy is imported in one place, never with this module: by
+_power_table_float64, which power_table calls for a table of length
+_NUMPY_LENGTH or more.  modeq imports this module at the first solve, so a
 solve loads numpy only at levels whose power table is that long (n = 24
 and up), and commands that do not solve never load it.  On the numpy side
 the truncated products are float64 convolutions.  The primes are below
@@ -43,13 +41,6 @@ from math import comb
 _NUMPY_LENGTH = 600
 
 _SLOT_BITS = 64
-
-
-def _check_int64_bound(terms: int, p: int) -> None:
-    """Raise unless a sum of ``terms`` products of two residues mod p, plus
-    one residue, fits in int64: terms * (p - 1)^2 + p < 2^63."""
-    if terms * (p - 1) ** 2 + p >= 1 << 63:
-        raise OverflowError(f"{terms} products mod {p} overflow int64")
 
 
 def _check_slot_bound(terms: int, p: int) -> None:
@@ -123,43 +114,13 @@ def _power_table_float64(wp: list[int], top: int, length: int, p: int) -> list[l
     return powers.tolist()
 
 
-def monomial_matrix_mod(w: Sequence[int], n: int, d1: int, d2: int, height: int,
-                        p: int):
-    """The monomial matrix of modeq.MonomialMatrix mod p, as an int64 numpy
-    array of shape (height, (d1 + 1) * (d2 + 1)), entries in [0, p).
-
-    ``w`` holds the exact coefficients of q^0, q^1, ... of w, at least
-    below q^height.  Row e holds the coefficients of q^e; column (i, j),
-    in (i, j) lexicographic order, is W^i V^j with W = w and V = w(q^n).
-    The powers W^k mod p come from power_table.  V^j is nonzero only at
-    multiples of n, so column (i, j) is a sum of about height/n shifted
-    copies of W^i scaled by coefficients of w^j.  No sum has more than
-    height products of two residues, so _check_int64_bound(height, p) runs
-    first and keeps them exact.
-    """
-    import numpy as np
-
-    h = height
-    _check_int64_bound(h, p)
-    powers = np.array(power_table(w, max(d1, d2), h, p), dtype=np.int64)
-    wblock = powers[: d2 + 1]
-    out = np.empty((h, (d1 + 1) * (d2 + 1)), dtype=np.int64)
-    for j in range(d1 + 1):
-        acc = np.zeros_like(wblock)
-        vj = powers[j, : -(-h // n)]
-        for t in np.nonzero(vj)[0]:
-            s = n * int(t)
-            acc[:, s:] += vj[t] * wblock[:, : h - s]
-        out[:, j :: d1 + 1] = (acc % p).T
-    return out
-
-
 def conjugate_polynomial_mod(w: Sequence[int], n: int, d1: int, d2: int,
                              traces: Sequence[tuple[int, int, int]], m: int,
                              p: int) -> list[int]:
     """F_n = (1 - 3Y)^m prod (X - w((a*tau + b)/d)) mod p, with Y = w, over
-    the d2 cosets of modeq.conjugate_traces, as a list in the column order
-    of monomial_matrix_mod: entry (i, j) is the coefficient of X^i Y^j.
+    the d2 cosets of modeq.conjugate_traces, as a list in (i, j)
+    lexicographic order, 0 <= i <= d2, 0 <= j <= d1: entry (i, j) is the
+    coefficient of X^i Y^j.
     The entry at (d2, 0) is 1.
 
     ``w`` is as for power_table, at least below q^(n*(d1 + 1)); ``traces``
@@ -217,4 +178,4 @@ def conjugate_polynomial_mod(w: Sequence[int], n: int, d1: int, d2: int,
     return [x for row in grid for x in row]
 
 
-__all__ = ["power_table", "monomial_matrix_mod", "conjugate_polynomial_mod"]
+__all__ = ["power_table", "conjugate_polynomial_mod"]

@@ -3,8 +3,9 @@
 Nothing here may call back into the code it checks: these are the second
 route that the library is checked against.  monomial_matrix builds the
 solver's matrix exactly over Z from QSeries products and eta expansions
-(themselves checked against the schoolbook oracles here), never from the
-solver's assembly mod p.
+(themselves checked against the schoolbook oracles here), and
+monomial_matrix_mod builds it mod p by numpy convolutions, never from the
+solver's arithmetic mod p.
 """
 
 from fractions import Fraction
@@ -91,26 +92,6 @@ def primitive(vec):
     return tuple(ints)
 
 
-class IntMatrix:
-    """Plain integer rows seen through the interface kernel_int_crt reads."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def mod(self, p):
-        return np.array([[x % p for x in row] for row in self.rows], dtype=np.int64)
-
-    def kernel_mod(self, p):
-        """The one kernel vector mod p, by echelon_mod and back_substitute."""
-        (vec,) = back_substitute(*echelon_mod(self.mod(p), p), p)
-        return vec
-
-    def annihilates(self, vec):
-        if not any(vec):
-            return False
-        return all(sum(a * b for a, b in zip(row, vec) if b) == 0 for row in self.rows)
-
-
 def monomial_matrix(n, d1, d2, height):
     """Exact integer coefficient rows q^0 .. q^(height - 1) of the monomials
     W^i V^j (W = w, V = w(n*tau)), built from QSeries products; columns
@@ -151,6 +132,26 @@ def monomial_matrix(n, d1, d2, height):
         arrays.append(arr)
     rows = [list(row) for row in zip(*arrays)]
     return rows, order
+
+
+def monomial_matrix_mod(n, d1, d2, height, p):
+    """monomial_matrix reduced mod p, as an int64 numpy array, built mod p
+    throughout by int64 convolutions: each sums at most height products
+    below p^2 < 2^40, so none overflows."""
+    from ordersix.eta import named_w
+
+    ws = named_w().expand(height)
+    w = np.array([0] * ws.val + [c % p for c in ws.coeffs], dtype=np.int64)
+    powers = [np.eye(1, height, dtype=np.int64)[0]]
+    for _ in range(max(d1, d2)):
+        powers.append(np.convolve(powers[-1], w)[:height] % p)
+    shifted = []
+    for power in powers[: d1 + 1]:
+        v = np.zeros(height, dtype=np.int64)
+        v[::n] = power[: len(v[::n])]
+        shifted.append(v)
+    return np.array([np.convolve(powers[i], shifted[j])[:height] % p
+                     for i in range(d2 + 1) for j in range(d1 + 1)]).T
 
 
 def echelon_mod(mat, p):

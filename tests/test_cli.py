@@ -14,8 +14,7 @@ import pytest
 import ordersix.cli as cli
 import ordersix.modeq as modeq
 import ordersix.verify as verify
-from ordersix.linalg import kernel_int_crt
-from ordersix.modeq import MAX_LEVEL, certificate_height, leading_exponent
+from ordersix.modeq import MAX_LEVEL, certificate_height, kernel_int_crt, leading_exponent
 from ordersix.verify import GOLDEN_INNER
 
 
@@ -76,6 +75,16 @@ def test_expand_bad_spec_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "expand", "--name", "w", "--quotient", "18; 1:1",
                            "--prec", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("expand", "--name", "w", "--prec", "0"), "--prec must be at least 1"),
+    (("cusps", "0"), "level must be positive"),
+    (("expand", "--quotient", "0; 1:1", "--prec", "4"), "level must be positive"),
+])
+def test_nonpositive_level_or_precision_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and message in err
 
 
 @pytest.mark.parametrize("source", [("--name", "w"), ("--name", "j"),
@@ -412,7 +421,7 @@ def test_modeq_kernel_runtime_error_exits_3(capsys, tmp_path, monkeypatch):
 
 
 def test_modeq_exact_check_always_failing_exits_3(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(modeq.MonomialMatrix, "annihilates", lambda self, vec: False)
+    monkeypatch.setattr(modeq, "certificate_failure", lambda *args: "rejected")
     code, out, err = run_cli(capsys, "modeq", "2", "--cache-dir", str(tmp_path),
                              "--no-cache")
     assert code == 3 and out == ""

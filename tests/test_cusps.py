@@ -54,6 +54,13 @@ def test_cusp_set_level_one():
     assert cusp_set(1) == (INFINITY,)
 
 
+def test_level_below_one_is_refused():
+    with pytest.raises(ValueError, match="positive"):
+        cusp_set(0)
+    with pytest.raises(ValueError, match="positive"):
+        are_equivalent(0, INFINITY, ZERO)
+
+
 def test_cusp_set_90_matches_published_classes():
     got = cusp_set(90)
     assert len(got) == 16

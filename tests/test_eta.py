@@ -199,6 +199,17 @@ def test_rescaling_consistency():
         assert f.expand(20).rescale(n) == f.rescale(n).expand(20 * n)
 
 
+def test_bad_levels_and_precisions_are_refused():
+    w = named_w()
+    with pytest.raises(ValueError, match="multiple of the level"):
+        w.lift(20)
+    with pytest.raises(ValueError, match="positive"):
+        w.rescale(0)
+    for expand in (w.expand, eisenstein_e4, named_j):
+        with pytest.raises(ValueError, match="at least 1"):
+            expand(0)
+
+
 def test_divisor_orders_are_integral():
     for n in (1, 2, 3, 5):
         for co in divisor(named_w().lift(18 * n)):

@@ -3,23 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ordersix import linalg
-from ordersix.linalg import kernel_int_crt, nullspace_exact
+from ordersix import modeq, modp
+from ordersix.linalg import nullspace_exact
+from ordersix.modeq import MonomialMatrix, certificate_height, kernel_int_crt, predict_degrees
 
-from helpers import IntMatrix, primitive
-
-
-def rand_matrix_with_kernel(rng, rows, cols, mag=50):
-    """Random integer matrix whose kernel contains a planted vector; the
-    planted combination makes the last column dependent on the others."""
-    body = [[rng.randint(-mag, mag) for _ in range(cols - 1)] for _ in range(rows)]
-    ts = [rng.randint(-5, 5) for _ in range(cols - 1)]
-    m = []
-    for row in body:
-        last = sum(t * x for t, x in zip(ts, row))
-        m.append(row + [last])
-    kernel = ts + [-1]
-    return m, kernel
+from helpers import primitive
 
 
 def test_exact_nullspace_known_small_case():
@@ -44,43 +32,39 @@ def test_exact_handles_fractions():
         assert sum(a * b for a, b in zip(row, v)) == 0
 
 
-def test_crt_kernel_matches_exact_on_planted_kernels():
-    rng = random.Random(6021)
-    for _ in range(30):
-        rows = rng.randint(6, 18)
-        cols = rng.randint(3, min(rows, 9))
-        m, planted = rand_matrix_with_kernel(rng, rows, cols)
-        exact = nullspace_exact(m)
-        assert len(exact) == 1
-        crt = kernel_int_crt(IntMatrix(m))
-        assert primitive(crt.vector) == primitive(exact[0])
-        assert primitive(crt.vector) == primitive(planted)
+def _level2_matrix():
+    d1, d2 = predict_degrees(2)
+    return MonomialMatrix(2, d1, d2, certificate_height(2))
 
 
-def test_crt_kernel_huge_kernel_vector():
+def test_crt_kernel_huge_kernel_vector(monkeypatch):
+    """Residues of a planted vector with 133-bit entries need more than one
+    prime; the lift returns the planted vector once it is stable and the
+    certificate accepts it."""
     rng = random.Random(17)
-    cols = 5
-    body = [[rng.randint(-50, 50) for _ in range(cols - 1)] for _ in range(10)]
-    ts = [rng.randint(10 ** 39, 10 ** 40) for _ in range(cols - 1)]
-    m = [row + [sum(t * x for t, x in zip(ts, row))] for row in body]
-    planted = ts + [-1]
-    out = kernel_int_crt(IntMatrix(m))
+    matrix = _level2_matrix()
+    planted = [rng.randint(-10 ** 40, 10 ** 40) for _ in matrix.order]
+    monkeypatch.setattr(modp, "conjugate_polynomial_mod",
+                        lambda *args: [c % args[-1] for c in planted])
+    monkeypatch.setattr(modeq, "certificate_failure", lambda n, poly, ws: (
+        None if [poly.coeff(*ij) for ij in matrix.order] == planted else "not planted"))
+    out = kernel_int_crt(matrix)
     assert primitive(out.vector) == primitive(planted)
     assert out.primes_used > 1
 
 
-def test_crt_kernel_non_integral_residues_never_lift():
-    """kernel_mod here hands out the residues of (-1, 10007/10009, 1), which
-    no integer vector has: the lift takes every prime it may and raises
+def test_crt_kernel_non_integral_residues_never_lift(monkeypatch):
+    """The residues here are those of (-1, 10007/10009, 1), which no
+    integer vector has: the lift takes every prime it may and raises
     instead of returning a vector."""
     primes = []
 
-    class Counted(IntMatrix):
-        def kernel_mod(self, p):
-            primes.append(p)
-            return super().kernel_mod(p)
+    def residues(*args):
+        p = args[-1]
+        primes.append(p)
+        return [p - 1, 10007 * pow(10009, -1, p) % p, 1]
 
-    m = [[10007, 10009, 0], [0, 10009, -10007]]
+    monkeypatch.setattr(modp, "conjugate_polynomial_mod", residues)
     with pytest.raises(RuntimeError):
-        kernel_int_crt(Counted(m))
-    assert len(primes) == linalg._MAX_PRIMES
+        kernel_int_crt(_level2_matrix())
+    assert len(primes) == modeq._MAX_PRIMES

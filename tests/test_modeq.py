@@ -2,14 +2,13 @@ import cmath
 from itertools import islice
 from math import gcd, pi, sqrt
 
-import numpy as np
 import pytest
 
-from ordersix import linalg, modeq, modp
+from ordersix import modeq, modp
 from ordersix.arith import hecke_cosets, psi_index
 from ordersix.cusps import INFINITY, Cusp, canonical, cusp_set
 from ordersix.eta import EtaQuotient, named_w
-from ordersix.linalg import kernel_int_crt, kernel_primes, nullspace_exact
+from ordersix.linalg import nullspace_exact
 from ordersix.modeq import (
     MAX_LEVEL,
     NORMALIZATION_NOTES,
@@ -26,6 +25,8 @@ from ordersix.modeq import (
     conjugate_traces,
     extract_inner_factor,
     format_polynomial,
+    kernel_int_crt,
+    kernel_primes,
     kronecker_frame,
     leading_exponent,
     predict_coefficient_pattern,
@@ -41,6 +42,7 @@ from helpers import (
     back_substitute,
     echelon_mod,
     monomial_matrix,
+    monomial_matrix_mod,
     poly_mul,
     primitive,
     rank_mod,
@@ -70,44 +72,28 @@ def test_prime_levels_match_golden_tables(solved):
 
 
 def test_crt_agrees_with_exact_oracle():
-    """The matrix mod p equals the exact QSeries-product matrix reduced mod
-    two primes, and the kernel agrees with fraction elimination on it."""
-    primes = list(islice(kernel_primes(), 2))
+    """The matrix's rows equal the exact QSeries-product matrix, and the
+    lift agrees with fraction elimination on it."""
     for n in range(2, 8):
         d1, d2 = predict_degrees(n)
         rows, order = monomial_matrix(n, d1, d2, valence_bound(n))
         matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
         assert (matrix.height, matrix.order) == (len(rows), order), n
-        for p in primes:
-            reduced = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-            assert np.array_equal(matrix.mod(p), reduced), (n, p)
+        assert list(matrix) == rows, n
         basis = nullspace_exact(rows)
         assert len(basis) == 1, n
         assert primitive(basis[0]) == primitive(kernel_int_crt(matrix).vector), n
 
 
-def test_matrix_rows_are_residues_mod_the_first_prime():
+def test_matrix_rows_are_the_exact_monomial_matrix():
+    """As a sequence, the matrix is the exact integer matrix: one row per
+    power of q, one Python-int column per unknown."""
     d1, d2 = predict_degrees(7)
     matrix = MonomialMatrix(7, d1, d2, 176)
-    first = matrix.mod(next(kernel_primes()))
     assert len(matrix) == 176 and len(matrix[0]) == 81
     rows = list(matrix)
     assert all(type(x) is int for x in rows[5])
-    assert np.array_equal(np.array(rows, dtype=np.int64), first)
-
-
-def test_int64_bound_is_checked():
-    p = next(kernel_primes())
-    most = ((1 << 63) - 1 - p) // (p - 1) ** 2
-    modp._check_int64_bound(most, p)
-    with pytest.raises(OverflowError):
-        modp._check_int64_bound(most + 1, p)
-    # mod() checks before it allocates anything of size height
-    d1, d2 = predict_degrees(2)
-    matrix = MonomialMatrix(2, d1, d2, 46)
-    matrix.height = 1 << 40
-    with pytest.raises(OverflowError):
-        matrix.mod(p)
+    assert rows == monomial_matrix(7, d1, d2, 176)[0]
 
 
 def _schoolbook_powers(w, top, length, p):
@@ -181,9 +167,12 @@ def test_power_sums_agree_with_elimination_per_prime():
     for n in range(2, 17):
         d1, d2 = predict_degrees(n)
         matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
+        w = (0,) * matrix.w.val + matrix.w.coeffs
         for p in primes:
-            conj = matrix.kernel_mod(p)
-            (kern,) = back_substitute(*echelon_mod(matrix.mod(p), p), p)
+            conj = modp.conjugate_polynomial_mod(w, n, d1, d2, conjugate_traces(n),
+                                                 leading_exponent(n), p)
+            mod_p = monomial_matrix_mod(n, d1, d2, matrix.height, p)
+            (kern,) = back_substitute(*echelon_mod(mod_p, p), p)
             lead = matrix.order.index((d2, 0))
             assert conj[lead] == 1, (n, p)
             scale = pow(kern[lead], -1, p)
@@ -191,9 +180,10 @@ def test_power_sums_agree_with_elimination_per_prime():
 
 
 def test_route_follows_gcd_with_6(monkeypatch):
-    """No level, prime to 6 or not, builds the monomial matrix."""
+    """No level, prime to 6 or not, builds the monomial matrix: no solve
+    reads a row."""
     calls = []
-    monkeypatch.setattr(modp, "monomial_matrix_mod", lambda *args: calls.append(args))
+    monkeypatch.setattr(MonomialMatrix, "_rows", property(lambda self: calls.append(self)))
     for n in (2, 3, 4, 6, 8, 9, 12, 5, 7, 13):
         solve_modular_equation(n)
     assert calls == []
@@ -230,39 +220,39 @@ def test_lift_is_certified_once_a_prime_leaves_it_unchanged(monkeypatch, n, prim
     2*max|c|; the first prime that leaves them unchanged is followed by the
     one exact check, and the lift is in normal form with 1 at (d2, 0)."""
     checked, used = [], []
-    annihilates, kernel = MonomialMatrix.annihilates, modeq.kernel_int_crt
+    failure, kernel = modeq.certificate_failure, modeq.kernel_int_crt
+    d1, d2 = predict_degrees(n)
 
-    def check_spy(self, vec):
-        checked.append(list(vec))
-        return annihilates(self, vec)
+    def check_spy(level, candidate, ws=None):
+        checked.append([candidate.coeff(i, j) for i in range(d2 + 1) for j in range(d1 + 1)])
+        return failure(level, candidate, ws)
 
     def kernel_spy(matrix):
         result = kernel(matrix)
         used.append(result.primes_used)
         return result
 
-    monkeypatch.setattr(MonomialMatrix, "annihilates", check_spy)
+    monkeypatch.setattr(modeq, "certificate_failure", check_spy)
     monkeypatch.setattr(modeq, "kernel_int_crt", kernel_spy)
     poly = solve_modular_equation(n).poly
-    d1, d2 = predict_degrees(n)
     assert used == [primes]
     assert checked == [[poly.coeff(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]]
-    assert poly.coeff(d2, 0) == 1 and poly.normalized() == poly
+    assert poly.coeff(d2, 0) == 1 and gcd(*poly.coeffs.values()) == 1
 
 
 def test_lift_carries_on_past_a_rejected_stable_lift(monkeypatch):
     """A stable lift that the exact check rejects is not returned: the lift
     takes the next prime and checks again."""
     checked = []
-    annihilates = MonomialMatrix.annihilates
-
-    def reject_first(self, vec):
-        checked.append(list(vec))
-        return len(checked) > 1 and annihilates(self, vec)
-
-    monkeypatch.setattr(MonomialMatrix, "annihilates", reject_first)
+    failure = modeq.certificate_failure
     d1, d2 = predict_degrees(13)
     matrix = MonomialMatrix(13, d1, d2, valence_bound(13))
+
+    def reject_first(n, candidate, ws=None):
+        checked.append([candidate.coeff(*ij) for ij in matrix.order])
+        return "rejected" if len(checked) == 1 else failure(n, candidate, ws)
+
+    monkeypatch.setattr(modeq, "certificate_failure", reject_first)
     kernel = kernel_int_crt(matrix)
     assert kernel.primes_used == 4
     assert checked == [kernel.vector, kernel.vector]
@@ -283,12 +273,12 @@ def test_asymmetric_stable_lift_is_refused_before_its_residual(monkeypatch, solv
     assert certificate_failure(n, asymmetric) == "not symmetric under X <-> Y"
     vector = [asymmetric.coeff(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]
     primes, residuals = [], []
-    monkeypatch.setattr(MonomialMatrix, "kernel_mod",
-                        lambda self, p: primes.append(p) or [c % p for c in vector])
+    monkeypatch.setattr(modp, "conjugate_polynomial_mod",
+                        lambda *args: primes.append(args[-1]) or [c % args[-1] for c in vector])
     monkeypatch.setattr(modeq, "residual_series", lambda *args: residuals.append(args))
     with pytest.raises(RuntimeError):
         solve_modular_equation(n)
-    assert len(primes) == linalg._MAX_PRIMES
+    assert len(primes) == modeq._MAX_PRIMES
     assert residuals == []
 
 
@@ -303,7 +293,7 @@ def test_certificate_never_runs_below_its_height(solved):
         d1, d2 = predict_degrees(n)
         short = MonomialMatrix(n, d1, d2, height - 1)
         with pytest.raises(ValueError, match="certificate height"):
-            short.annihilates([poly.coeff(*ij) for ij in short.order])
+            kernel_int_crt(short)
 
 
 def test_residual_detects_one_perturbed_coefficient(solved):
@@ -338,7 +328,7 @@ def test_fresh_solve_expands_w_once(monkeypatch):
 
 
 def test_solve_fails_when_exact_check_always_fails(monkeypatch):
-    monkeypatch.setattr(MonomialMatrix, "annihilates", lambda self, vec: False)
+    monkeypatch.setattr(modeq, "certificate_failure", lambda *args: "rejected")
     with pytest.raises(RuntimeError):
         solve_modular_equation(2)
 
@@ -352,14 +342,14 @@ def test_certificate_failure(solved):
         assert "outside" in certificate_failure(5, outside), extra
     assert certificate_failure(5, BivarPoly({})) is not None
     d1, d2 = predict_degrees(5)
-    assert not MonomialMatrix(5, d1, d2, valence_bound(5)).annihilates([0] * 49)
     coeffs = dict(poly.coeffs)
     coeffs[(1, 1)] += 1
     assert "residual" in certificate_failure(5, BivarPoly(coeffs))
+    # the leading column (1 - 3Y)^0 = 1 also rules out a multiple of F_5
     doubled = BivarPoly({ij: 2 * c for ij, c in poly.coeffs.items()})
-    assert "primitive" in certificate_failure(5, doubled)
+    assert certificate_failure(5, doubled) == "coefficient of X^6 is not (1 - 3Y)^0"
     negated = BivarPoly({ij: -c for ij, c in poly.coeffs.items()})
-    assert "sign-normalized" in certificate_failure(5, negated)
+    assert certificate_failure(5, negated) == "coefficient of X^6 is not (1 - 3Y)^0"
     no_top_column = BivarPoly({(i, j): c for (i, j), c in poly.coeffs.items() if i != d2})
     assert "bidegree" in certificate_failure(5, no_top_column)
 
@@ -497,8 +487,7 @@ def test_half_height_residual_needs_the_symmetry_check(solved):
                     if not r.is_symmetric())
     scale = 1 + max(abs(c) for c in relation.coeffs.values())
     f = solved(n).poly
-    candidate = BivarPoly({ij: scale * f.coeff(*ij) + relation.coeff(*ij)
-                           for ij in order}).normalized()
+    candidate = BivarPoly({ij: scale * f.coeff(*ij) + relation.coeff(*ij) for ij in order})
     assert not candidate.is_symmetric()
     assert residual_series(candidate, n, named_w().expand(height)).is_zero
     assert not residual_series(candidate, n, named_w().expand(valence_bound(n))).is_zero

@@ -154,6 +154,22 @@ def test_rescale_identity():
     assert f.rescale(1) is f
 
 
+def test_bad_arguments_are_refused():
+    with pytest.raises(ValueError, match="denominator"):
+        QSeries([1], h=0)
+    s = QSeries([1, 2])
+    with pytest.raises(AttributeError, match="immutable"):
+        s.val = 3
+    with pytest.raises(ValueError, match="positive"):
+        s.rescale(0)
+    with pytest.raises(ValueError, match="scale"):
+        euler_product(0, 5)
+    with pytest.raises(ValueError, match="prec"):
+        euler_product(1, 0)
+    with pytest.raises(ZeroSeriesError):
+        QSeries.zero(4).valuation()
+
+
 def test_rescale_matches_quotient_construction():
     from ordersix.eta import named_w
 
