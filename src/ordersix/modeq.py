@@ -29,42 +29,41 @@ accepts the solver's lift (kernel_int_crt calls it on the solve's own
 expansion of w) and a stored equation (a cache entry) alike.  The shape
 checks require the coefficient of X^d2 to be exactly (1 - 3Y)^m, as F_n's
 is, so an accepted equation has the coefficient 1 at X^d2 Y^0: it is
-primitive, with a positive leading coefficient.  A certified equation is
-fixed by its level and polynomial: result_for derives every other field
-from those two, for a fresh solve and a cache hit alike.  Structural
-checks cover the forced zero/nonzero coefficient pattern, X<->Y symmetry
-for levels coprime to 6, and the Kronecker congruence at prime levels.
+primitive, with a positive leading coefficient.  They also require the
+equation to be invariant under the Fricke twist below, which the height
+needs.  A certified equation is fixed by its level and polynomial:
+result_for derives every other field from those two, for a fresh solve
+and a cache hit alike.  Structural checks cover the forced zero/nonzero
+coefficient pattern, X<->Y symmetry for levels coprime to 6, and the
+Kronecker congruence at prime levels.
 
 Why the certificate proves F(w, w(n*tau)) = 0.  For F in the (d2, d1) box,
 G = F(w, w(n*tau)) is a modular function on Gamma0(18n).  It has no pole
 at infinity, where w and w(n*tau) vanish, and at most d2*d1 + d1*d2 poles
-at the other cusps.  By the valence formula (Sturm 1987), G = 0 once it
-vanishes below q^(2*d1*d2 + 1), which is valence_bound(n).  When
-gcd(n, 6) = 1 and F is symmetric, half that height suffices:
+at the other cusps, so by the valence formula (Sturm 1987) it is 0 once it
+vanishes below q^(2*d1*d2 + 1).  The Fricke involution halves that, at
+every level; d1 = d2 = d at every level (certificate_height checks it):
 
-* Take W_n = (n*x, y; 18*n*z, n*t) with n*x*t - 18*y*z = 1, an
-  Atkin-Lehner involution of Gamma0(18n) (Atkin-Lehner 1970).  For
-  delta | 18, delta*W_n = gamma * diag(n*delta, 1) with gamma =
-  (x, delta*y; 18*z/delta, n*t) in SL2(Z).  So eta(delta*W_n*tau) is
-  eta(n*delta*tau) times a root of unity times (18*n*z*tau + n*t)^(1/2).
-  The last factor does not depend on delta and cancels in the weight-0
-  quotient w, so w o W_n = c * w(n*tau) with |c| = 1.  W_n sends the
-  cusp 0 to y/(n*t), and gcd(n*t, 18) = 1, so both sides tend to
-  w(0) = 1/3 there and c = 1 exactly.  W_n^2 acts trivially on functions
-  of Gamma0(18n), so also w(n*tau) o W_n = w.
-* Hence G o W_n = F(w(n*tau), w) = G for symmetric F.  W_n sends infinity
-  to x/(18*z), which is the class of 1/18 on Gamma0(18n) and not
-  infinity, so G vanishes at 1/18 to the same order as at infinity.
+* eta(-1/tau) = (tau/i)^(1/2) eta(tau) turns w(-1/(18*tau)) into w*/3,
+  w* = eta(t)^2 eta(18t) / (eta(2t) eta(9t)^2): the square roots cancel
+  in weight 0, and 18^(1/2) 9^(-1) 2^(-1/2) = 1/3 with no root of unity.
+  w* (1 - w) = 1 - 3w on Gamma0(18) (w and w* have one simple pole each,
+  so vanishing below q^3 proves it), so w(-1/(18*tau)) = M(w) with
+  M(t) = (1 - 3t)/(3 - 3t).
+* W_18n: tau -> -1/(18*n*tau) normalizes Gamma0(18n), and it sends w to
+  M(w(n*tau)) and w(n*tau) to M(w).  With W = w, V = w(n*tau) and
+  H(X, Y) = (3 - 3X)^d (3 - 3Y)^d F(M(Y), M(X)) (fricke_twist),
+  G o W_18n = F(M(V), M(W)) = H(W, V) / ((3 - 3W)^d (3 - 3V)^d).
+* The shape checks require H = c*F with c != 0 (c = 6^d for F_n).  Then
+  G o W_18n = c*G / ((3 - 3W)^d (3 - 3V)^d), whose denominator is 3^(2d)
+  at infinity.  So G vanishes at W_18n(infinity) = 0, a cusp other than
+  infinity, to the same order as at infinity.
 * Gamma0(18n) has no elliptic points: 9 | 18n rules out order 3, and
   3 | 18n with 3 = 3 mod 4 rules out order 2.  So the orders of G at the
   points of X0(18n) sum to 0 with weight one each, and the zeros at
-  infinity and at 1/18 together number at most the 2*d1*d2 poles:
-  2 * ord_inf(G) <= 2*d1*d2.  Vanishing below q^(d1*d2 + 1) therefore
-  proves G = 0.
-
-certificate_height(n) is d1*d2 + 1 at gcd(n, 6) = 1, where F_n is
-symmetric and certificate_failure rejects any F that is not, and
-valence_bound(n) at every other level.
+  infinity and at 0 together number at most the 2*d1*d2 poles:
+  2 * ord_inf(G) <= 2*d1*d2.  Vanishing below q^(d1*d2 + 1), which is
+  certificate_height(n), therefore proves G = 0.
 
 The arithmetic mod p is in modp, which kernel_int_crt imports at the
 first solve.  modp works on Python ints and loads numpy only for a power
@@ -79,6 +78,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import comb, gcd
+from operator import mul
 from types import MappingProxyType
 
 from .arith import divisors, hecke_cosets, is_prime, moebius, primes_below
@@ -132,29 +132,6 @@ class BivarPoly(namedtuple("BivarPoly", "coeffs")):
     def coeff(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)
 
-    def evaluate(self, xs: QSeries, ys: QSeries) -> QSeries:
-        """Substitute series for X and Y; grouped so only degx + degy
-        series products are needed."""
-        ypow = [ys ** 0]
-        for _ in range(self.degy):
-            ypow.append(ypow[-1] * ys)
-        total = None
-        xpow = xs ** 0
-        for i in range(self.degx + 1):
-            inner = None
-            for j in range(self.degy + 1):
-                c = self.coeff(i, j)
-                if not c:
-                    continue
-                term = ypow[j] * c
-                inner = term if inner is None else inner + term
-            if inner is not None:
-                contrib = xpow * inner
-                total = contrib if total is None else total + contrib
-            if i < self.degx:
-                xpow = xpow * xs
-        return total if total is not None else QSeries.zero(xs.prec)
-
     def reduced_mod(self, p: int) -> dict[tuple[int, int], int]:
         return {ij: c % p for ij, c in self.coeffs.items() if c % p}
 
@@ -206,43 +183,35 @@ def predict_degrees(n: int) -> tuple[int, int]:
     return _pole_degree(ord1), _pole_degree(ord2)
 
 
-def valence_bound(n: int) -> int:
-    """The full-box bound: F(w, w(n*tau)), F in the (d2, d1) box, has no
-    pole at infinity and at most d2*d1 + d1*d2 poles at the other cusps of
-    Gamma0(18n), so by the valence formula (Sturm 1987) it is zero once it
-    vanishes below q^(2*d1*d2 + 1).  The exact kernel of the monomial
-    matrix with that many rows is then exactly the set of relations in the
-    box."""
-    d1, d2 = predict_degrees(n)
-    return 2 * d1 * d2 + 1
-
-
 def certificate_height(n: int) -> int:
-    """The height below which residual_series certifies the level-n
-    equation: d1*d2 + 1 when gcd(n, 6) = 1, valence_bound(n) otherwise.
+    """d1*d2 + 1, the height below which residual_series certifies the
+    level-n equation once certificate_failure's twist check holds (the
+    module docstring has the proof).  Raises AssertionError unless
+    d1 = d2, which the proof needs."""
+    d1, d2 = predict_degrees(n)
+    if d1 != d2:
+        raise AssertionError(f"level {n}: d1 = {d1} differs from d2 = {d2}")
+    return d1 * d2 + 1
 
-    At gcd(n, 6) = 1 the shape checks also require X<->Y symmetry, and for
-    symmetric F the zeros of G = F(w, w(n*tau)) come in mirrored pairs
-    (the module docstring has the proof):
 
-    * w o W_n = w(n*tau) with constant exactly 1, W_n the Atkin-Lehner
-      involution of Gamma0(18n), so G o W_n = G;
-    * W_n(infinity) is the class of 1/18, not infinity, so G vanishes
-      there to the same order as at infinity;
-    * Gamma0(18n) has no elliptic points, so zeros and poles of G on
-      X0(18n) balance with weight one;
-    * G has at most 2*d1*d2 poles, so 2 * ord_inf(G) <= 2*d1*d2 unless
-      G = 0.
-
-    At this height the symmetric part of the box has exactly one relation,
-    F_n, while the full box has more (12 dimensions at n = 5), so symmetry
-    carries part of the proof.  The height is at least n*(d1 + 1), the
-    precision the lift reads w to, because d1 = d2 >= n + 1.
-    """
-    if gcd(n, 6) == 1:
-        d1, d2 = predict_degrees(n)
-        return d1 * d2 + 1
-    return valence_bound(n)
+def fricke_twist(poly: BivarPoly, d: int) -> BivarPoly:
+    """H(X, Y) = (3 - 3X)^d (3 - 3Y)^d poly(M(Y), M(X)), M(t) = (1 - 3t)/(3 - 3t),
+    for poly of bidegree at most (d, d).  Row k of A holds the coefficients
+    of t^k in (1 - 3t)^i (3 - 3t)^(d - i), i = 0..d, so A maps g to
+    (3 - 3t)^d g(M(t)); with C the coefficient matrix of poly (row i for
+    X^i), H's is A C^T A^T, O(d^3) products."""
+    cols = []
+    for i in range(d + 1):
+        p = [1]
+        for a in [1] * i + [3] * (d - i):  # p * (a - 3t)
+            p = [a * x - 3 * y for x, y in zip(p + [0], [0] + p)]
+        cols.append(p)
+    rows = list(zip(*cols))
+    ct_at = [[sum(map(mul, col, row)) for row in rows]
+             for col in ([poly.coeff(i, j) for i in range(d + 1)] for j in range(d + 1))]
+    ct_at_cols = list(zip(*ct_at))
+    return BivarPoly({(x, y): sum(map(mul, row, col))
+                      for x, row in enumerate(rows) for y, col in enumerate(ct_at_cols)})
 
 
 def conjugate_traces(n: int) -> list[tuple[int, int, int]]:
@@ -283,7 +252,7 @@ class MonomialMatrix(Sequence):
     lexicographic, 0 <= i <= d2, 0 <= j <= d1.  ``w`` is the exact
     expansion of w below q^height.  kernel_int_crt reads its power sums
     below q^(n*(d1 + 1)), so a lower height raises ValueError, and
-    certifies on all of it.  No solve builds a matrix.  As a sequence this
+    certifies on it.  No solve builds a matrix.  As a sequence this
     is the exact integer matrix of the monomials W^i V^j, W = w and
     V = w(n*tau): row e holds the coefficients of q^e for e < height, one
     column per unknown.  The rows are built on first read, for a caller
@@ -386,12 +355,13 @@ def result_for(n: int, poly: BivarPoly) -> ModEqResult:
 
 def solve_modular_equation(n: int) -> ModEqResult:
     """Derive and certify the level-n modular equation for w: expand w to
-    certificate_height(n), lift F_n mod p by kernel_int_crt, which returns
-    only a lift that certificate_failure accepts, and build its result.
-    Raises RuntimeError when no lift is certified.
+    the larger of certificate_height(n) and the n*(d1 + 1) the power sums
+    read, lift F_n mod p by kernel_int_crt, which returns only a lift that
+    certificate_failure accepts, and build its result.  Raises
+    RuntimeError when no lift is certified.
     """
     d1, d2 = predict_degrees(n)
-    matrix = MonomialMatrix(n, d1, d2, certificate_height(n))
+    matrix = MonomialMatrix(n, d1, d2, max(certificate_height(n), n * (d1 + 1)))
     return result_for(n, BivarPoly(dict(zip(matrix.order, kernel_int_crt(matrix).vector))))
 
 
@@ -426,14 +396,15 @@ def certificate_failure(n: int, poly: BivarPoly, ws: QSeries | None = None) -> s
     """Why ``poly`` is not the certified level-n equation, or None.
 
     By shape: every term must lie in the (d2, d1) box of predict_degrees
-    and the bidegree must fill it.  At gcd(n, 6) = 1 it must also be X<->Y
-    symmetric, which the certificate_height proof needs.  Its coefficient
-    of X^d2 must be exactly (1 - 3Y)^m, m = leading_exponent(n), as F_n's
-    is; that puts a 1 at X^d2 Y^0, so the polynomial is primitive, with a
-    positive leading coefficient.  Then its residual must vanish below
-    certificate_height(n).  ``ws`` is an exact expansion of w to at least
-    that height, such as the one a solve holds; without it, w is expanded
-    here.
+    and the bidegree must fill it.  Its coefficient of X^d2 must be exactly
+    (1 - 3Y)^m, m = leading_exponent(n), as F_n's is; that puts a 1 at
+    X^d2 Y^0, so the polynomial is primitive, with a positive leading
+    coefficient.  Its Fricke twist H = fricke_twist(poly, d2) must be
+    c*poly, c the coefficient of H at X^d2 Y^0, nonzero; the
+    certificate_height proof needs that.  Then its residual must vanish
+    below certificate_height(n).  ``ws`` is an exact expansion of w to
+    at least that height, such as the one a solve holds; without it, w is
+    expanded here.
     """
     d1, d2 = predict_degrees(n)
     outside = [(i, j) for i, j in poly.coeffs if not (0 <= i <= d2 and 0 <= j <= d1)]
@@ -441,13 +412,15 @@ def certificate_failure(n: int, poly: BivarPoly, ws: QSeries | None = None) -> s
         return f"term at {outside[0]} outside the ({d2}, {d1}) box"
     if (poly.degx, poly.degy) != (d2, d1):
         return f"bidegree ({poly.degx}, {poly.degy}) differs from the predicted ({d2}, {d1})"
-    if gcd(n, 6) == 1 and not poly.is_symmetric():
-        return "not symmetric under X <-> Y"
     m = leading_exponent(n)
     if ({j: c for (i, j), c in poly.coeffs.items() if i == d2}
             != {j: comb(m, j) * (-3) ** j for j in range(m + 1)}):
         return f"coefficient of X^{d2} is not (1 - 3Y)^{m}"
     height = certificate_height(n)
+    twist = fricke_twist(poly, d2)
+    c = twist.coeff(d2, 0)
+    if not c or twist != BivarPoly({ij: c * v for ij, v in poly.coeffs.items()}):
+        return "not invariant under the Fricke involution W_18n"
     if ws is None:
         ws = named_w().expand(height)
     elif ws.prec < height:
@@ -590,8 +563,8 @@ __all__ = [
     "NotPrimeLevelError",
     "LevelNotCoprimeTo6Error",
     "predict_degrees",
-    "valence_bound",
     "certificate_height",
+    "fricke_twist",
     "MAX_LEVEL",
     "NORMALIZATION_NOTES",
     "result_for",

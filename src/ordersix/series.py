@@ -82,11 +82,12 @@ class QSeries:
             coeffs = coeffs + [0] * (prec - val - len(coeffs))
         else:
             coeffs = coeffs[: max(0, prec - val)]
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            val += 1
-        if not any(coeffs):
+        start = next((k for k, c in enumerate(coeffs) if c), None)
+        if start is None:
             coeffs, val = [], prec
+        else:
+            del coeffs[:start]
+            val += start
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "prec", prec)

@@ -17,6 +17,8 @@ import ordersix.verify as verify
 from ordersix.modeq import MAX_LEVEL, certificate_height, kernel_int_crt, leading_exponent
 from ordersix.verify import GOLDEN_INNER
 
+from helpers import twist_invariant
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -185,21 +187,20 @@ def test_modeq_corrupt_cache_recomputes(capsys, tmp_path):
     cli.validate_document(json.loads(path.read_text()), 2)
 
 
-def _edit_cached_level7(capsys, tmp_path, mirrored):
-    """Add 1 to the coefficient of X^1 Y^3 in a level-7 cache entry, and to
-    that of X^3 Y^1 too when ``mirrored``; return the first output, the
-    output after the edit and its stderr."""
+def _edit_cached_level7(capsys, tmp_path, delta):
+    """Add ``delta``, {(i, j): c}, to the coefficients of a level-7 cache
+    entry; check that reading it prints the fresh output and rewrites the
+    entry, and return that run's stderr."""
     code, out1, _ = run_cli(capsys, "modeq", "7", "--cache-dir", str(tmp_path),
                             "--no-timing")
     assert code == 0
     path = cache_file(tmp_path, 7)
     doc = json.loads(path.read_text())
-    edited = {(1, 3), (3, 1)} if mirrored else {(1, 3)}
-    for entry in doc["result"]["coefficients"]:
-        if (entry["i"], entry["j"]) in edited:
-            entry["value"] = str(int(entry["value"]) + 1)
-            edited.remove((entry["i"], entry["j"]))
-    assert not edited
+    coeffs = {(e["i"], e["j"]): int(e["value"]) for e in doc["result"]["coefficients"]}
+    for ij, c in delta.items():
+        coeffs[ij] = coeffs.get(ij, 0) + c
+    doc["result"]["coefficients"] = [{"i": i, "j": j, "value": str(c)}
+                                     for (i, j), c in sorted(coeffs.items()) if c]
     path.write_text(json.dumps(doc, indent=2))
     code, out2, err = run_cli(capsys, "modeq", "7", "--cache-dir", str(tmp_path),
                               "--no-timing")
@@ -210,15 +211,18 @@ def _edit_cached_level7(capsys, tmp_path, mirrored):
 
 
 def test_modeq_edited_cache_coefficient_recomputes(capsys, tmp_path):
-    """A mirrored pair of edits keeps the equation symmetric, so the
+    """Adding P = 6^8 Q + H(Q), Q = XY - XY^2 and H the Fricke twist, keeps
+    the equation twist-invariant and its X^8 column as it was, so the
     residual at the certificate height is what rejects it."""
-    err = _edit_cached_level7(capsys, tmp_path, mirrored=True)
+    err = _edit_cached_level7(capsys, tmp_path, twist_invariant({(1, 1): 1, (1, 2): -1}, 8))
     assert err.startswith("warning: cache entry") and "residual" in err
 
 
 def test_modeq_asymmetric_cache_edit_recomputes(capsys, tmp_path):
-    err = _edit_cached_level7(capsys, tmp_path, mirrored=False)
-    assert err.startswith("warning: cache entry") and "not symmetric" in err
+    """One edited coefficient breaks the twist, which refuses the entry
+    before its residual."""
+    err = _edit_cached_level7(capsys, tmp_path, {(1, 3): 1})
+    assert err.startswith("warning: cache entry") and "Fricke involution" in err
 
 
 def test_modeq_cache_edit_of_the_leading_column_is_refused_by_shape(capsys, tmp_path):
@@ -428,37 +432,39 @@ def test_modeq_exact_check_always_failing_exits_3(capsys, tmp_path, monkeypatch)
     assert err.startswith("solver error:")
 
 
-# sha256 of `python -m ordersix modeq N --no-cache --no-timing` (json)
+# sha256 of `python -m ordersix modeq N --no-cache --no-timing` (json);
+# re-recorded at the levels not prime to 6 when their certificate height
+# was halved, under the unchanged MODEQ_COEFF_SHA256
 MODEQ_JSON_SHA256 = {
-    2: "dd833a14e244dd20a5739eb8321a201f4e3867912727ba2e14b75a5b7f688dcb",
-    3: "43581e18dbc8a48c30044afebec69444e69531141ba468e21284168ca1ee0e78",
-    4: "278d37c7499a54a0271b8c66c91db4f8a40e0e4ff1b6d872e69b05cad60ad87b",
+    2: "128ff5a1eab219b796debd1f84c6ead749ab1af5d272839812c120d1143dabc9",
+    3: "dfe2c7a13b2591d1186111d822fa38a360f3136323ca3bf254a7e8d1f6d0b32b",
+    4: "8a3e211b936c97c230e3b69ff0c1ec31adbd8d36488d81c9c11dd9f40bcdbdab",
     5: "f459465604e274320aff3eeb7317f3eb8d2e6e97dfe1f441c46fede5023726b0",
-    6: "3af71409d1e9df77409129ac5d0182a3970eca9cde77c29f37bfe95e1fa626fd",
+    6: "a2aca2b9de0a3eefe855cbd4e4d34d9652c52f7e412aae607bccf0293bf8b3ff",
     7: "54c8a21b4870b00790cfc50def24d8c6c6290c428fef6c55df520ee1378876bc",
-    8: "ede47108628fd0f2b7d09e3ee636c3a0785a9e785c5fe44a88ee220d051a3d41",
-    9: "d2cd2a54e9f3033c4a2d2754413a468e07bafd35176e4afa1f0568b87332f110",
-    10: "06160cad4286c4ded23f6f75bcdddb8eb69b3333439ae7a8927a2539c0497e0e",
+    8: "2a8893fa5580311d11b1a0e109debe088782978b7a6190e8b46bf8c57e879be1",
+    9: "e804e2f3c82779a6835b2a2b19ea9d68fe58796d902ff0636948298c0b319a1d",
+    10: "8c503e851351c60eda0942f6b6bc4fee7d4ddeb84043261bffd9824229bda154",
     11: "6f05396802dabbaf901392ac4f9312afa59d4c19d7c282f86a00baf390245b2e",
-    12: "f2a9f40426a6556135ddf19d220c52319d8cc98c7608a4af84afb7d66d178527",
+    12: "76ae6f8baa54c847122838cf1d0994e9300d1af98bcc26915126de4d4ac9d7a6",
     13: "74e410726dea9b55db88c20e442601ad571622076405737c827a691bdaf713d2",
-    14: "c51900ab3c8cdf937b1aef53c7e96052e723bb8eca28d59ce96ecb1ba54372ca",
-    15: "7f5a8d895cee45c08b0572b8dc24dc6035a00392db5417a7ab1ee1c1ede675eb",
-    16: "d3dfec89a2f6822a665b5c516a3768eb8cf3b9d8e6ccb59ed7317c392f1736d2",
+    14: "c23ecff8e9447df3e89332d4d9bde90f767b949a0d41e58ce222a113d48c7969",
+    15: "068b8f7d1bd222a2eaf119e45a184d9afc2980fa6ba67caac7cbcfb101ee16b0",
+    16: "2997a9e5fac9824dff910c78fd0a57bac8898a4b9ecfa2b5a2473809453f78be",
     17: "835ee0bb04286ffa29ac4003e77dacd5f42bba86f37bc9e7babc5a1d88c34694",
-    18: "b9ebbab6b50829a46da39f4b95d5d83d162edf478ffa89cd5bb5b4a05fb05186",
+    18: "dae28fda971289fa08fd5a159dcccfcdf03415bc9c079a95413c32c495886c59",
     19: "6653daeca0ecf5a1053f6983601b30a9ca944e601e16261a7de24db47c732e0e",
-    20: "a69c618041552c37b12ab3f797e5923e0eb7d4a316318000f48f83960b279a52",
-    21: "11528ff57aa3ac11d10463619ea5c9709eb97d127897340b18389495cc819ac3",
-    22: "2a29fdf8a12f7b5804f51664a408128a9fde6a2941ee3ae379572d89b88adcb6",
+    20: "c3faf0fab0c1bd3a3a994fac11252a56781103ce34ec5bc1bc279460af35c9f9",
+    21: "711b2fcf49c48a2ef9b19bd7ea3a4089205ac0c14b660791ca88794bf926d6dd",
+    22: "b1bc705a950030dda94ffb4b295c48c1389e381951e0b4ee9775a32c92f753f5",
     23: "baadff743247716c9eaf737be7749500cd682dd1fa5fff0738dbaa58d9007e67",
-    24: "b0436ea2b036c5f893db3a08388fffc2245eac6ea15bf13118fd9dad5c862705",
+    24: "d98f98cad4c4a6557af5b3b0f6b0a15d6d83a476338915b1f01a8475168af206",
     25: "074ed56d49ac4892da4e081465d1932eda7276d154d3700d26a2a9c4c67008f0",
-    26: "8f5d2a00edfbc2423e78e237127f96c89736a43e7c77faf864e6c72b7a62a2ae",
-    27: "e0213a7691a08b4e9347080eb15f6eff4b5ff2bc07addb93bcd50d3fcf261dc5",
-    28: "5d77bef333767dd249847e7364f60f7f25403cdb02a9f968e6acc753a757f0a6",
+    26: "ec66c67c3e8000ab9f046751505066fd8f42cef5d5c3658c531279d183a6c7c5",
+    27: "d5c4eb9b3a0a590f979e08b84cdeb9c25ed2cbce9260b0afed77e8e96f1423ae",
+    28: "bc37961b81418fd2f40ca557b47a7fe886013df95fc20a5f438865b791212eae",
     29: "7040733ba16696528a79076ac0dff948d4ea36cd81198237bfd01c592fb9ce92",
-    30: "f459371a06bfcaff96258892532f3cbc48292c2cc04d10f3b6624be08a2a435d",
+    30: "910833dd3b026ddd5a337d6549e17f1a54c19ba4237b35b028aeea7cd905af2e",
 }
 
 
@@ -537,6 +543,34 @@ def test_leading_column_is_a_power_of_1_minus_3y():
         assert column == {j: comb(m, j) * (-3) ** j for j in range(m + 1)}, n
 
 
+def test_every_pinned_level_is_fricke_invariant_with_constant_6_to_the_d():
+    """The twist check of certificate_failure accepts F_n with c = 6^d at
+    every pinned level: H(X, Y) = (3 - 3X)^d (3 - 3Y)^d F_n(M(Y), M(X)) is
+    exactly 6^d F_n."""
+    for n in MODEQ_JSON_SHA256:
+        result = json.loads(modeq_output(n))["result"]
+        d = result["d2"]
+        poly = modeq.BivarPoly({(e["i"], e["j"]): int(e["value"])
+                                for e in result["coefficients"]})
+        assert modeq.fricke_twist(poly, d) == modeq.BivarPoly(
+            {ij: 6 ** d * c for ij, c in poly.coeffs.items()}), n
+
+
+# coefficient_digest at two levels past the pins above, with high powers of
+# 2 and 3 and a leading exponent m > 0, recorded before the certificate
+# height at levels not prime to 6 was halved (4609 -> 2305 at level 48)
+MODEQ_COEFF_SHA256_SLOW = {
+    32: "3511833b9483afadad2039f54358b9fe41c04337a5bfae87d77edfeb86de4a2f",
+    48: "960ce91dd9a87f1a7f4ad0cb3c35698467e8f27383464843b49847ec9fc12e2f",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", list(MODEQ_COEFF_SHA256_SLOW))
+def test_modeq_coefficients_at_levels_32_and_48_are_byte_stable(n):
+    assert coefficient_digest(json.loads(modeq_output(n))) == MODEQ_COEFF_SHA256_SLOW[n]
+
+
 # sha256 of `python -m ordersix modeq N --no-cache --no-timing --format F`,
 # F = plain and latex
 MODEQ_TEXT_SHA256 = {
@@ -607,7 +641,7 @@ OUTPUT_JSON_SHA256 = {
     ("expand", "--quotient", "36; 1:3, 4:-2, 36:5, 12:-6", "--prec", "30"):
         "7abad3fc0fa5a2d98bed576add3b378dd3ab0de45015d8e1407c83dfa1a24a8f",
     ("verify", "all"):
-        "9d97ed6c27af85a1d23c485c094a41385132b1390a5ff99badbc7c296e7ee482",
+        "9b9f25781bd94188f0802c6a5a902d00a4ae3fdb7acd3b3faaf3e7564179b858",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from ordersix import modeq, modp
 from ordersix.linalg import nullspace_exact
-from ordersix.modeq import MonomialMatrix, certificate_height, kernel_int_crt, predict_degrees
+from ordersix.modeq import MonomialMatrix, kernel_int_crt, predict_degrees
 
 from helpers import primitive
 
@@ -34,7 +34,7 @@ def test_exact_handles_fractions():
 
 def _level2_matrix():
     d1, d2 = predict_degrees(2)
-    return MonomialMatrix(2, d1, d2, certificate_height(2))
+    return MonomialMatrix(2, d1, d2, 2 * (d1 + 1))
 
 
 def test_crt_kernel_huge_kernel_vector(monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 
 from ordersix import modeq, modp
 from ordersix.arith import hecke_cosets, psi_index
-from ordersix.cusps import INFINITY, Cusp, canonical, cusp_set
-from ordersix.eta import EtaQuotient, named_w
+from ordersix.cusps import INFINITY, ZERO, Cusp, canonical, cusp_set
+from ordersix.eta import EtaQuotient, divisor, named_w
 from ordersix.linalg import nullspace_exact
 from ordersix.modeq import (
     MAX_LEVEL,
@@ -25,6 +25,7 @@ from ordersix.modeq import (
     conjugate_traces,
     extract_inner_factor,
     format_polynomial,
+    fricke_twist,
     kernel_int_crt,
     kernel_primes,
     kronecker_frame,
@@ -34,18 +35,19 @@ from ordersix.modeq import (
     residual_series,
     result_for,
     solve_modular_equation,
-    valence_bound,
 )
 from ordersix.verify import golden_poly
 
 from helpers import (
     back_substitute,
     echelon_mod,
+    fricke_twist as twist_by_binomials,
     monomial_matrix,
     monomial_matrix_mod,
     poly_mul,
     primitive,
     rank_mod,
+    twist_invariant,
 )
 
 
@@ -76,8 +78,8 @@ def test_crt_agrees_with_exact_oracle():
     lift agrees with fraction elimination on it."""
     for n in range(2, 8):
         d1, d2 = predict_degrees(n)
-        rows, order = monomial_matrix(n, d1, d2, valence_bound(n))
-        matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
+        rows, order = monomial_matrix(n, d1, d2, 2 * d1 * d2 + 1)
+        matrix = MonomialMatrix(n, d1, d2, 2 * d1 * d2 + 1)
         assert (matrix.height, matrix.order) == (len(rows), order), n
         assert list(matrix) == rows, n
         basis = nullspace_exact(rows)
@@ -166,7 +168,7 @@ def test_power_sums_agree_with_elimination_per_prime():
     primes = list(islice(kernel_primes(), 2))
     for n in range(2, 17):
         d1, d2 = predict_degrees(n)
-        matrix = MonomialMatrix(n, d1, d2, valence_bound(n))
+        matrix = MonomialMatrix(n, d1, d2, 2 * d1 * d2 + 1)
         w = (0,) * matrix.w.val + matrix.w.coeffs
         for p in primes:
             conj = modp.conjugate_polynomial_mod(w, n, d1, d2, conjugate_traces(n),
@@ -246,7 +248,7 @@ def test_lift_carries_on_past_a_rejected_stable_lift(monkeypatch):
     checked = []
     failure = modeq.certificate_failure
     d1, d2 = predict_degrees(13)
-    matrix = MonomialMatrix(13, d1, d2, valence_bound(13))
+    matrix = MonomialMatrix(13, d1, d2, 2 * d1 * d2 + 1)
 
     def reject_first(n, candidate, ws=None):
         checked.append([candidate.coeff(*ij) for ij in matrix.order])
@@ -259,58 +261,38 @@ def test_lift_carries_on_past_a_rejected_stable_lift(monkeypatch):
     assert BivarPoly(dict(zip(matrix.order, kernel.vector))) == golden_poly(13)
 
 
-def test_asymmetric_stable_lift_is_refused_before_its_residual(monkeypatch, solved):
-    """The lift accepts a vector through certificate_failure alone, shape
-    first: a stable lift of F_5 with one coefficient off the diagonal
-    changed is refused as not symmetric, prime after prime, and the
-    residual never runs."""
-    n = 5
-    d1, d2 = predict_degrees(n)
-    coeffs = dict(solved(n).poly.coeffs)
-    coeffs[(1, 2)] = coeffs.get((1, 2), 0) + 1
-    asymmetric = BivarPoly(coeffs)
-    assert not asymmetric.is_symmetric()
-    assert certificate_failure(n, asymmetric) == "not symmetric under X <-> Y"
-    vector = [asymmetric.coeff(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]
-    primes, residuals = [], []
-    monkeypatch.setattr(modp, "conjugate_polynomial_mod",
-                        lambda *args: primes.append(args[-1]) or [c % args[-1] for c in vector])
-    monkeypatch.setattr(modeq, "residual_series", lambda *args: residuals.append(args))
-    with pytest.raises(RuntimeError):
-        solve_modular_equation(n)
-    assert len(primes) == modeq._MAX_PRIMES
-    assert residuals == []
-
-
 def test_certificate_never_runs_below_its_height(solved):
     """An expansion of w shorter than certificate_height(n) is refused, in
-    a cache check and in the lift alike, not read as a lower height."""
+    a cache check and in the lift alike, not read as a lower height.  At
+    level 9 the lift reads w below q^90, past the height 82, so only levels
+    prime to 6 can give the lift a shorter expansion."""
     for n in (5, 9):
         poly, height = solved(n).poly, certificate_height(n)
         assert certificate_failure(n, poly, named_w().expand(height + 7)) is None
         with pytest.raises(ValueError, match="certificate height"):
             certificate_failure(n, poly, named_w().expand(height - 1))
+    for n in (5, 7):
         d1, d2 = predict_degrees(n)
-        short = MonomialMatrix(n, d1, d2, height - 1)
+        short = MonomialMatrix(n, d1, d2, certificate_height(n) - 1)
         with pytest.raises(ValueError, match="certificate height"):
             kernel_int_crt(short)
 
 
 def test_residual_detects_one_perturbed_coefficient(solved):
-    for n in (7, 13, 19):
+    """The Horner-rule residual of F_n with one coefficient changed is
+    nonzero, and it equals the exact monomial matrix of the oracle times
+    the coefficient vector, row by row."""
+    for n in (7, 13):
         r = solved(n)
         coeffs = dict(r.poly.coeffs)
         coeffs[(3, 2)] = coeffs.get((3, 2), 0) + 1
-        bad = r._replace(poly=BivarPoly(coeffs))
-        res = residual_series(bad.poly, n, named_w().expand(r.precision_used))
+        res = residual_series(BivarPoly(coeffs), n, named_w().expand(r.precision_used))
         assert not res.is_zero, n
         assert res.prec == r.precision_used
-        # the generic evaluation on fresh expansions of w and w(n*tau)
-        prec = r.precision_used + n
-        w = named_w()
-        generic = bad.poly.evaluate(w.expand(prec), w.rescale(n).expand(prec))
-        generic = generic.truncate(r.precision_used)
-        assert generic.prec == res.prec and generic == res, n
+        rows, order = monomial_matrix(n, r.d1, r.d2, r.precision_used)
+        vector = [coeffs.get(ij, 0) for ij in order]
+        assert [res.coeff(e) for e in range(res.prec)] == [
+            sum(x * c for x, c in zip(row, vector)) for row in rows], n
 
 
 def test_fresh_solve_expands_w_once(monkeypatch):
@@ -342,9 +324,11 @@ def test_certificate_failure(solved):
         assert "outside" in certificate_failure(5, outside), extra
     assert certificate_failure(5, BivarPoly({})) is not None
     d1, d2 = predict_degrees(5)
+    # one coefficient off F_5 breaks the twist, which runs before the residual
     coeffs = dict(poly.coeffs)
     coeffs[(1, 1)] += 1
-    assert "residual" in certificate_failure(5, BivarPoly(coeffs))
+    assert certificate_failure(5, BivarPoly(coeffs)) == (
+        "not invariant under the Fricke involution W_18n")
     # the leading column (1 - 3Y)^0 = 1 also rules out a multiple of F_5
     doubled = BivarPoly({ij: 2 * c for ij, c in poly.coeffs.items()})
     assert certificate_failure(5, doubled) == "coefficient of X^6 is not (1 - 3Y)^0"
@@ -387,53 +371,52 @@ def test_valence_bound_from_divisor_data():
             for x in ord_w
             if x != INFINITY
         )
-        assert poles == valence_bound(n) - 1 == 2 * d1 * d2, n
+        assert poles == 2 * d1 * d2, n
 
 
-def test_precision_used_is_the_certificate_height(solved):
-    """d1*d2 + 1 at levels prime to 6, the full valence bound elsewhere."""
-    expected = {5: 37, 7: 65, 11: 145, 13: 197, 17: 325, 19: 401, 25: 901}
+def test_precision_used_is_the_certificate_height(solved, monkeypatch):
+    """d1*d2 + 1 at every level, whatever gcd(n, 6) is; d1 = d2 through
+    level 200, and certificate_height refuses a level where they differ."""
+    expected = {2: 5, 3: 10, 4: 17, 5: 37, 6: 37, 7: 65, 9: 82, 13: 197, 19: 401, 24: 577,
+                25: 901, 48: 2305}
     assert {n: certificate_height(n) for n in expected} == expected
-    for n in range(2, 61):
+    for n in range(2, 201):
         d1, d2 = predict_degrees(n)
-        if gcd(n, 6) == 1:
-            assert d1 == d2 and certificate_height(n) == d1 * d2 + 1, n
-        else:
-            assert certificate_height(n) == valence_bound(n), n
+        assert d1 == d2, n
+        if n <= 60:
+            assert certificate_height(n) == d1 * d2 + 1, n
     for n in range(2, 14):
         assert solved(n).precision_used == certificate_height(n), n
+    monkeypatch.setattr(modeq, "predict_degrees", lambda n: (3, 2))
+    with pytest.raises(AssertionError, match="differs"):
+        certificate_height(2)
 
 
-def _atkin_lehner(n):
-    """W_n = (n, y; 18n, n*t) with n*t - 18*y = 1, as (a, b, c, d)."""
-    t = pow(n, -1, 18)
-    return n, (n * t - 1) // 18, 18 * n, n * t
+# w* = eta(t)^2 eta(18t) / (eta(2t) eta(9t)^2), with w(-1/(18*tau)) = w*/3
+W_STAR = EtaQuotient(18, {1: 2, 2: -1, 9: -2, 18: 1})
 
 
-def test_atkin_lehner_carries_the_divisor_of_w_to_that_of_w_n_tau():
-    """w o W_n = w(n*tau) forces ord_c(w) = ord_(W_n c)(w(n*tau)) at every
-    cusp c of Gamma0(18n); W_n permutes the cusps and sends infinity to the
-    class of 1/18."""
-    for n in range(5, 61):
-        if gcd(n, 6) != 1:
-            continue
-        level = 18 * n
-        a, b, c, d = _atkin_lehner(n)
-        assert a * d - b * c == n
-        ord_w, ord_v = modeq._cusp_orders(n)
-        images = {x: canonical(level, Cusp.make(a * x.a + b * x.c, c * x.a + d * x.c))
-                  for x in cusp_set(level)}
-        assert sorted(images.values(), key=str) == sorted(cusp_set(level), key=str), n
-        assert images[INFINITY] == canonical(level, Cusp(1, 18)) != INFINITY, n
-        for x, image in images.items():
-            assert ord_v[image] == ord_w[x], (n, x)
+def test_w_star_times_one_minus_w_is_one_minus_3w():
+    """Fact 1 of the twist, w* (1 - w) = 1 - 3w on Gamma0(18).  w and w*
+    each have one simple pole, at different cusps other than infinity, so
+    w* (1 - w) - (1 - 3w) has at most two poles, and Gamma0(18) has no
+    elliptic points: vanishing below q^3 proves it is 0.  Checked to q^60
+    as well."""
+    poles = [[co for co in divisor(f) if co.order < 0] for f in (named_w(), W_STAR)]
+    assert [[co.order for co in p] for p in poles] == [[-1], [-1]]
+    (pole_w,), (pole_star,) = poles
+    assert len({pole_w.cusp, pole_star.cusp, INFINITY}) == 3
+    for prec in (3, 60):
+        ws, stars = named_w().expand(prec), W_STAR.expand(prec)
+        diff = stars * (1 - ws) - (1 - 3 * ws)
+        assert diff.is_zero and diff.prec == prec, prec
 
 
-def test_w_at_the_atkin_lehner_image_is_w_of_n_tau():
-    """w(W_n tau) = w(n*tau), constant 1, in complex floats.  At
-    tau = -d/c + i sqrt(n)/c, W_n tau has the same imaginary part as tau
-    (about 0.025 at n = 5), and q^4000 there is below 1e-200."""
-    ws = named_w().expand(4000)
+def test_w_at_the_fricke_image_is_m_of_w():
+    """w(-1/(18*tau)) = M(w(tau)), M(t) = (1 - 3t)/(3 - 3t), in complex
+    floats at tau = 0.2 + 0.25i, whose image has imaginary part 0.135;
+    q^1000 there is below 1e-300."""
+    ws = named_w().expand(1000)
 
     def w(z):
         q = cmath.exp(2j * pi * z)
@@ -442,14 +425,44 @@ def test_w_at_the_atkin_lehner_image_is_w_of_n_tau():
             total = total * q + coeff
         return total * q ** ws.val
 
-    for n in (5, 7):
-        a, b, c, d = _atkin_lehner(n)
-        tau = complex(-d / c, sqrt(n) / c)
-        image = (a * tau + b) / (c * tau + d)
-        assert abs(image.imag - tau.imag) < 1e-12
-        assert abs(cmath.exp(2j * pi * image)) ** 4000 < 1e-200
-        assert abs(w(image) - w(n * tau)) < 1e-12, n
-        assert abs(w(image) - w(tau)) > 1e-3, n  # the identity is not vacuous
+    tau = complex(0.2, 0.25)
+    image = -1 / (18 * tau)
+    assert abs(cmath.exp(2j * pi * image)) ** 1000 < 1e-300
+    assert abs(w(image) - (1 - 3 * w(tau)) / (3 - 3 * w(tau))) < 1e-12
+    assert abs(w(image) - w(tau)) > 1e-3  # the identity is not vacuous
+
+
+def test_fricke_involution_carries_divisors_to_those_of_w_star():
+    """w o W_18n = w*(n*tau)/3 and w(n*tau) o W_18n = w*/3, W_18n the
+    Fricke involution tau -> -1/(18*n*tau), force ord_x(w*(n*tau)) =
+    ord_(W_18n x)(w) and ord_x(w*) = ord_(W_18n x)(w(n*tau)) at every cusp
+    x of Gamma0(18n).  W_18n permutes the cusps and sends infinity to 0."""
+    for n in range(2, 25):
+        level = 18 * n
+        ord_w, ord_v = modeq._cusp_orders(n)
+        star_w, star_v = ({co.cusp: co.order for co in divisor(f)}
+                          for f in (W_STAR.rescale(n), W_STAR.lift(level)))
+        images = {x: canonical(level, Cusp.make(-x.c, level * x.a)) for x in cusp_set(level)}
+        assert sorted(images.values(), key=str) == sorted(cusp_set(level), key=str), n
+        assert images[INFINITY] == canonical(level, ZERO) != INFINITY, n
+        for x, image in images.items():
+            assert (star_w[x], star_v[x]) == (ord_w[image], ord_v[image]), (n, x)
+
+
+def test_fricke_twist_agrees_with_the_binomial_expansion(solved):
+    """fricke_twist against the term-by-term oracle, on F_n and on a
+    polynomial with every coefficient nonzero; the twist of F_n is 6^d F_n,
+    and twisting twice multiplies by 36^d, since M is an involution and
+    (3 - 3t)(3 - 3M(t)) = 6."""
+    for n in (2, 3, 5, 8, 13):
+        d = solved(n).d2
+        poly = solved(n).poly
+        dense = BivarPoly({(i, j): 1 + i + 2 * j for i in range(d + 1) for j in range(d + 1)})
+        for f in (poly, dense):
+            assert fricke_twist(f, d) == BivarPoly(twist_by_binomials(f.coeffs, d)), n
+        assert fricke_twist(poly, d) == BivarPoly({ij: 6 ** d * c for ij, c in poly.coeffs.items()})
+        assert fricke_twist(fricke_twist(dense, d), d) == BivarPoly(
+            {ij: 36 ** d * c for ij, c in dense.coeffs.items()}), n
 
 
 def test_f_n_is_the_only_symmetric_relation_from_the_certificate_height(solved):
@@ -472,44 +485,62 @@ def test_f_n_is_the_only_symmetric_relation_from_the_certificate_height(solved):
         assert len(nullspace_exact(sym[:-1])) == 2, n
 
 
-def test_half_height_residual_needs_the_symmetry_check(solved):
+def test_candidate_failing_only_the_twist_is_refused_before_its_residual(monkeypatch, solved):
     """At n = 5 the full box has a 12-dimensional kernel at height 37, so
-    the residual there also vanishes for F_5 plus a non-symmetric relation.
-    certificate_failure rejects that candidate as not symmetric, and at the
-    full valence bound its residual shows it is no relation at all."""
+    the residual there also vanishes for F_5 plus a relation r with no
+    X^6 term.  That candidate passes the box, bidegree and leading-column
+    checks, and the full valence bound shows it is no relation at all;
+    certificate_failure refuses it by the twist alone.  As a stable lift
+    it is refused prime after prime, and the residual never runs."""
     n = 5
     d1, d2 = predict_degrees(n)
     height = certificate_height(n)
     rows, order = monomial_matrix(n, d1, d2, height)
-    basis = nullspace_exact(rows)
-    assert len(basis) == 12
-    relation = next(r for r in (BivarPoly(dict(zip(order, primitive(v)))) for v in basis)
-                    if not r.is_symmetric())
-    scale = 1 + max(abs(c) for c in relation.coeffs.values())
+    assert len(nullspace_exact(rows)) == 12
+    no_lead = [[int(ij == (d2, j)) for ij in order] for j in range(d1 + 1)]
+    relation = BivarPoly(dict(zip(order, primitive(nullspace_exact(rows + no_lead)[0]))))
     f = solved(n).poly
-    candidate = BivarPoly({ij: scale * f.coeff(*ij) + relation.coeff(*ij) for ij in order})
-    assert not candidate.is_symmetric()
+    candidate = BivarPoly({ij: f.coeff(*ij) + relation.coeff(*ij) for ij in order})
+    assert (candidate.degx, candidate.degy) == (d2, d1)
     assert residual_series(candidate, n, named_w().expand(height)).is_zero
-    assert not residual_series(candidate, n, named_w().expand(valence_bound(n))).is_zero
-    assert certificate_failure(n, candidate) == "not symmetric under X <-> Y"
+    assert not residual_series(candidate, n, named_w().expand(2 * d1 * d2 + 1)).is_zero
+    assert certificate_failure(n, candidate) == "not invariant under the Fricke involution W_18n"
+    vector = [candidate.coeff(*ij) for ij in order]
+    primes, residuals = [], []
+    monkeypatch.setattr(modp, "conjugate_polynomial_mod",
+                        lambda *args: primes.append(args[-1]) or [c % args[-1] for c in vector])
+    monkeypatch.setattr(modeq, "residual_series", lambda *args: residuals.append(args))
+    with pytest.raises(RuntimeError):
+        solve_modular_equation(n)
+    assert len(primes) == modeq._MAX_PRIMES
+    assert residuals == []
 
 
-def test_symmetric_perturbation_is_rejected_for_its_residual(solved):
-    for n in (5, 7, 13):
-        coeffs = dict(solved(n).poly.coeffs)
-        for ij in ((1, 2), (2, 1)):
-            coeffs[ij] = coeffs.get(ij, 0) + 1
-        bad = BivarPoly(coeffs)
-        assert bad.is_symmetric()
+def test_twist_invariant_perturbation_is_rejected_for_its_residual(solved):
+    """P = 6^d Q + H(Q), Q = XY - XY^2 and H the twist, is twist-invariant
+    (H(H(Q)) = 36^d Q) and has no X^d term, so F_n + P passes every shape
+    check, and its residual refuses it."""
+    for n in (4, 5, 7, 12, 13):
+        d = solved(n).d2
+        p = twist_invariant({(1, 1): 1, (1, 2): -1}, d)
+        assert not any(i == d for i, _ in p), n
+        bad = BivarPoly({ij: solved(n).poly.coeff(*ij) + p.get(ij, 0)
+                         for ij in {*solved(n).poly.coeffs, *p}})
+        assert fricke_twist(bad, d) == BivarPoly({ij: 6 ** d * c for ij, c in bad.coeffs.items()})
         assert "residual" in certificate_failure(n, bad), n
 
 
 def test_certificate_height_covers_what_the_lift_reads():
-    """The power sums read w below q^(n*(d1 + 1)); the certificate height
-    is never below that, and a MonomialMatrix refuses a lower height."""
+    """The power sums read w below q^(n*(d1 + 1)).  The certificate height
+    covers that at levels prime to 6 but not at others (5 against 6 at
+    level 2, 577 against 600 at level 24), so a solve expands w to the
+    larger of the two, and a MonomialMatrix refuses a lower height."""
     for n in range(2, 61):
         d1, _ = predict_degrees(n)
-        assert certificate_height(n) >= n * (d1 + 1), n
+        if gcd(n, 6) == 1:
+            assert certificate_height(n) >= n * (d1 + 1), n
+    assert [(certificate_height(n), n * (predict_degrees(n)[0] + 1)) for n in (2, 24)] == [
+        (5, 6), (577, 600)]
     for n in (2, 5, 9):
         d1, d2 = predict_degrees(n)
         MonomialMatrix(n, d1, d2, n * (d1 + 1))

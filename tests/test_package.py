@@ -203,7 +203,7 @@ def _value_types():
          "BivarPoly(coeffs={(2, 0): 1, (0, 1): -1})"),
         (result_for(2, f2), "poly",
          "ModEqResult(level=2, d1=2, d2=2, poly=BivarPoly(coeffs={(2, 0): 1, (0, 1): -1, "
-         "(1, 1): 2, (2, 1): -3, (0, 2): 1}), precision_used=9, nullspace_dim=1, "
+         "(1, 1): 2, (2, 1): -3, (0, 2): 1}), precision_used=5, nullspace_dim=1, "
          "normalization='denominators cleared by 1, content 1 removed, sign flipped', "
          "method='crt')"),
         (CoeffPattern(5, frozenset({(1, 2)}), frozenset({(0, 0)})), "forced_zero",

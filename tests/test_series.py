@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,20 @@ from ordersix.series import (
 )
 
 from helpers import direct_euler, poly_mul, random_series
+
+
+# -------------------- construction --------------------
+
+def test_leading_zeros_are_stripped_in_linear_time():
+    """A certified residual is an all-zero window as long as the
+    certificate height; 200,000 leading zeros construct in well under a
+    second, with or without a nonzero term after them."""
+    start = time.perf_counter()
+    tail = QSeries([0] * 200_000 + [5, 0], val=-3)
+    zero = QSeries([0] * 200_000, val=-3)
+    assert time.perf_counter() - start < 1.0
+    assert (tail.val, tail.prec, tail.coeffs) == (199_997, 199_999, (5, 0))
+    assert (zero.val, zero.prec, zero.coeffs, zero.is_zero) == (199_997, 199_997, (), True)
 
 
 # -------------------- add --------------------
