@@ -485,13 +485,37 @@ def test_f_n_is_the_only_symmetric_relation_from_the_certificate_height(solved):
         assert len(nullspace_exact(sym[:-1])) == 2, n
 
 
-def test_candidate_failing_only_the_twist_is_refused_before_its_residual(monkeypatch, solved):
+def test_asymmetric_stable_lift_is_refused_before_its_residual(monkeypatch, solved):
+    """The lift accepts a vector through certificate_failure alone, shape
+    first: a stable lift of F_5 with one coefficient off the diagonal
+    changed keeps its box, bidegree and leading column, is refused as not
+    invariant under the twist, prime after prime, and the residual never
+    runs."""
+    n = 5
+    d1, d2 = predict_degrees(n)
+    coeffs = dict(solved(n).poly.coeffs)
+    coeffs[(1, 2)] = coeffs.get((1, 2), 0) + 1
+    asymmetric = BivarPoly(coeffs)
+    assert (asymmetric.degx, asymmetric.degy) == (d2, d1)
+    assert certificate_failure(n, asymmetric) == "not invariant under the Fricke involution W_18n"
+    vector = [asymmetric.coeff(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]
+    primes, residuals = [], []
+    monkeypatch.setattr(modp, "conjugate_polynomial_mod",
+                        lambda *args: primes.append(args[-1]) or [c % args[-1] for c in vector])
+    monkeypatch.setattr(modeq, "residual_series", lambda *args: residuals.append(args))
+    with pytest.raises(RuntimeError):
+        solve_modular_equation(n)
+    assert len(primes) == modeq._MAX_PRIMES
+    assert residuals == []
+
+
+def test_candidate_failing_only_the_twist_is_refused_before_its_residual(solved):
     """At n = 5 the full box has a 12-dimensional kernel at height 37, so
     the residual there also vanishes for F_5 plus a relation r with no
     X^6 term.  That candidate passes the box, bidegree and leading-column
     checks, and the full valence bound shows it is no relation at all;
-    certificate_failure refuses it by the twist alone.  As a stable lift
-    it is refused prime after prime, and the residual never runs."""
+    certificate_failure refuses it by the twist alone, before its
+    residual."""
     n = 5
     d1, d2 = predict_degrees(n)
     height = certificate_height(n)
@@ -505,15 +529,6 @@ def test_candidate_failing_only_the_twist_is_refused_before_its_residual(monkeyp
     assert residual_series(candidate, n, named_w().expand(height)).is_zero
     assert not residual_series(candidate, n, named_w().expand(2 * d1 * d2 + 1)).is_zero
     assert certificate_failure(n, candidate) == "not invariant under the Fricke involution W_18n"
-    vector = [candidate.coeff(*ij) for ij in order]
-    primes, residuals = [], []
-    monkeypatch.setattr(modp, "conjugate_polynomial_mod",
-                        lambda *args: primes.append(args[-1]) or [c % args[-1] for c in vector])
-    monkeypatch.setattr(modeq, "residual_series", lambda *args: residuals.append(args))
-    with pytest.raises(RuntimeError):
-        solve_modular_equation(n)
-    assert len(primes) == modeq._MAX_PRIMES
-    assert residuals == []
 
 
 def test_twist_invariant_perturbation_is_rejected_for_its_residual(solved):
