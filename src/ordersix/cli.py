@@ -5,10 +5,11 @@ rendering).  Big integers are serialized as decimal strings so any JSON
 parser round-trips them exactly.  Solved equations are cached one JSON file
 per level, modeq-level{n}.json, under --cache-dir (or $ORDERSIX_CACHE_DIR,
 default ~/.cache/ordersix); writes are atomic and a failed write only warns.
-An entry is served only when its equation passes modeq.certificate_failure
-and the entry is, as JSON text, the document modeq.result_for makes of that
-equation; any other entry (corrupt, edited, or written by another schema or
-solver) is recomputed with a warning and replaced in place.  Exit codes:
+Only an entry's coefficients are read: they are served only when they pass
+modeq.certificate_failure, and every other field is derived from them as
+for a fresh solve, so a hit prints what a fresh solve prints.  An entry that
+fails (corrupt, or with edited coefficients) is recomputed with a warning
+and replaced in place.  Exit codes:
 0 ok, 1 verification failure, 2 usage error, 3 internal solver error,
 141 stdout closed by its reader (128 + SIGPIPE, what a shell reports for
 `yes | head`).
@@ -55,10 +56,6 @@ class BadSpecError(ValueError):
     """Malformed quotient spec or invalid command input."""
 
 
-class CacheCorruptError(Exception):
-    """A cached document failed validation."""
-
-
 # ---------------------------------------------------------------------------
 # quotient specs
 # ---------------------------------------------------------------------------
@@ -96,8 +93,6 @@ def resolve_quotient(name: str | None, spec: str | None) -> tuple[str, EtaQuotie
     if name is not None:
         if name == "j":
             return "j", None
-        if name not in NAMED_QUOTIENTS:
-            raise BadSpecError(f"unknown name {name!r}; choose from w, X, j")
         return name, NAMED_QUOTIENTS[name]()
     return "", parse_quotient_spec(spec)
 
@@ -277,21 +272,18 @@ def _doc_poly(doc: dict) -> BivarPoly:
     })
 
 
-def validate_document(doc, level: int) -> None:
-    """Serve a cache entry only if its equation passes certificate_failure
-    and the entry is the document result_for makes of that equation; raises
-    CacheCorruptError otherwise.  No other field of the entry is read."""
+def validate_document(doc, level: int) -> dict:
+    """The document of a cache entry's equation, built as for a fresh solve,
+    if the equation passes certificate_failure; raises ValueError otherwise.
+    No field of the entry but its coefficients is read."""
     try:
         poly = _doc_poly(doc)
         reason = certificate_failure(level, poly)
-        # compared as JSON text, because 1 == 1.0 == True in Python
-        if reason is None and (json.dumps(_equation_document(result_for(level, poly)))
-                               != json.dumps(doc)):
-            reason = "fields differ from those of the certified equation"
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         reason = f"{type(exc).__name__}: {exc}"
     if reason:
-        raise CacheCorruptError(reason)
+        raise ValueError(reason)
+    return _equation_document(result_for(level, poly))
 
 
 def cmd_modeq(args):
@@ -303,9 +295,7 @@ def cmd_modeq(args):
     path = _cache_path(args, args.level)
     if not args.no_cache:
         try:
-            cached = json.loads(path.read_text())
-            validate_document(cached, args.level)
-            doc = cached
+            doc = validate_document(json.loads(path.read_text()), args.level)
         # no entry there: a missing file, or a parent that is not a directory
         except (FileNotFoundError, NotADirectoryError):
             pass
@@ -313,9 +303,10 @@ def cmd_modeq(args):
         except OSError as exc:
             print(f"warning: cache entry {path} not read ({exc}); recomputing",
                   file=sys.stderr)
-        # ValueError: undecodable bytes or malformed JSON; RecursionError:
-        # json.loads on deeply nested arrays
-        except (ValueError, RecursionError, CacheCorruptError) as exc:
+        # ValueError: undecodable bytes, malformed JSON or an equation that
+        # validate_document refuses; RecursionError: json.loads on deeply
+        # nested arrays
+        except (ValueError, RecursionError) as exc:
             print(f"warning: cache entry {path} is corrupt ({exc}); recomputing",
                   file=sys.stderr)
     if doc is None:
@@ -428,7 +419,3 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

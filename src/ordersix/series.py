@@ -179,18 +179,8 @@ class QSeries:
 
     def _scaled(self, factor: int) -> QSeries:
         """Identical series re-expressed with h multiplied by factor."""
-        if factor == 1:
-            return self
-        coeffs = []
-        for c in self.coeffs:
-            coeffs.append(c)
-            coeffs.extend([0] * (factor - 1))
-        return QSeries(
-            coeffs[: max(0, self.prec * factor - self.val * factor)],
-            val=self.val * factor,
-            prec=self.prec * factor,
-            h=self.h * factor,
-        )
+        s = self.rescale(factor)
+        return QSeries(s.coeffs, val=s.val, prec=s.prec, h=self.h * factor)
 
     @staticmethod
     def _unified(a: QSeries, b: QSeries) -> tuple[QSeries, QSeries]:
@@ -221,15 +211,8 @@ class QSeries:
 
     def __add__(self, other) -> QSeries:
         if isinstance(other, int):
-            if not other or self.prec <= 0:
-                return self
-            lo = min(self.val, 0)
-            window = [0] * (self.prec - lo)
-            for i, c in enumerate(self.coeffs):
-                window[self.val + i - lo] = c
-            window[-lo] += other
-            return QSeries(window, val=lo, prec=self.prec, h=self.h)
-        if not isinstance(other, QSeries):
+            other = QSeries([other], prec=self.prec, h=self.h)
+        elif not isinstance(other, QSeries):
             return NotImplemented
         a, b = QSeries._unified(self, other)
         prec = min(a.prec, b.prec)
@@ -254,8 +237,6 @@ class QSeries:
 
     def __mul__(self, other) -> QSeries:
         if isinstance(other, int):
-            if not other:
-                return QSeries.zero(self.prec, h=self.h)
             coeffs = [c * other for c in self.coeffs]
             return QSeries(coeffs, val=self.val, prec=self.prec, h=self.h)
         if not isinstance(other, QSeries):

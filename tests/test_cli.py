@@ -246,16 +246,19 @@ def test_modeq_cache_edit_of_the_leading_column_is_refused_by_shape(capsys, tmp_
     assert json.loads(path.read_text()) == json.loads(out1)
 
 
-def test_modeq_entry_of_another_schema_is_replaced_in_place(capsys, tmp_path):
+def test_modeq_entry_of_another_schema_is_served_as_the_fresh_document(capsys, tmp_path):
+    """Only the coefficients of an entry are read, so an entry that another
+    schema wrote prints the fresh document and its file is left as it is."""
     doc = cli.modeq_document(5)
     doc["schema_version"] = "0"
     path = cache_file(tmp_path, 5)
     path.write_text(json.dumps(doc, indent=2))
+    before = path.read_bytes()
     code, out, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
                              "--no-timing")
-    assert code == 0 and err.startswith("warning: cache entry") and "corrupt" in err
-    assert json.loads(out) == cli.modeq_document(5)
-    assert path.read_text() == json.dumps(json.loads(out), indent=2)
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, "modeq", "5", "--no-cache", "--no-timing")[1]
+    assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -275,24 +278,40 @@ def test_modeq_entry_under_an_old_versioned_name_is_not_read(capsys, tmp_path):
         "modeq-level5-schema1-solver2.json", "modeq-level5.json"]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda r: r.update(precision_used=10 ** 9),
-    lambda r: r.update(degree_x=99),
-    lambda r: r.update(nullspace_dimension=2),
-    lambda r: r["coefficients"].append({"i": -1, "j": 0, "value": "5"}),
-    lambda r: r["factored"]["inner_coefficients"].pop(),
-])
-def test_modeq_cache_fields_are_checked(capsys, tmp_path, edit):
-    code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
-                            "--no-timing")
+def _rerun_with_edited_level5_entry(capsys, tmp_path, edit):
+    """Cache level 5, apply ``edit`` to the entry's result and run modeq 5
+    on it.  The run prints the fresh solve's bytes either way.  An edit that
+    changes the coefficients is refused with a warning and the entry is
+    rewritten; any other edit is served with no warning, and the file is
+    left as it is."""
+    code, fresh, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                             "--no-timing")
     path = cache_file(tmp_path, 5)
     doc = json.loads(path.read_text())
     edit(doc["result"])
     path.write_text(json.dumps(doc, indent=2))
-    code, out2, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
-                              "--no-timing")
-    assert code == 0 and "corrupt" in err
-    assert out1 == out2
+    edited = path.read_bytes()
+    code, out, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
+                             "--no-timing")
+    assert code == 0 and out == fresh
+    if doc["result"]["coefficients"] == json.loads(fresh)["result"]["coefficients"]:
+        assert err == "" and path.read_bytes() == edited
+    else:
+        assert err.startswith("warning: cache entry") and "corrupt" in err
+        assert path.read_text() == json.dumps(json.loads(fresh), indent=2)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.update(precision_used=10 ** 9),
+    lambda r: r.update(degree_x=99),
+    lambda r: r.update(nullspace_dimension=2),
+    lambda r: r["coefficients"].append({"i": -1, "j": 0, "value": "5"}),  # refused
+    lambda r: r["factored"]["inner_coefficients"].pop(),
+])
+def test_modeq_cache_fields_are_checked(capsys, tmp_path, edit):
+    """The coefficients are the one field of an entry that is read, and
+    the certificate checks them; every other field is derived afresh."""
+    _rerun_with_edited_level5_entry(capsys, tmp_path, edit)
 
 
 @pytest.mark.parametrize("edit", [
@@ -301,23 +320,41 @@ def test_modeq_cache_fields_are_checked(capsys, tmp_path, edit):
     lambda r: r.update(level=5.0),
     lambda r: r.update(nullspace_dimension=True),
     lambda r: r["coefficients"][0].update(i=float(r["coefficients"][0]["i"])),
-    lambda r: r["coefficients"][0].update(i=float("inf")),
+    lambda r: r["coefficients"][0].update(i=float("inf")),  # refused
 ], ids=["unknown-note", "swapped-note", "float-level", "bool-dimension", "float-index", "infinite-index"])
 def test_modeq_cache_entry_is_served_only_as_the_fresh_bytes(capsys, tmp_path, edit):
-    """An entry that would print anything but the fresh document is
-    recomputed: a note the solver never writes, the other note, and numbers
-    that Python compares equal to the right ones."""
-    code, out1, _ = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
-                            "--no-timing")
-    path = cache_file(tmp_path, 5)
-    doc = json.loads(path.read_text())
-    edit(doc["result"])
-    path.write_text(json.dumps(doc, indent=2))
-    code, out2, err = run_cli(capsys, "modeq", "5", "--cache-dir", str(tmp_path),
-                              "--no-timing")
-    assert code == 0 and err.startswith("warning: cache entry") and "corrupt" in err
-    assert out1 == out2
-    assert path.read_text() == json.dumps(json.loads(out1), indent=2)
+    """A hit prints the document derived from its certified coefficients,
+    whatever the entry's other fields say: a note the solver never writes,
+    the other note, and numbers that Python compares equal to the right
+    ones.  An index that no int can hold is refused."""
+    _rerun_with_edited_level5_entry(capsys, tmp_path, edit)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_modeq_entry_with_drifted_derived_fields_is_served_without_a_solve(
+        capsys, tmp_path, monkeypatch, n):
+    """A change to a derived field, such as precision_used or
+    schema_version, leaves every cached level valid: the entry is served
+    as the fresh document with no solve, warning or rewrite.  Level 5 has
+    the factored field; level 8 is not prime to 6."""
+    fresh = cli.modeq_document(n)
+    drifted = json.loads(json.dumps(fresh))
+    drifted["schema_version"] = "0"
+    drifted["result"].update(precision_used=1, normalization="anything at all")
+    path = cache_file(tmp_path, n)
+    path.write_text(json.dumps(drifted, indent=2))
+    before = path.read_bytes()
+
+    def no_solve(level):
+        raise AssertionError("a cache hit solved")
+
+    monkeypatch.setattr(cli, "solve_modular_equation", no_solve)
+    assert cli.validate_document(drifted, n) == fresh
+    code, out, err = run_cli(capsys, "modeq", str(n), "--cache-dir", str(tmp_path),
+                             "--no-timing")
+    assert code == 0 and err == ""
+    assert out == json.dumps(fresh, indent=2) + "\n"
+    assert path.read_bytes() == before
 
 
 def test_modeq_deeply_nested_cache_entry_recomputes(capsys, tmp_path):
