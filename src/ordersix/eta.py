@@ -85,23 +85,21 @@ class EtaQuotient(namedtuple("EtaQuotient", "level exponents")):
         The integer-exponent part prod euler_product(d)^(r_d) is computed at
         h = 1 and the fractional prefactor is attached as a final monomial
         shift, so h in the result is exactly the denominator of the
-        prefactor exponent.
+        prefactor exponent.  Products come first, while coefficients are
+        small; then r_d < 0 is -r_d divisions by a sparse pentagonal product,
+        each O(prec sqrt(prec / d)) additions.
         """
         if prec < 1:
             raise ValueError("prec must be at least 1")
         e = self.prefactor_exponent()
-        inner_prec = prec - (e.numerator // e.denominator)
-        if inner_prec < 1:
-            inner_prec = 1
-        num = QSeries.one(inner_prec)
-        den = None
-        for d, r in self.exponents.items():
+        inner_prec = max(1, prec - (e.numerator // e.denominator))
+        out = QSeries.one(inner_prec)
+        for d, r in sorted(self.exponents.items(), key=lambda dr: dr[1] < 0):
             base = euler_product(d, inner_prec)
             if r > 0:
-                num = num * base ** r
-            else:
-                den = base ** (-r) if den is None else den * base ** (-r)
-        out = num if den is None else num * den.invert()
+                out = out * base ** r
+            for _ in range(-r):
+                out = out / base
         out = out.shift(e)
         return out.truncate(prec)
 
@@ -176,13 +174,12 @@ def eisenstein_e4(prec: int) -> QSeries:
 
 
 def named_j(prec: int) -> QSeries:
-    """The j-invariant E4^3 / eta(tau)^24, a series with a simple pole."""
+    """The j-invariant E4^3 / eta(tau)^24, a series with a simple pole; the
+    division is one O(prec^2) forward substitution by prod (1 - q^n)^24."""
     if prec < 1:
         raise ValueError("prec must be at least 1")
     inner = prec + 2
-    e4 = eisenstein_e4(inner)
-    delta = euler_product(1, inner) ** 24
-    j = (e4 ** 3) * delta.invert()
+    j = eisenstein_e4(inner) ** 3 / euler_product(1, inner) ** 24
     return j.shift(Fraction(-1)).truncate(prec)
 
 

@@ -11,10 +11,10 @@ The coefficients are arbitrary-precision ints: every series the package builds
 (eta quotients, Euler products, E4, j) is integral, and the constructor
 raises TypeError on anything that is not an integer.  Exponents are on the
 1/h lattice and reported as Fractions.  Products go through one big-integer
-convolution and inverses through one Newton iteration, which needs a
-leading coefficient of +-1 so that the inverse is integral too.  Every
-operation is pure and every instance immutable, so values are safe to share
-across threads.
+convolution and quotients through one forward substitution, which needs a
+divisor with leading coefficient +-1 so that the quotient is integral too.
+Every operation is pure and every instance immutable, so values are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import lcm
 
 
 class ZeroSeriesError(ZeroDivisionError):
-    """Raised when inverting (or negatively powering) the zero series."""
+    """Raised when dividing by the zero series."""
 
 
 class PrecisionError(Exception):
@@ -251,36 +251,39 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def invert(self) -> QSeries:
-        """Multiplicative inverse; self * self.invert() == 1 up to precision.
-        The leading coefficient must be +-1 (ValueError otherwise)."""
-        if self.is_zero:
-            raise ZeroSeriesError("cannot invert the zero series")
-        if self.coeffs[0] not in (1, -1):
-            raise ValueError(f"leading coefficient {self.coeffs[0]} is not +-1")
-        inv = self._invert_newton(self.coeffs, len(self.coeffs))
-        return QSeries(inv, val=-self.val, prec=self.prec - 2 * self.val, h=self.h)
+    def __truediv__(self, other) -> QSeries:
+        """Exact quotient on the shorter relative window; the divisor leads
+        with +-1 (ValueError otherwise).  Forward substitution over its nonzero
+        terms: O(N sqrt(N)) additions for an Euler product of length N."""
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        a, b = QSeries._unified(self, other)
+        if b.is_zero:
+            raise ZeroSeriesError("cannot divide by the zero series")
+        lead = b.coeffs[0]
+        if lead not in (1, -1):
+            raise ValueError(f"leading coefficient {lead} is not +-1")
+        val = a.val - b.val
+        n = min(a.prec - a.val, b.prec - b.val)
+        terms = [(k, c) for k, c in enumerate(b.coeffs[1:n], 1) if c]
+        out = list(a.coeffs[:n])
+        for i, s in enumerate(out):
+            for k, c in terms:
+                if k > i:
+                    break
+                s -= c * out[i - k]
+            out[i] = s * lead
+        return QSeries(out, val=val, prec=val + n, h=a.h)
 
-    @staticmethod
-    def _invert_newton(a, n: int) -> list[int]:
-        # doubling iteration b <- b*(2 - a*b); exact for a leading term of +-1
-        lead = a[0]
-        out = [lead]
-        m = 1
-        while m < n:
-            m = min(2 * m, n)
-            t = _conv_int(a[:m], out, m)
-            t = [2 - t[0]] + [-c for c in t[1:]]
-            out = _conv_int(out, t, m)
-        return out
+    def invert(self) -> QSeries:
+        """Multiplicative inverse, 1 / self on self's relative window."""
+        return QSeries.one(self.prec - self.val, h=self.h) / self
 
     def __pow__(self, k: int) -> QSeries:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            if self.is_zero:
-                raise ZeroSeriesError("cannot raise the zero series to a negative power")
-            return self.invert() ** (-k)
+            raise ValueError("negative exponent; divide instead")
         if k == 0:
             width = self.prec - self.val if not self.is_zero else self.prec
             return QSeries.one(max(width, 1), h=self.h)

@@ -76,6 +76,24 @@ def test_w_is_product_of_x_and_rescaled_x():
     assert (named_x().rescale(3) * named_x()).exponents == named_w().exponents
 
 
+def test_w_times_psi_is_q_psi_of_q9():
+    """w psi(q) = q psi(q^9), psi(q) = sum_n q^(n(n+1)/2): checked by
+    one product, so expand's divisions meet an identity they do not use."""
+    prec = 3137
+
+    def psi(scale, shift):
+        coeffs = [0] * prec
+        n = 0
+        while shift + scale * n * (n + 1) // 2 < prec:
+            coeffs[shift + scale * n * (n + 1) // 2] = 1
+            n += 1
+        return QSeries(coeffs, prec=prec)
+
+    lhs = named_w().expand(prec) * psi(1, 0)
+    assert lhs.precision() == prec
+    assert lhs == psi(9, 1)
+
+
 def test_order_at_cusp_table():
     w = named_w()
     expected = {

@@ -114,13 +114,37 @@ def test_invert_zero_rejected():
         QSeries.zero(5).invert()
 
 
-def test_invert_newton_times_input_is_one():
+def _dense(s, h):
+    """The coefficients of s from its valuation on, on the 1/h lattice."""
+    out = [0] * ((s.prec - s.val) * (h // s.h))
+    out[:: h // s.h] = s.coeffs
+    return out
+
+
+def test_division_randomized():
     rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(1, 25)
-        coeffs = [rng.choice([1, -1])] + [rng.randint(-8, 8) for _ in range(n - 1)]
-        inv = QSeries._invert_newton(coeffs, n)
-        assert poly_mul(inv, coeffs, n) == [1] + [0] * (n - 1)
+    for _ in range(200):
+        a = random_series(rng, nonzero=True)
+        b = random_series(rng, nonzero=True)
+        q = a / b
+        h = math.lcm(a.h, b.h)
+        assert q.h == h
+        assert q.valuation() == a.valuation() - b.valuation()
+        assert q.precision() == q.valuation() + min(
+            a.precision() - a.valuation(), b.precision() - b.valuation())
+        n = q.prec - q.val
+        assert poly_mul(list(q.coeffs), _dense(b, h), n) == _dense(a, h)[:n]
+        assert (a / b) * b == a
+        assert (a * b) / b == a
+    quotient = QSeries.zero(5) / QSeries([1, 3], val=2, prec=6)
+    assert quotient.is_zero and quotient.precision() == 3
+    s = QSeries([1, 2, 3], val=0, prec=3)
+    with pytest.raises(ZeroSeriesError):
+        s / QSeries.zero(3)
+    with pytest.raises(ValueError):
+        s / QSeries([2, 1], val=1, prec=4)
+    with pytest.raises(TypeError):
+        s / 3
 
 
 def test_only_integer_coefficients_and_unit_leads():
@@ -151,9 +175,11 @@ def test_pow_binomial_coefficient():
 
 def test_pow_negative():
     f = QSeries([1, 1], val=0, prec=10)
-    assert f ** -2 == (f.invert() * f.invert())
-    with pytest.raises(ZeroSeriesError):
+    with pytest.raises(ValueError):
+        f ** -2
+    with pytest.raises(ValueError):
         QSeries.zero(4) ** -1
+    assert (f * f).invert() == f.invert() * f.invert()
 
 
 # -------------------- rescale --------------------
