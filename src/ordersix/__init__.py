@@ -1,19 +1,6 @@
 """Exact eta-quotient arithmetic on Gamma0(N) and the modular equations of
 the order-six continued fraction's hauptmodul w(tau) = X(tau) X(3*tau)."""
 
-import os
-
-# One OpenBLAS thread unless the caller chose otherwise.  The only numpy
-# code, modp's power table from level 24 up, is float64 convolutions, not
-# BLAS calls, so the worker OpenBLAS starts per extra vCPU on import only
-# costs CPU time.  On 2 vCPUs (numpy 2.4), importing numpy and running 50
-# np.convolve calls took a median of 0.25 s CPU with one thread against
-# 0.38 s with two, over 8 runs each.  OpenBLAS reads the variable once,
-# when numpy is first imported.  Only modp imports numpy, and only for a
-# solve from level 24 up, so the setting takes effect then; it has no
-# effect in a process that imported numpy before ordersix.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from .arith import psi_index
 from .cusps import Cusp, INFINITY, ZERO, are_equivalent, canonical, cusp_set, width
 from .eta import (

@@ -66,9 +66,7 @@ every level; d1 = d2 = d at every level (certificate_height checks it):
   certificate_height(n), therefore proves G = 0.
 
 The arithmetic mod p is in modp, which kernel_int_crt imports at the
-first solve.  modp works on Python ints and loads numpy only for a power
-table of length modp._NUMPY_LENGTH or more, from level 24 up; so neither
-this module nor a solve at levels 2-23 loads numpy.
+first solve; modp's docstring says when it loads numpy.
 """
 
 from __future__ import annotations
@@ -431,49 +429,30 @@ def certificate_failure(n: int, poly: BivarPoly, ws: QSeries | None = None) -> s
 
 
 def predict_coefficient_pattern(n: int) -> CoeffPattern:
-    """Forced coefficient positions from the cusp geometry on Gamma0(18n).
+    """Forced coefficient positions from the cusp orders on Gamma0(18n).
 
-    With f1 = w, f2 = w(n*tau), a is minus the f1-order summed over common
-    (f1 pole, f2 zero) cusps and b the f1-order summed over common zeros;
-    the leading column i = d2 carries exactly Y^a when every f1 pole is an
-    f2 pole or zero, and the i = 0 column exactly Y^b when every f1 zero is.
-    The same statements with the roles swapped give the row constraints.
+    One rule, for an ordered pair (f, g) of cusp-order maps, F of degree
+    ``top`` in f and ``span`` in g.  Let a be minus the f-order summed over
+    the f-poles where g has a zero.  The coefficient of f^top g^a is
+    nonzero, and it is the only nonzero one of f^top when g has a zero or a
+    pole at every f-pole.  Likewise f^0 g^b, b the f-order summed over the
+    f-zeros where g has a zero, with the f-zeros in place of the f-poles.
+    (w, w(n*tau)) gives the columns i = d2 and i = 0, and (w(n*tau), w),
+    transposed, the rows j = d1 and j = 0.
     """
     d1, d2 = predict_degrees(n)
     ord1, ord2 = _cusp_orders(n)
-
-    def sets(orders):
-        zeros = {x for x, o in orders.items() if o > 0}
-        poles = {x for x, o in orders.items() if o < 0}
-        return zeros, poles
-
-    z1, p1 = sets(ord1)
-    z2, p2 = sets(ord2)
-    forced_nonzero: set[tuple[int, int]] = set()
-    forced_zero: set[tuple[int, int]] = set()
-
-    # orientation (f1, f2): constraints on the i = d2 and i = 0 columns
-    a = -sum(ord1[x] for x in p1 & z2)
-    b = sum(ord1[x] for x in z1 & z2)
-    forced_nonzero.add((d2, a))
-    if p1 <= (p2 | z2):
-        forced_zero.update((d2, j) for j in range(d1 + 1) if j != a)
-    forced_nonzero.add((0, b))
-    if z1 <= (p2 | z2):
-        forced_zero.update((0, j) for j in range(d1 + 1) if j != b)
-
-    # swapped orientation: constraints on the j = d1 and j = 0 rows
-    a_s = -sum(ord2[x] for x in p2 & z1)
-    b_s = sum(ord2[x] for x in z2 & z1)
-    forced_nonzero.add((a_s, d1))
-    if p2 <= (p1 | z1):
-        forced_zero.update((i, d1) for i in range(d2 + 1) if i != a_s)
-    forced_nonzero.add((b_s, 0))
-    if z2 <= (p1 | z1):
-        forced_zero.update((i, 0) for i in range(d2 + 1) if i != b_s)
-
-    forced_zero -= forced_nonzero
-    return CoeffPattern(n, frozenset(forced_zero), frozenset(forced_nonzero))
+    zero: set[tuple[int, int]] = set()
+    nonzero: set[tuple[int, int]] = set()
+    for f, g, top, span, at in ((ord1, ord2, d2, d1, lambda e, k: (e, k)),
+                                (ord2, ord1, d1, d2, lambda e, k: (k, e))):
+        for edge, sign in ((top, -1), (0, 1)):
+            cusps = [x for x, o in f.items() if sign * o > 0]
+            k = sign * sum(f[x] for x in cusps if g[x] > 0)
+            nonzero.add(at(edge, k))
+            if all(g[x] for x in cusps):
+                zero.update(at(edge, j) for j in range(span + 1) if j != k)
+    return CoeffPattern(n, frozenset(zero - nonzero), frozenset(nonzero))
 
 
 def check_pattern(result: ModEqResult, pattern: CoeffPattern) -> bool:

@@ -13,7 +13,8 @@ no slot carries into the next; every function checks before it allocates.
 
 numpy is imported in one place, never with this module: by
 _power_table_float64, which power_table calls for a table of length
-_NUMPY_LENGTH or more.  modeq imports this module at the first solve, so a
+_NUMPY_LENGTH or more, and which first sets OPENBLAS_NUM_THREADS=1 unless
+the variable is set.  modeq imports this module at the first solve, so a
 solve loads numpy only at levels whose power table is that long (n = 24
 and up), and commands that do not solve never load it.  On the numpy side
 the truncated products are float64 convolutions.  The primes are below
@@ -25,6 +26,7 @@ p in int64 before the next.
 
 from __future__ import annotations
 
+import os
 from array import array
 from collections.abc import Sequence
 from math import comb
@@ -100,6 +102,12 @@ def _power_table_float64(wp: list[int], top: int, length: int, p: int) -> list[l
     sum of at most that many products, an integer below 2^53 and hence
     exact.  Truncating the full convolution measured faster than splitting
     off the half it throws away, at levels 19 and 25."""
+    # One OpenBLAS thread unless the caller chose otherwise: no call below
+    # is BLAS, and the worker OpenBLAS starts per extra vCPU on import only
+    # costs CPU time (importing numpy and 50 np.convolve calls: a median of
+    # 0.25 s CPU with one thread, 0.38 s with two, 2 vCPUs, numpy 2.4).
+    # OpenBLAS reads it once, when numpy is first imported.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     b = np.array(wp, dtype=np.float64)

@@ -593,6 +593,16 @@ def test_every_pinned_level_is_fricke_invariant_with_constant_6_to_the_d():
             {ij: 6 ** d * c for ij, c in poly.coeffs.items()}), n
 
 
+def test_every_pinned_level_has_the_predicted_coefficient_pattern():
+    """check_pattern accepts F_n against predict_coefficient_pattern(n) at
+    every pinned level, even levels divisible by 3 among them."""
+    for n in MODEQ_JSON_SHA256:
+        poly = modeq.BivarPoly({(e["i"], e["j"]): int(e["value"])
+                                for e in json.loads(modeq_output(n))["result"]["coefficients"]})
+        assert modeq.check_pattern(modeq.result_for(n, poly),
+                                   modeq.predict_coefficient_pattern(n)), n
+
+
 # coefficient_digest at two levels past the pins above, with high powers of
 # 2 and 3 and a leading exponent m > 0, recorded before the certificate
 # height at levels not prime to 6 was halved (4609 -> 2305 at level 48)

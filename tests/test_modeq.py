@@ -161,6 +161,20 @@ def test_slot_bound_is_checked_before_allocating():
         modp.conjugate_polynomial_mod(w, 1, 1 << 40, 0, [(1, 1, 1)], 0, p)
 
 
+def test_conjugate_polynomial_refuses_w_not_q_plus_o_q2():
+    """conjugate_polynomial_mod reads F_n mod p off in powers of w, which
+    needs w = q + O(q^2) mod p: a constant term or a q-coefficient other
+    than 1 is refused."""
+    p = next(kernel_primes())
+    w = [0] + list(named_w().expand(30).coeffs)
+    d1, d2 = predict_degrees(2)
+    args = (2, d1, d2, conjugate_traces(2), leading_exponent(2), p)
+    assert modp.conjugate_polynomial_mod(w, *args)[d2 * (d1 + 1)] == 1
+    for bad in ([1] + w[1:], [0, 2] + w[2:]):
+        with pytest.raises(ValueError, match=r"q \+ O\(q\^2\)"):
+            modp.conjugate_polynomial_mod(bad, *args)
+
+
 def test_power_sums_agree_with_elimination_per_prime():
     """At every level from 2 to 16, F_n mod p from the power sums of its
     roots spans the kernel of the monomial matrix mod p, found by the
@@ -639,6 +653,15 @@ def test_check_pattern(solved):
         precision_used=0, nullspace_dim=1, normalization="", method="crt",
     )
     assert not check_pattern(bad, predict_coefficient_pattern(2))
+    # a forced nonzero that is missing must fail
+    pattern = predict_coefficient_pattern(2)
+    coeffs = solved(2).poly.coeffs
+    assert pattern.forced_nonzero <= coeffs.keys()
+    for ij in pattern.forced_nonzero:
+        poly = BivarPoly({k: c for k, c in coeffs.items() if k != ij})
+        assert not check_pattern(solved(2)._replace(poly=poly), pattern), ij
+    with pytest.raises(ValueError, match="different levels"):
+        check_pattern(solved(3), pattern)
 
 
 def test_check_kronecker(solved):

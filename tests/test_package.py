@@ -39,38 +39,31 @@ def test_schema_lists_the_normalization_notes():
 def _run_fresh(code, *args, **env_extra):
     """Run ``code`` in a fresh interpreter with ``args`` as its argv and
     return its stdout.  OPENBLAS_NUM_THREADS is removed from the inherited
-    environment first, since this process has set it by importing ordersix."""
+    environment first, since a solve from level 24 up in this process may
+    have set it."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(env_extra)
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True).stdout
 
 
-def _blas_probe(**env_extra):
-    """Import ordersix, then numpy, and do one float64 matrix product in a
-    fresh interpreter; return its OPENBLAS_NUM_THREADS and task count."""
-    code = (
-        "import os, ordersix, numpy as np\n"
-        "a = np.ones((256, 256)); a @ a\n"
-        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
-    )
-    value, tasks = _run_fresh(code, **env_extra).split()
-    return value, int(tasks)
-
-
 needs_proc_tasks = pytest.mark.skipif(
     not os.path.isdir("/proc/self/task"), reason="no /proc/self/task here")
 
 
-@needs_proc_tasks
-def test_import_pins_openblas_to_one_thread():
-    assert _blas_probe() == ("1", 1)
-
-
-@needs_proc_tasks
-def test_explicit_openblas_thread_count_wins():
-    value, _ = _blas_probe(OPENBLAS_NUM_THREADS="2")
-    assert value == "2"
+def test_import_leaves_the_environment_unchanged():
+    """Importing the package and every module in it sets no environment
+    variable; OPENBLAS_NUM_THREADS is set only when numpy is loaded."""
+    code = (
+        "import os, pkgutil, importlib\n"
+        "before = dict(os.environ)\n"
+        "import ordersix\n"
+        "for info in pkgutil.iter_modules(ordersix.__path__):\n"
+        "    if info.name != '__main__':\n"
+        "        importlib.import_module('ordersix.' + info.name)\n"
+        "print(dict(os.environ) == before)\n"
+    )
+    assert _run_fresh(code) == "True\n"
 
 
 # Runs each command of the JSON argv list through cli.main and prints, as
@@ -131,6 +124,17 @@ def test_first_solve_loads_numpy_on_one_openblas_thread():
     seen, threads = out.splitlines()
     assert json.loads(seen) == [False, [0, "", True]]
     assert threads.split() == ["1", "1"]
+
+
+def test_explicit_openblas_thread_count_wins():
+    """A level-24 solve loads numpy without overriding a thread count the
+    caller set."""
+    code = _NUMPY_PROBE + "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    out = _run_fresh(code, json.dumps([["modeq", "24", "--no-cache"]]),
+                     OPENBLAS_NUM_THREADS="2")
+    seen, value = out.splitlines()
+    assert json.loads(seen) == [False, [0, "", True]]
+    assert value == "2"
 
 
 # Runs each command of the JSON argv list through cli.main and prints, as
