@@ -30,40 +30,76 @@ expansion of w) and a stored equation (a cache entry) alike.  The shape
 checks require the coefficient of X^d2 to be exactly (1 - 3Y)^m, as F_n's
 is, so an accepted equation has the coefficient 1 at X^d2 Y^0: it is
 primitive, with a positive leading coefficient.  They also require the
-equation to be invariant under the Fricke twist below, which the height
-needs.  A certified equation is fixed by its level and polynomial:
-result_for derives every other field from those two, for a fresh solve
-and a cache hit alike.  Structural checks cover the forced zero/nonzero
-coefficient pattern, X<->Y symmetry for levels coprime to 6, and the
+equation to be invariant under the twists of the level's involutions
+below, which the height needs; at levels coprime to 6 one twist is the
+X<->Y swap, so the certificate requires symmetry there.  A certified
+equation is fixed by its level and polynomial: result_for derives every
+other field from those two, for a fresh solve and a cache hit alike.
+Structural checks cover the forced zero/nonzero coefficient pattern, X<->Y
+symmetry for levels coprime to 6 (an independent recheck), and the
 Kronecker congruence at prime levels.
 
 Why the certificate proves F(w, w(n*tau)) = 0.  For F in the (d2, d1) box,
-G = F(w, w(n*tau)) is a modular function on Gamma0(18n).  It has no pole
-at infinity, where w and w(n*tau) vanish, and at most d2*d1 + d1*d2 poles
-at the other cusps, so by the valence formula (Sturm 1987) it is 0 once it
-vanishes below q^(2*d1*d2 + 1).  The Fricke involution halves that, at
-every level; d1 = d2 = d at every level (certificate_height checks it):
+G = F(W, V), W = w and V = w(n*tau), is a modular function on Gamma0(18n).
+It has no pole at infinity, where W and V vanish, and at most
+d2*d1 + d1*d2 poles at the other cusps.  Gamma0(18n) has no elliptic
+points: 9 | 18n rules out order 3, and 3 | 18n with 3 = 3 mod 4 rules out
+order 2.  So by the valence formula (Sturm 1987) the orders of G at the
+points of X0(18n) sum to 0 with weight one each, and G has at most
+2*d1*d2 zeros unless G = 0.  An involution g normalizing Gamma0(18n) with
+G o g = c*G/D, c != 0 and D a polynomial in W, V nonzero at W = V = 0,
+carries the zero of G at infinity to the cusp g(infinity) with its order.
+With r such involutions sending infinity to r distinct cusps,
+r * ord_inf(G) <= 2*d1*d2, so vanishing below q^(floor(2*d1*d2/r) + 1),
+which is certificate_height(n), proves G = 0.  d1 = d2 = d at every level
+(certificate_height checks it).
 
-* eta(-1/tau) = (tau/i)^(1/2) eta(tau) turns w(-1/(18*tau)) into w*/3,
-  w* = eta(t)^2 eta(18t) / (eta(2t) eta(9t)^2): the square roots cancel
-  in weight 0, and 18^(1/2) 9^(-1) 2^(-1/2) = 1/3 with no root of unity.
-  w* (1 - w) = 1 - 3w on Gamma0(18) (w and w* have one simple pole each,
-  so vanishing below q^3 proves it), so w(-1/(18*tau)) = M(w) with
-  M(t) = (1 - 3t)/(3 - 3t).
-* W_18n: tau -> -1/(18*n*tau) normalizes Gamma0(18n), and it sends w to
-  M(w(n*tau)) and w(n*tau) to M(w).  With W = w, V = w(n*tau) and
-  H(X, Y) = (3 - 3X)^d (3 - 3Y)^d F(M(Y), M(X)) (fricke_twist),
-  G o W_18n = F(M(V), M(W)) = H(W, V) / ((3 - 3W)^d (3 - 3V)^d).
-* The shape checks require H = c*F with c != 0 (c = 6^d for F_n).  Then
-  G o W_18n = c*G / ((3 - 3W)^d (3 - 3V)^d), whose denominator is 3^(2d)
-  at infinity.  So G vanishes at W_18n(infinity) = 0, a cusp other than
-  infinity, to the same order as at infinity.
-* Gamma0(18n) has no elliptic points: 9 | 18n rules out order 3, and
-  3 | 18n with 3 = 3 mod 4 rules out order 2.  So the orders of G at the
-  points of X0(18n) sum to 0 with weight one each, and the zeros at
-  infinity and at 0 together number at most the 2*d1*d2 poles:
-  2 * ord_inf(G) <= 2*d1*d2.  Vanishing below q^(d1*d2 + 1), which is
-  certificate_height(n), therefore proves G = 0.
+The involutions (Atkin-Lehner 1970).  For Q || 18n, W_Q = [[Q*x, y],
+[18n*z, Q*t]] of determinant Q normalizes Gamma0(18n), squares to Q times
+an element of it and sends infinity to the cusp 1/(18n/Q); distinct Q give
+distinct cusps.  Three act on (W, V) by Moebius maps:
+
+* W_18n: tau -> -1/(18*n*tau).  eta(-1/tau) = (tau/i)^(1/2) eta(tau)
+  turns w(-1/(18*tau)) into w*/3, w* = eta(t)^2 eta(18t) / (eta(2t)
+  eta(9t)^2): the square roots cancel in weight 0, and
+  18^(1/2) 9^(-1) 2^(-1/2) = 1/3 with no root of unity.  w* (1 - w) =
+  1 - 3w on Gamma0(18) (w and w* have one simple pole each, so vanishing
+  below q^3 proves it), so w(-1/(18*tau)) = M(w), M(t) = (1 - 3t)/(3 - 3t),
+  and W_18n sends W to M(V) and V to M(W).
+* W_2, at odd n: w o W_2 = M2(w) on Gamma0(18), M2(t) = (1 - t)/(1 - 3t).
+  Take W_2 = [[2x, y], [18z, 2t]], 2xt - 9yz = 1, z > 0.  For delta | 18,
+  delta * W_2(tau) = gamma(delta' * tau) with gamma in SL2(Z): gamma =
+  [[x, y], [9z, 2t]], [[x, 9y], [z, 2t]], [[2x, y], [9z, t]] and
+  [[2x, 9y], [z, t]] for delta = 1, 9, 2, 18 and delta' = 2, 18, 1, 9.
+  The eta transformation law, eta(gamma u) = eps(gamma) (-i (c u +
+  d))^(1/2) eta(u) with eps(gamma) a 24th root of unity, applies with
+  c u + d = J = 18z*tau + 2t for delta = 1 and 9, and J/2 for delta = 2
+  and 18.  w = eta(t) eta(18t)^2 / (eta(2t)^2 eta(9t)) has exponents
+  1 - 1 = 0 on delta = 1, 9 and 2 - 2 = 0 on delta = 2, 18, so the square
+  roots cancel with no power of 2 left, and w o W_2 = eps/w* = eps M2(w),
+  eps a root of unity.  W_2 squares to 2 times an element of Gamma0(18),
+  so eps M2 is an involution: eps M2(eps M2(t)) = t, with denominators
+  cleared, is eps((1 - 3t) - eps(1 - t)) = t((1 - 3t) - 3 eps(1 - t)),
+  whose constant term gives eps(1 - eps) = 0, so eps = 1.  At level 18n,
+  [[2x, y], [18n*z, 2t]] is a W_2 of level 18, and n times its image of
+  tau is [[2x, n*y], [18z, 2t]](n*tau), another; so W_2 sends W to M2(W)
+  and V to M2(V).
+* W_n, at n prime to 6: W_n = [[x, y], [18z, n*t]] diag(n, 1), and
+  n * W_n(tau) = [[n*x, y], [18z, t]](tau), both matrices in Gamma0(18),
+  so W_n swaps W and V.
+
+For each, H(X, Y) = b(X)^d b(Y)^d F(m(X), m(Y)), m = a/b and X, Y
+swapped inside F for W_18n and W_n, is mobius_twist, and G o g =
+H(W, V) / (b(W)^d b(V)^d).  The shape checks require H = c*F, c the
+coefficient of H at X^d Y^0, nonzero (for F_n, c = 6^d for W_18n, 2^d for
+W_2 and 1 for W_n); D is 9^d, 1 and 1 at infinity.  Composing G o g and
+its D, W_2n = W_2 W_n (M2 and the swap) and W_18 = W_18n W_n (M) lose
+nothing either.  W_9 and W_9n are left out: M(M2(t)) = M2(M(t)) = 1/(3t),
+so they send w to 1/(3W) or 1/(3V), whose composed D vanishes at
+infinity.  So r = 6 at n prime to 6 (infinity, 1/(9n), 0, 1/18, 1/9 and
+1/n, through 1, W_2, W_18n, W_n, W_2n and W_18), r = 3 at odd n with
+3 | n (infinity, 1/(9n) and 0), and r = 2 at even n, where W_18n alone
+applies.
 
 The arithmetic mod p is in modp, which kernel_int_crt imports at the
 first solve; modp's docstring says when it loads numpy.
@@ -83,7 +119,7 @@ from .arith import divisors, hecke_cosets, is_prime, moebius, primes_below
 from .eta import divisor, named_w
 # nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
 from .linalg import nullspace_exact  # noqa: F401
-from .series import QSeries
+from .series import QSeries, _conv_int
 
 # The two normalization notes, indexed by whether the first nonzero
 # coefficient in (i, j) box order is negative.  F_n is primitive already,
@@ -103,10 +139,9 @@ class LevelNotCoprimeTo6Error(ValueError):
     """Coefficient symmetry is only claimed for levels coprime to 6."""
 
 
-# The largest level a solve accepts.  d1 >= n, so the certificate height
-# is at least n^2 + 1 whatever n factors into (a level-49 solve takes about
-# 12 s on 2 vCPUs); the bound refuses a huge level before any
-# trial-division factoring.
+# The largest level a solve accepts.  d1 >= n, so a solve expands w below
+# at least q^(n*(n + 1)) whatever n factors into; the bound refuses a huge
+# level before any trial-division factoring.
 MAX_LEVEL = 1000
 
 
@@ -182,34 +217,52 @@ def predict_degrees(n: int) -> tuple[int, int]:
 
 
 def certificate_height(n: int) -> int:
-    """d1*d2 + 1, the height below which residual_series certifies the
-    level-n equation once certificate_failure's twist check holds (the
-    module docstring has the proof).  Raises AssertionError unless
-    d1 = d2, which the proof needs."""
+    """floor(2*d1*d2/r) + 1, with r = 6, 3 and 2 cusps at n prime to 6, odd
+    n with 3 | n and even n: the height below which residual_series
+    certifies the level-n equation once certificate_failure's twist checks
+    hold (the module docstring has the proof).  Raises AssertionError
+    unless d1 = d2, which the proof needs."""
     d1, d2 = predict_degrees(n)
     if d1 != d2:
         raise AssertionError(f"level {n}: d1 = {d1} differs from d2 = {d2}")
-    return d1 * d2 + 1
+    return 2 * d1 * d2 // (6 if gcd(n, 6) == 1 else 3 if n % 2 else 2) + 1
 
 
-def fricke_twist(poly: BivarPoly, d: int) -> BivarPoly:
-    """H(X, Y) = (3 - 3X)^d (3 - 3Y)^d poly(M(Y), M(X)), M(t) = (1 - 3t)/(3 - 3t),
-    for poly of bidegree at most (d, d).  Row k of A holds the coefficients
-    of t^k in (1 - 3t)^i (3 - 3t)^(d - i), i = 0..d, so A maps g to
-    (3 - 3t)^d g(M(t)); with C the coefficient matrix of poly (row i for
-    X^i), H's is A C^T A^T, O(d^3) products."""
+# Moebius maps t -> (a0 + a1*t)/(b0 + b1*t), as ((a0, a1), (b0, b1))
+FRICKE_MAP = ((1, -3), (3, -3))  # M, of W_18n
+W2_MAP = ((1, -1), (1, -3))  # M2, of W_2
+
+
+def involutions(n: int) -> list[tuple[str, tuple | None, bool]]:
+    """(name, map, swap) of each involution whose twist certificate_failure
+    checks at level n, the O(d^2) swap of W_n first."""
+    w_n = [("the Atkin-Lehner involution W_n (X <-> Y)", None, True)] if gcd(n, 6) == 1 else []
+    w_2 = [("the Atkin-Lehner involution W_2", W2_MAP, False)] if n % 2 else []
+    return w_n + [("the Fricke involution W_18n", FRICKE_MAP, True)] + w_2
+
+
+def mobius_twist(poly: BivarPoly, d: int, m: tuple | None, swap: bool) -> BivarPoly:
+    """H(X, Y) = b(X)^d b(Y)^d P(m(X), m(Y)) for m(t) = a(t)/b(t), given as
+    ((a0, a1), (b0, b1)), or m = None, the identity with b = 1; P is poly
+    with X and Y swapped when ``swap``, else poly, of bidegree at most
+    (d, d).  Row k of A holds the coefficients of t^k in
+    a(t)^i b(t)^(d - i), i = 0..d, so A maps g to b(t)^d g(m(t)); with C the
+    coefficient matrix of P (row i for X^i), H's is A C A^T, two rounds of
+    h -> A h^T, O(d^3) products, or C itself, O(d^2), when m is None."""
+    coeffs = {(j, i) if swap else (i, j): c for (i, j), c in poly.coeffs.items()}
+    if m is None:
+        return BivarPoly(coeffs)
     cols = []
     for i in range(d + 1):
         p = [1]
-        for a in [1] * i + [3] * (d - i):  # p * (a - 3t)
-            p = [a * x - 3 * y for x, y in zip(p + [0], [0] + p)]
+        for u0, u1 in [m[0]] * i + [m[1]] * (d - i):  # p * (u0 + u1*t)
+            p = [u0 * x + u1 * y for x, y in zip(p + [0], [0] + p)]
         cols.append(p)
-    rows = list(zip(*cols))
-    ct_at = [[sum(map(mul, col, row)) for row in rows]
-             for col in ([poly.coeff(i, j) for i in range(d + 1)] for j in range(d + 1))]
-    ct_at_cols = list(zip(*ct_at))
-    return BivarPoly({(x, y): sum(map(mul, row, col))
-                      for x, row in enumerate(rows) for y, col in enumerate(ct_at_cols)})
+    a = list(zip(*cols))
+    h = [[coeffs.get((i, j), 0) for j in range(d + 1)] for i in range(d + 1)]
+    for _ in range(2):
+        h = [[sum(map(mul, row, line)) for line in h] for row in a]
+    return BivarPoly({(x, y): v for x, line in enumerate(h) for y, v in enumerate(line)})
 
 
 def conjugate_traces(n: int) -> list[tuple[int, int, int]]:
@@ -365,29 +418,30 @@ def solve_modular_equation(n: int) -> ModEqResult:
 
 def residual_series(poly: BivarPoly, n: int, ws: QSeries) -> QSeries:
     """poly(w, w(n*tau)) below q^ws.prec, by Horner's rule in W, where ws
-    is the exact expansion of w.
+    is the exact expansion of w, on lists of ints.
 
     With P_i(Y) = sum_j c_ij Y^j, F = (...(P_d2(V) W + P_(d2-1)(V)) W + ...)
-    + P_0(V).  P_i(V) is P_i(w) with q -> q^n, so the inner sums need w
-    only below q^(precision/n); just the d2 multiplications by W run at
-    full length.  Only coefficients with 0 <= i <= degx, 0 <= j <= degy
-    are read.
+    + P_0(V).  P_i(V) is P_i(w) with q -> q^n, so the inner sums are
+    combinations of the powers of w below q^(precision/n); each Horner step
+    is one _conv_int product at full length.  Only coefficients with
+    0 <= i <= degx, 0 <= j <= degy are read.
     """
     prec = ws.prec
     short = -(-prec // n)
-    w_short = ws.truncate(short)
-    ypow = [QSeries.one(short)]
+    w = [0] * ws.val + list(ws.coeffs)
+    ypow = [[1] + [0] * (short - 1)]
     for _ in range(poly.degy):
-        ypow.append(ypow[-1] * w_short)
-    total = QSeries.zero(prec)
+        ypow.append(_conv_int(ypow[-1], w, short))
+    total = [0] * prec
     for i in range(poly.degx, -1, -1):
-        inner = QSeries.zero(short)
+        inner = [0] * short
         for j, y in enumerate(ypow):
             c = poly.coeff(i, j)
             if c:
-                inner = inner + y * c
-        total = total * ws + inner.rescale(n)
-    return total.truncate(prec)
+                inner = [a + c * b for a, b in zip(inner, y)]
+        total = _conv_int(total, w, prec)
+        total[::n] = [a + b for a, b in zip(total[::n], inner)]
+    return QSeries(total, prec=prec)
 
 
 def certificate_failure(n: int, poly: BivarPoly, ws: QSeries | None = None) -> str | None:
@@ -397,12 +451,12 @@ def certificate_failure(n: int, poly: BivarPoly, ws: QSeries | None = None) -> s
     and the bidegree must fill it.  Its coefficient of X^d2 must be exactly
     (1 - 3Y)^m, m = leading_exponent(n), as F_n's is; that puts a 1 at
     X^d2 Y^0, so the polynomial is primitive, with a positive leading
-    coefficient.  Its Fricke twist H = fricke_twist(poly, d2) must be
-    c*poly, c the coefficient of H at X^d2 Y^0, nonzero; the
-    certificate_height proof needs that.  Then its residual must vanish
-    below certificate_height(n).  ``ws`` is an exact expansion of w to
-    at least that height, such as the one a solve holds; without it, w is
-    expanded here.
+    coefficient.  For each of involutions(n), in order, its twist
+    H = mobius_twist(poly, d2, map, swap) must be c*poly, c the coefficient
+    of H at X^d2 Y^0, nonzero; the certificate_height proof needs that.
+    Then its residual must vanish below certificate_height(n).  ``ws`` is
+    an exact expansion of w to at least that height, such as the one a
+    solve holds; without it, w is expanded here.
     """
     d1, d2 = predict_degrees(n)
     outside = [(i, j) for i, j in poly.coeffs if not (0 <= i <= d2 and 0 <= j <= d1)]
@@ -414,11 +468,12 @@ def certificate_failure(n: int, poly: BivarPoly, ws: QSeries | None = None) -> s
     if ({j: c for (i, j), c in poly.coeffs.items() if i == d2}
             != {j: comb(m, j) * (-3) ** j for j in range(m + 1)}):
         return f"coefficient of X^{d2} is not (1 - 3Y)^{m}"
+    for name, t_map, swap in involutions(n):
+        twist = mobius_twist(poly, d2, t_map, swap)
+        c = twist.coeff(d2, 0)
+        if not c or twist != BivarPoly({ij: c * v for ij, v in poly.coeffs.items()}):
+            return f"not invariant under {name}"
     height = certificate_height(n)
-    twist = fricke_twist(poly, d2)
-    c = twist.coeff(d2, 0)
-    if not c or twist != BivarPoly({ij: c * v for ij, v in poly.coeffs.items()}):
-        return "not invariant under the Fricke involution W_18n"
     if ws is None:
         ws = named_w().expand(height)
     elif ws.prec < height:
@@ -543,7 +598,8 @@ __all__ = [
     "LevelNotCoprimeTo6Error",
     "predict_degrees",
     "certificate_height",
-    "fricke_twist",
+    "involutions",
+    "mobius_twist",
     "MAX_LEVEL",
     "NORMALIZATION_NOTES",
     "result_for",

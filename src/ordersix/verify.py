@@ -323,7 +323,9 @@ def check_j_identity() -> CheckReport:
 def check_golden_tables(fail_fast: bool = False) -> list[CheckReport]:
     """Solve each level and compare with the golden grid coefficient by
     coefficient; every level then runs the pattern check, and prime levels
-    >= 5 also the Kronecker and symmetry checks."""
+    >= 5 also the Kronecker and symmetry checks.  The certificate already
+    requires symmetry at levels prime to 6 (the W_n twist), so the
+    symmetry check is an independent recheck of the solved equation."""
     out = []
     checksum = golden_checksum()
     for n in (2, 3, 5, 7, 11, 13):

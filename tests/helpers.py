@@ -5,9 +5,10 @@ route that the library is checked against.  monomial_matrix builds the
 solver's matrix exactly over Z from QSeries products and eta expansions
 (themselves checked against the schoolbook oracles here), and
 monomial_matrix_mod builds it mod p by numpy convolutions, never from the
-solver's arithmetic mod p.  fricke_twist expands the twist of a
-polynomial term by term from binomial coefficients, never through the
-solver's matrix.
+solver's arithmetic mod p.  fricke_twist and mobius_twist expand the twist
+of a polynomial term by term from binomial coefficients, never through the
+solver's matrix, and checked_twists lists the twists of a level on its
+own.
 """
 
 from fractions import Fraction
@@ -115,14 +116,81 @@ def fricke_twist(coeffs, d):
     return {ij: c for ij, c in out.items() if c}
 
 
-def twist_invariant(coeffs, d):
-    """6^d F + fricke_twist(F, d) for F = {(i, j): c}: since M is an
-    involution and (3 - 3t)(3 - 3M(t)) = 6, twisting twice multiplies by
-    36^d, so the twist maps this to 6^d times itself."""
-    out = fricke_twist(coeffs, d)
-    for ij, c in coeffs.items():
-        out[ij] = out.get(ij, 0) + 6 ** d * c
+# Moebius maps t -> (a0 + a1*t)/(b0 + b1*t), as ((a0, a1), (b0, b1)):
+# M(t) = (1 - 3t)/(3 - 3t) of W_18n and M2(t) = (1 - t)/(1 - 3t) of W_2
+FRICKE_MAP = ((1, -3), (3, -3))
+W2_MAP = ((1, -1), (1, -3))
+
+
+def _linear_powers(m, i, d):
+    """Coefficients of a(t)^i b(t)^(d - i), m = ((a0, a1), (b0, b1)) for
+    a = a0 + a1*t and b = b0 + b1*t, from binomial coefficients."""
+    (a0, a1), (b0, b1) = m
+    a = [comb(i, k) * a0 ** (i - k) * a1 ** k for k in range(i + 1)]
+    b = [comb(d - i, k) * b0 ** (d - i - k) * b1 ** k for k in range(d - i + 1)]
+    return poly_mul(a, b, d + 1)
+
+
+def mobius_twist(coeffs, d, m, swap):
+    """{(i, j): c} of b(X)^d b(Y)^d P(m(X), m(Y)), m = a/b given as in
+    _linear_powers or None for the identity (b = 1), P = F with X and Y
+    swapped when ``swap``, F = {(i, j): c} of bidegree at most (d, d):
+    the term c X^i Y^j of P becomes
+    c a(X)^i b(X)^(d - i) a(Y)^j b(Y)^(d - j)."""
+    out = {}
+    for (i, j), c in coeffs.items():
+        if swap:
+            i, j = j, i
+        if m is None:
+            out[i, j] = out.get((i, j), 0) + c
+            continue
+        xs, ys = _linear_powers(m, i, d), _linear_powers(m, j, d)
+        for a, x in enumerate(xs):
+            for b, y in enumerate(ys):
+                out[a, b] = out.get((a, b), 0) + c * x * y
     return {ij: c for ij, c in out.items() if c}
+
+
+def checked_twists(n, d):
+    """(map, swap, c) of each twist the level-n certificate requires, c the
+    constant F_n has under it, in the order the certificate runs them: the
+    swap of W_n at n prime to 6, W_18n at every level and W_2 at odd n."""
+    out = [(None, True, 1)] if gcd(n, 6) == 1 else []
+    out.append((FRICKE_MAP, True, 6 ** d))
+    if n % 2:
+        out.append((W2_MAP, False, 2 ** d))
+    return out
+
+
+def invariant_perturbation(n, d):
+    """A nonzero P = {(i, j): c} with no X^d term that each twist T of
+    checked_twists(n, d) maps to c*P.  Each T squares to c^2 and they
+    commute, so the product of the maps c + T sends any polynomial to one
+    fixed by all of them; the images of X^i Y^j, i <= j, are combined
+    until a combination has no X^d term (nullspace_exact)."""
+    from ordersix.linalg import nullspace_exact
+
+    images = []
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            image = {(i, j): 1}
+            for m, swap, c in checked_twists(n, d):
+                out = mobius_twist(image, d, m, swap)
+                for ij, v in image.items():
+                    out[ij] = out.get(ij, 0) + c * v
+                image = {ij: v for ij, v in out.items() if v}
+            images.append(image)
+            kernel = nullspace_exact([[f.get((d, k), 0) for f in images] for k in range(d + 1)])
+            for vector in kernel:
+                weights = primitive(vector)
+                p = {}
+                for x, f in zip(weights, images):
+                    for ij, v in f.items():
+                        p[ij] = p.get(ij, 0) + x * v
+                p = {ij: v for ij, v in p.items() if v}
+                if p:
+                    return p
+    raise AssertionError(f"no invariant perturbation at level {n}")
 
 
 def monomial_matrix(n, d1, d2, height):
@@ -234,8 +302,9 @@ def back_substitute(m, pivots, p):
 
 
 def rank_mod(rows, p):
-    """Rank of an integer matrix mod p, by Gauss-Jordan elimination on
-    Python ints (any p, no int64 bound).  It is at most the rank over Q."""
+    """Rank of an integer matrix mod p, by forward elimination on Python ints
+    (any p, no int64 bound), each pivot clearing only the rows below it
+    and the columns from it on.  It is at most the rank over Q."""
     m = [[x % p for x in row] for row in rows]
     rank = 0
     for c in range(len(m[0]) if m else 0):
@@ -243,11 +312,11 @@ def rank_mod(rows, p):
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for i, row in enumerate(m):
-            if i != rank and row[c]:
-                f = row[c]
-                m[i] = [(a - f * b) % p for a, b in zip(row, m[rank])]
+        top = m[rank][c:]
+        inv = pow(top[0], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] * inv % p
+            if f:
+                m[i][c:] = [(a - f * b) % p for a, b in zip(m[i][c:], top)]
         rank += 1
     return rank

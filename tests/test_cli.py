@@ -17,7 +17,7 @@ import ordersix.verify as verify
 from ordersix.modeq import MAX_LEVEL, certificate_height, kernel_int_crt, leading_exponent
 from ordersix.verify import GOLDEN_INNER
 
-from helpers import twist_invariant
+from helpers import invariant_perturbation
 
 
 def run_cli(capsys, *argv):
@@ -211,17 +211,20 @@ def _edit_cached_level7(capsys, tmp_path, delta):
 
 
 def test_modeq_edited_cache_coefficient_recomputes(capsys, tmp_path):
-    """Adding P = 6^8 Q + H(Q), Q = XY - XY^2 and H the Fricke twist, keeps
-    the equation twist-invariant and its X^8 column as it was, so the
+    """Adding invariant_perturbation(7, 8) keeps the equation invariant
+    under every checked twist and its X^8 column as it was, so the
     residual at the certificate height is what rejects it."""
-    err = _edit_cached_level7(capsys, tmp_path, twist_invariant({(1, 1): 1, (1, 2): -1}, 8))
+    err = _edit_cached_level7(capsys, tmp_path, invariant_perturbation(7, 8))
     assert err.startswith("warning: cache entry") and "residual" in err
 
 
 def test_modeq_asymmetric_cache_edit_recomputes(capsys, tmp_path):
-    """One edited coefficient breaks the twist, which refuses the entry
-    before its residual."""
+    """One edited coefficient off the diagonal breaks the symmetry, the
+    twist of W_n, which refuses the entry before its residual; one on it
+    keeps the symmetry and breaks the Fricke twist."""
     err = _edit_cached_level7(capsys, tmp_path, {(1, 3): 1})
+    assert err.startswith("warning: cache entry") and "W_n (X <-> Y)" in err
+    err = _edit_cached_level7(capsys, tmp_path, {(2, 2): 1})
     assert err.startswith("warning: cache entry") and "Fricke involution" in err
 
 
@@ -471,36 +474,37 @@ def test_modeq_exact_check_always_failing_exits_3(capsys, tmp_path, monkeypatch)
 
 # sha256 of `python -m ordersix modeq N --no-cache --no-timing` (json);
 # re-recorded at the levels not prime to 6 when their certificate height
-# was halved, under the unchanged MODEQ_COEFF_SHA256
+# was halved, and at the odd levels when W_2 and W_n cut it to a third or
+# a sixth of the valence bound, under the unchanged MODEQ_COEFF_SHA256
 MODEQ_JSON_SHA256 = {
     2: "128ff5a1eab219b796debd1f84c6ead749ab1af5d272839812c120d1143dabc9",
-    3: "dfe2c7a13b2591d1186111d822fa38a360f3136323ca3bf254a7e8d1f6d0b32b",
+    3: "b74d828337f7c3da4b90fca9a7134195030e9cfb0f9bd4b3ba233f758a9202b1",
     4: "8a3e211b936c97c230e3b69ff0c1ec31adbd8d36488d81c9c11dd9f40bcdbdab",
-    5: "f459465604e274320aff3eeb7317f3eb8d2e6e97dfe1f441c46fede5023726b0",
+    5: "c0a1eaf75bbd6e0c8340b4016c00c3cf263267ae772a5e9f861b6ab3e5744396",
     6: "a2aca2b9de0a3eefe855cbd4e4d34d9652c52f7e412aae607bccf0293bf8b3ff",
-    7: "54c8a21b4870b00790cfc50def24d8c6c6290c428fef6c55df520ee1378876bc",
+    7: "f88225ef99ad19bbc94864fcde64892d749961e3dc40065140b342fb860a62d6",
     8: "2a8893fa5580311d11b1a0e109debe088782978b7a6190e8b46bf8c57e879be1",
-    9: "e804e2f3c82779a6835b2a2b19ea9d68fe58796d902ff0636948298c0b319a1d",
+    9: "0329a5e9178024ca7cc2ab76e7fd29b83b587b79ba7926b4c7eb0da602d0abd3",
     10: "8c503e851351c60eda0942f6b6bc4fee7d4ddeb84043261bffd9824229bda154",
-    11: "6f05396802dabbaf901392ac4f9312afa59d4c19d7c282f86a00baf390245b2e",
+    11: "d0c3ffdf901aa7e7c60f20b75eead34337bf5f4732072ac75429fa25fe73f594",
     12: "76ae6f8baa54c847122838cf1d0994e9300d1af98bcc26915126de4d4ac9d7a6",
-    13: "74e410726dea9b55db88c20e442601ad571622076405737c827a691bdaf713d2",
+    13: "ded47b7412fa5a243f6346a7fbf27fdf2195de89c8d26a907caeb6185b4482f7",
     14: "c23ecff8e9447df3e89332d4d9bde90f767b949a0d41e58ce222a113d48c7969",
-    15: "068b8f7d1bd222a2eaf119e45a184d9afc2980fa6ba67caac7cbcfb101ee16b0",
+    15: "95a43231e136428239cb79df37b7bf48c371d1943c4f93233881c3699962289a",
     16: "2997a9e5fac9824dff910c78fd0a57bac8898a4b9ecfa2b5a2473809453f78be",
-    17: "835ee0bb04286ffa29ac4003e77dacd5f42bba86f37bc9e7babc5a1d88c34694",
+    17: "6972c3c5fc714050f66c21b592ebe6625c061a6f09af38de2d42c11ae26b3d26",
     18: "dae28fda971289fa08fd5a159dcccfcdf03415bc9c079a95413c32c495886c59",
-    19: "6653daeca0ecf5a1053f6983601b30a9ca944e601e16261a7de24db47c732e0e",
+    19: "736d7442241e82491141d4aef158f0b20bc69dee0f094abed6754d408edd5741",
     20: "c3faf0fab0c1bd3a3a994fac11252a56781103ce34ec5bc1bc279460af35c9f9",
-    21: "711b2fcf49c48a2ef9b19bd7ea3a4089205ac0c14b660791ca88794bf926d6dd",
+    21: "f29bdc2a401b11f836a96edb457a496916725b01e003001701a67a09a62df1bb",
     22: "b1bc705a950030dda94ffb4b295c48c1389e381951e0b4ee9775a32c92f753f5",
-    23: "baadff743247716c9eaf737be7749500cd682dd1fa5fff0738dbaa58d9007e67",
+    23: "a119f2cf0c3e278f901a4f9a76872ac7260aa9d2951e1fdd28de5b78f4e0007f",
     24: "d98f98cad4c4a6557af5b3b0f6b0a15d6d83a476338915b1f01a8475168af206",
-    25: "074ed56d49ac4892da4e081465d1932eda7276d154d3700d26a2a9c4c67008f0",
+    25: "0dc2498acddcc8ad3d9855c93c0e24d53575438eec439a4cf9d04631f288ceb2",
     26: "ec66c67c3e8000ab9f046751505066fd8f42cef5d5c3658c531279d183a6c7c5",
-    27: "d5c4eb9b3a0a590f979e08b84cdeb9c25ed2cbce9260b0afed77e8e96f1423ae",
+    27: "3d054de4c31a53a1bce100deaa520ed458443e9a04aea1cb7fd3cef28ae64a3b",
     28: "bc37961b81418fd2f40ca557b47a7fe886013df95fc20a5f438865b791212eae",
-    29: "7040733ba16696528a79076ac0dff948d4ea36cd81198237bfd01c592fb9ce92",
+    29: "cd7425fbf61e049c22fb1e384e8d4322b3e236e4aacf441f9916623cc62c743a",
     30: "910833dd3b026ddd5a337d6549e17f1a54c19ba4237b35b028aeea7cd905af2e",
 }
 
@@ -589,8 +593,27 @@ def test_every_pinned_level_is_fricke_invariant_with_constant_6_to_the_d():
         d = result["d2"]
         poly = modeq.BivarPoly({(e["i"], e["j"]): int(e["value"])
                                 for e in result["coefficients"]})
-        assert modeq.fricke_twist(poly, d) == modeq.BivarPoly(
+        assert modeq.mobius_twist(poly, d, modeq.FRICKE_MAP, True) == modeq.BivarPoly(
             {ij: 6 ** d * c for ij, c in poly.coeffs.items()}), n
+
+
+def test_every_odd_pinned_level_is_w2_invariant_with_constant_2_to_the_d():
+    """The W_2 twist, H(X, Y) = (1 - 3X)^d (1 - 3Y)^d F_n(M2(X), M2(Y)),
+    M2(t) = (1 - t)/(1 - 3t), is exactly 2^d F_n at every odd pinned level.
+    At n = 2 and 4, where W_2 is no involution of Gamma0(18n), it is no
+    multiple of F_n."""
+    for n in MODEQ_JSON_SHA256:
+        result = json.loads(modeq_output(n))["result"]
+        d = result["d2"]
+        poly = modeq.BivarPoly({(e["i"], e["j"]): int(e["value"])
+                                for e in result["coefficients"]})
+        twist = modeq.mobius_twist(poly, d, modeq.W2_MAP, False)
+        c = twist.coeff(d, 0)
+        invariant = twist == modeq.BivarPoly({ij: c * v for ij, v in poly.coeffs.items()})
+        if n % 2:
+            assert invariant and c == 2 ** d, n
+        elif n in (2, 4):
+            assert not invariant, n
 
 
 def test_every_pinned_level_has_the_predicted_coefficient_pattern():
@@ -672,7 +695,7 @@ def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "modeq", "19", "--no-cache", "--no-timing")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "6653daeca0ecf5a1053f6983601b30a9ca944e601e16261a7de24db47c732e0e")
+        "736d7442241e82491141d4aef158f0b20bc69dee0f094abed6754d408edd5741")
     assert json.loads(out)["result"]["precision_used"] == certificate_height(19)
     assert primes_used == [4]
 
@@ -688,7 +711,7 @@ OUTPUT_JSON_SHA256 = {
     ("expand", "--quotient", "36; 1:3, 4:-2, 36:5, 12:-6", "--prec", "30"):
         "7abad3fc0fa5a2d98bed576add3b378dd3ab0de45015d8e1407c83dfa1a24a8f",
     ("verify", "all"):
-        "9b9f25781bd94188f0802c6a5a902d00a4ae3fdb7acd3b3faaf3e7564179b858",
+        "ce78c761b1bccb31b0e509f8c6c1528e1427671283d882749827c0abd7cce260",
 }
 
 

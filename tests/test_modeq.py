@@ -25,11 +25,12 @@ from ordersix.modeq import (
     conjugate_traces,
     extract_inner_factor,
     format_polynomial,
-    fricke_twist,
+    involutions,
     kernel_int_crt,
     kernel_primes,
     kronecker_frame,
     leading_exponent,
+    mobius_twist,
     predict_coefficient_pattern,
     predict_degrees,
     residual_series,
@@ -39,15 +40,19 @@ from ordersix.modeq import (
 from ordersix.verify import golden_poly
 
 from helpers import (
+    FRICKE_MAP,
+    W2_MAP,
     back_substitute,
+    checked_twists,
     echelon_mod,
     fricke_twist as twist_by_binomials,
+    invariant_perturbation,
+    mobius_twist as twist_term_by_term,
     monomial_matrix,
     monomial_matrix_mod,
     poly_mul,
     primitive,
     rank_mod,
-    twist_invariant,
 )
 
 
@@ -277,15 +282,17 @@ def test_lift_carries_on_past_a_rejected_stable_lift(monkeypatch):
 
 def test_certificate_never_runs_below_its_height(solved):
     """An expansion of w shorter than certificate_height(n) is refused, in
-    a cache check and in the lift alike, not read as a lower height.  At
-    level 9 the lift reads w below q^90, past the height 82, so only levels
-    prime to 6 can give the lift a shorter expansion."""
-    for n in (5, 9):
+    a cache check and in the lift alike, not read as a lower height.  The
+    lift reads w below q^(n*(d1 + 1)), past the height at odd levels (35
+    against 13 at level 5, 90 against 55 at level 9), so only even levels
+    such as 10 (130 against 145) and 14 (238 against 257) can give the
+    lift a shorter expansion."""
+    for n in (5, 9, 10):
         poly, height = solved(n).poly, certificate_height(n)
         assert certificate_failure(n, poly, named_w().expand(height + 7)) is None
         with pytest.raises(ValueError, match="certificate height"):
             certificate_failure(n, poly, named_w().expand(height - 1))
-    for n in (5, 7):
+    for n in (10, 14):
         d1, d2 = predict_degrees(n)
         short = MonomialMatrix(n, d1, d2, certificate_height(n) - 1)
         with pytest.raises(ValueError, match="certificate height"):
@@ -310,7 +317,9 @@ def test_residual_detects_one_perturbed_coefficient(solved):
 
 
 def test_fresh_solve_expands_w_once(monkeypatch):
-    """The exact check reads the expansion the matrix was built from."""
+    """The exact check reads the expansion the matrix was built from: w is
+    expanded once, to the q^399 the level-19 power sums read, and the
+    certificate reads it below its height 134."""
     heights = []
     expand = EtaQuotient.expand
 
@@ -320,7 +329,9 @@ def test_fresh_solve_expands_w_once(monkeypatch):
 
     monkeypatch.setattr(EtaQuotient, "expand", spy)
     solve_modular_equation(19)
-    assert heights.count(certificate_height(19)) == 1
+    assert certificate_height(19) == 134
+    assert heights.count(19 * (predict_degrees(19)[0] + 1)) == 1
+    assert certificate_height(19) not in heights
 
 
 def test_solve_fails_when_exact_check_always_fails(monkeypatch):
@@ -338,11 +349,11 @@ def test_certificate_failure(solved):
         assert "outside" in certificate_failure(5, outside), extra
     assert certificate_failure(5, BivarPoly({})) is not None
     d1, d2 = predict_degrees(5)
-    # one coefficient off F_5 breaks the twist, which runs before the residual
+    # one diagonal coefficient off F_5 keeps the symmetry and breaks the
+    # Fricke twist, which runs before the residual
     coeffs = dict(poly.coeffs)
     coeffs[(1, 1)] += 1
-    assert certificate_failure(5, BivarPoly(coeffs)) == (
-        "not invariant under the Fricke involution W_18n")
+    assert certificate_failure(5, BivarPoly(coeffs)) == FRICKE_REFUSAL
     # the leading column (1 - 3Y)^0 = 1 also rules out a multiple of F_5
     doubled = BivarPoly({ij: 2 * c for ij, c in poly.coeffs.items()})
     assert certificate_failure(5, doubled) == "coefficient of X^6 is not (1 - 3Y)^0"
@@ -389,16 +400,20 @@ def test_valence_bound_from_divisor_data():
 
 
 def test_precision_used_is_the_certificate_height(solved, monkeypatch):
-    """d1*d2 + 1 at every level, whatever gcd(n, 6) is; d1 = d2 through
-    level 200, and certificate_height refuses a level where they differ."""
-    expected = {2: 5, 3: 10, 4: 17, 5: 37, 6: 37, 7: 65, 9: 82, 13: 197, 19: 401, 24: 577,
-                25: 901, 48: 2305}
+    """floor(2*d1*d2/r) + 1, r = 6 at n prime to 6, 3 at odd n with 3 | n
+    and 2 at even n, one cusp for each involution that loses no order;
+    d1 = d2 through level 200, and certificate_height refuses a level
+    where they differ."""
+    expected = {2: 5, 3: 7, 4: 17, 5: 13, 6: 37, 7: 22, 9: 55, 13: 66, 19: 134, 24: 577,
+                25: 301, 27: 487, 48: 2305}
     assert {n: certificate_height(n) for n in expected} == expected
     for n in range(2, 201):
         d1, d2 = predict_degrees(n)
         assert d1 == d2, n
+        r = 6 if gcd(n, 6) == 1 else 3 if n % 2 else 2
         if n <= 60:
-            assert certificate_height(n) == d1 * d2 + 1, n
+            assert certificate_height(n) == 2 * d1 * d2 // r + 1, n
+            assert r == {1: 2, 2: 3, 3: 6}[len(involutions(n))], n
     for n in range(2, 14):
         assert solved(n).precision_used == certificate_height(n), n
     monkeypatch.setattr(modeq, "predict_degrees", lambda n: (3, 2))
@@ -446,6 +461,41 @@ def test_w_at_the_fricke_image_is_m_of_w():
     assert abs(w(image) - w(tau)) > 1e-3  # the identity is not vacuous
 
 
+# 1/w* = eta(2t) eta(9t)^2 / (eta(t)^2 eta(18t)), with w(W_2 tau) = 1/w*
+W_STAR_INVERSE = EtaQuotient(18, {1: -2, 2: 1, 9: 2, 18: -1})
+
+
+def test_w_at_the_w2_image_is_m2_of_w_as_series():
+    """(1 - 3w)/w* = 1 - w, the series form of w o W_2 = 1/w* = M2(w),
+    M2(t) = (1 - t)/(1 - 3t), below q^60; it is w* (1 - w) = 1 - 3w again."""
+    ws, inverse = named_w().expand(60), W_STAR_INVERSE.expand(60)
+    diff = inverse * (1 - 3 * ws) - (1 - ws)
+    assert diff.is_zero and diff.prec == 60
+
+
+def test_w_at_the_w2_image_is_m2_of_w():
+    """w(W_2 tau) = M2(w(tau)) for W_2 = [[2, 1], [18, 10]] of level 18, in
+    complex floats at tau = -0.55 + 0.0786i, whose image has imaginary part
+    0.0782, close to the most a W_2 with lower-left 18 allows at both
+    points, 1/sqrt(162); q^1200 there is below 1e-250.  The constant is 1,
+    as the module docstring derives."""
+    ws = named_w().expand(1200)
+
+    def w(z):
+        q = cmath.exp(2j * pi * z)
+        total = 0j
+        for coeff in reversed(ws.coeffs):
+            total = total * q + coeff
+        return total * q ** ws.val
+
+    tau = complex(-0.55, 1 / sqrt(162))
+    image = (2 * tau + 1) / (18 * tau + 10)
+    assert min(tau.imag, image.imag) > 0.078
+    assert abs(cmath.exp(2j * pi * image)) ** 1200 < 1e-250
+    assert abs(w(image) - (1 - w(tau)) / (1 - 3 * w(tau))) < 1e-12
+    assert abs(w(image) - w(tau)) > 1e-3  # the identity is not vacuous
+
+
 def test_fricke_involution_carries_divisors_to_those_of_w_star():
     """w o W_18n = w*(n*tau)/3 and w(n*tau) o W_18n = w*/3, W_18n the
     Fricke involution tau -> -1/(18*n*tau), force ord_x(w*(n*tau)) =
@@ -463,11 +513,16 @@ def test_fricke_involution_carries_divisors_to_those_of_w_star():
             assert (star_w[x], star_v[x]) == (ord_w[image], ord_v[image]), (n, x)
 
 
+def fricke_twist(poly, d):
+    return mobius_twist(poly, d, modeq.FRICKE_MAP, True)
+
+
 def test_fricke_twist_agrees_with_the_binomial_expansion(solved):
-    """fricke_twist against the term-by-term oracle, on F_n and on a
-    polynomial with every coefficient nonzero; the twist of F_n is 6^d F_n,
-    and twisting twice multiplies by 36^d, since M is an involution and
-    (3 - 3t)(3 - 3M(t)) = 6."""
+    """The Fricke twist, mobius_twist with M and the swap, against the
+    term-by-term oracle, on F_n and on a polynomial with every coefficient
+    nonzero; the twist of F_n is 6^d F_n, and twisting twice multiplies by
+    36^d, since M is an involution and (3 - 3t)(3 - 3M(t)) = 6."""
+    assert modeq.FRICKE_MAP == FRICKE_MAP
     for n in (2, 3, 5, 8, 13):
         d = solved(n).d2
         poly = solved(n).poly
@@ -479,31 +534,66 @@ def test_fricke_twist_agrees_with_the_binomial_expansion(solved):
             {ij: 36 ** d * c for ij, c in dense.coeffs.items()}), n
 
 
-def test_f_n_is_the_only_symmetric_relation_from_the_certificate_height(solved):
-    """In the symmetric part of the (d2, d1) box, F_n spans the relations
-    of the exact monomial matrix with d1*d2 + 1 rows, and one row fewer
-    leaves two.  The rank mod 2^61 - 1 bounds the rank over Q from below,
-    so with F_n in the kernel it proves the first claim."""
+def test_mobius_twist_agrees_with_the_term_by_term_oracle(solved):
+    """Every twist of involutions(n) against the oracle, on F_n and on a
+    polynomial with every coefficient nonzero.  The maps and their order
+    are the oracle's: at n prime to 6 the swap first, then M with the
+    swap, then M2 at odd n.  Twisting twice by M2 multiplies by 4^d, since
+    (1 - 3t)(1 - 3M2(t)) = -2."""
+    assert modeq.W2_MAP == W2_MAP
+    for n in (2, 3, 5, 8, 9, 13):
+        d = solved(n).d2
+        dense = BivarPoly({(i, j): 1 + i + 2 * j for i in range(d + 1) for j in range(d + 1)})
+        expected = [(m, swap) for m, swap, _ in checked_twists(n, d)]
+        assert [(m, swap) for _, m, swap in involutions(n)] == expected, n
+        for f in (solved(n).poly, dense):
+            for m, swap in expected:
+                assert mobius_twist(f, d, m, swap) == BivarPoly(
+                    twist_term_by_term(f.coeffs, d, m, swap)), (n, m)
+        twice = mobius_twist(mobius_twist(dense, d, W2_MAP, False), d, W2_MAP, False)
+        assert twice == BivarPoly({ij: 4 ** d * c for ij, c in dense.coeffs.items()}), n
+
+
+def test_f_n_is_the_only_relation_fixed_by_every_checked_twist(solved):
+    """In the subspace of the (d2, d1) box that every twist certificate_failure
+    checks fixes with F_n's constant c, F_n spans the relations of the exact
+    monomial matrix with certificate_height(n) rows.  The subspace is
+    written in a basis of the space the swap fixes (symmetric vectors, at n
+    prime to 6; else the monomials), and each other twist T enters as the
+    rows of T - c.  The rank mod 2^61 - 1 bounds the rank over Q from
+    below, so rank one less than the basis, with F_n in the kernel, proves
+    the claim."""
     p = (1 << 61) - 1
-    for n in (5, 7):
+    for n in (5, 7, 9, 11, 13):
         d1, d2 = predict_degrees(n)
-        height = certificate_height(n)
-        rows, order = monomial_matrix(n, d1, d2, height)
+        rows, order = monomial_matrix(n, d1, d2, certificate_height(n))
         col = {ij: k for k, ij in enumerate(order)}
-        pairs = [(i, j) for i in range(d2 + 1) for j in range(i, d1 + 1)]
-        sym = [[row[col[i, j]] + (row[col[j, i]] if i != j else 0) for i, j in pairs]
-               for row in rows]
-        f = [solved(n).poly.coeff(i, j) for i, j in pairs]
-        assert all(sum(x * y for x, y in zip(row, f)) == 0 for row in sym), n
-        assert rank_mod(sym, p) == len(pairs) - 1, n
-        assert len(nullspace_exact(sym[:-1])) == 2, n
+        twists = checked_twists(n, d2)
+        symmetric = (None, True, 1) in twists
+        positions = [(i, j) for i, j in order if i <= j or not symmetric]
+        basis = [{(i, j): 1, (j, i): 1} if symmetric else {(i, j): 1} for i, j in positions]
+        system = [[sum(row[col[ij]] for ij in v) for v in basis] for row in rows]
+        for m, swap, c in twists:
+            if m is not None:
+                images = [twist_term_by_term(v, d2, m, swap) for v in basis]
+                system += [[image.get(ij, 0) - c * v.get(ij, 0) for v, image in zip(basis, images)]
+                           for ij in positions]
+        f = [solved(n).poly.coeff(*ij) for ij in positions]
+        assert BivarPoly({ij: x for v, x in zip(basis, f) for ij in v}) == solved(n).poly, n
+        assert all(sum(x * y for x, y in zip(row, f)) == 0 for row in system), n
+        assert rank_mod(system, p) == len(basis) - 1, n
+
+
+SWAP_REFUSAL = "not invariant under the Atkin-Lehner involution W_n (X <-> Y)"
+FRICKE_REFUSAL = "not invariant under the Fricke involution W_18n"
+W2_REFUSAL = "not invariant under the Atkin-Lehner involution W_2"
 
 
 def test_asymmetric_stable_lift_is_refused_before_its_residual(monkeypatch, solved):
     """The lift accepts a vector through certificate_failure alone, shape
     first: a stable lift of F_5 with one coefficient off the diagonal
     changed keeps its box, bidegree and leading column, is refused as not
-    invariant under the twist, prime after prime, and the residual never
+    symmetric, the twist of W_n, prime after prime, and the residual never
     runs."""
     n = 5
     d1, d2 = predict_degrees(n)
@@ -511,7 +601,7 @@ def test_asymmetric_stable_lift_is_refused_before_its_residual(monkeypatch, solv
     coeffs[(1, 2)] = coeffs.get((1, 2), 0) + 1
     asymmetric = BivarPoly(coeffs)
     assert (asymmetric.degx, asymmetric.degy) == (d2, d1)
-    assert certificate_failure(n, asymmetric) == "not invariant under the Fricke involution W_18n"
+    assert certificate_failure(n, asymmetric) == SWAP_REFUSAL
     vector = [asymmetric.coeff(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]
     primes, residuals = [], []
     monkeypatch.setattr(modp, "conjugate_polynomial_mod",
@@ -524,17 +614,17 @@ def test_asymmetric_stable_lift_is_refused_before_its_residual(monkeypatch, solv
 
 
 def test_candidate_failing_only_the_twist_is_refused_before_its_residual(solved):
-    """At n = 5 the full box has a 12-dimensional kernel at height 37, so
+    """At n = 5 the full box has a 36-dimensional kernel at height 13, so
     the residual there also vanishes for F_5 plus a relation r with no
     X^6 term.  That candidate passes the box, bidegree and leading-column
     checks, and the full valence bound shows it is no relation at all;
-    certificate_failure refuses it by the twist alone, before its
-    residual."""
+    certificate_failure refuses it by the first twist, the swap of W_n,
+    before its residual."""
     n = 5
     d1, d2 = predict_degrees(n)
     height = certificate_height(n)
     rows, order = monomial_matrix(n, d1, d2, height)
-    assert len(nullspace_exact(rows)) == 12
+    assert len(nullspace_exact(rows)) == 36
     no_lead = [[int(ij == (d2, j)) for ij in order] for j in range(d1 + 1)]
     relation = BivarPoly(dict(zip(order, primitive(nullspace_exact(rows + no_lead)[0]))))
     f = solved(n).poly
@@ -542,34 +632,71 @@ def test_candidate_failing_only_the_twist_is_refused_before_its_residual(solved)
     assert (candidate.degx, candidate.degy) == (d2, d1)
     assert residual_series(candidate, n, named_w().expand(height)).is_zero
     assert not residual_series(candidate, n, named_w().expand(2 * d1 * d2 + 1)).is_zero
-    assert certificate_failure(n, candidate) == "not invariant under the Fricke involution W_18n"
+    assert certificate_failure(n, candidate) == SWAP_REFUSAL
+
+
+def test_symmetric_fricke_invariant_candidate_is_refused_for_w2_before_its_residual(
+        monkeypatch, solved):
+    """At n = 7 exactly one relation r of the monomial matrix at height 22
+    is symmetric, has no X^8 term and is fixed by the Fricke twist with
+    F_7's constant 6^8 (an exact nullspace in the basis of symmetric
+    vectors).  F_7 + r passes the shape checks, the swap and the Fricke
+    twist, and its residual vanishes below q^22 but not below the full
+    valence bound; only the W_2 twist refuses it, and the residual never
+    runs."""
+    n = 7
+    d1, d2 = predict_degrees(n)
+    height = certificate_height(n)
+    rows, order = monomial_matrix(n, d1, d2, height)
+    col = {ij: k for k, ij in enumerate(order)}
+    basis = [{(i, j): 1, (j, i): 1} for i, j in order if i <= j]
+    images = [twist_term_by_term(v, d2, FRICKE_MAP, True) for v in basis]
+    system = [[sum(row[col[ij]] for ij in v) for v in basis] for row in rows]
+    system += [[image.get(ij, 0) - 6 ** d2 * v.get(ij, 0) for v, image in zip(basis, images)]
+               for ij in order]
+    system += [[v.get((d2, j), 0) for v in basis] for j in range(d1 + 1)]
+    [vector] = nullspace_exact(system)
+    relation = {ij: x for v, x in zip(basis, primitive(vector)) for ij in v if x}
+    f = solved(n).poly
+    candidate = BivarPoly({ij: f.coeff(*ij) + relation.get(ij, 0) for ij in order})
+    assert candidate.is_symmetric() and (candidate.degx, candidate.degy) == (d2, d1)
+    assert fricke_twist(candidate, d2) == BivarPoly(
+        {ij: 6 ** d2 * c for ij, c in candidate.coeffs.items()})
+    assert residual_series(candidate, n, named_w().expand(height)).is_zero
+    assert not residual_series(candidate, n, named_w().expand(2 * d1 * d2 + 1)).is_zero
+    residuals = []
+    monkeypatch.setattr(modeq, "residual_series", lambda *args: residuals.append(args))
+    assert certificate_failure(n, candidate) == W2_REFUSAL
+    assert residuals == []
 
 
 def test_twist_invariant_perturbation_is_rejected_for_its_residual(solved):
-    """P = 6^d Q + H(Q), Q = XY - XY^2 and H the twist, is twist-invariant
-    (H(H(Q)) = 36^d Q) and has no X^d term, so F_n + P passes every shape
-    check, and its residual refuses it."""
+    """A perturbation P fixed by every checked twist with F_n's constant
+    and with no X^d term (invariant_perturbation) keeps F_n + P through
+    every shape and twist check, and its residual refuses it."""
     for n in (4, 5, 7, 12, 13):
         d = solved(n).d2
-        p = twist_invariant({(1, 1): 1, (1, 2): -1}, d)
+        p = invariant_perturbation(n, d)
         assert not any(i == d for i, _ in p), n
         bad = BivarPoly({ij: solved(n).poly.coeff(*ij) + p.get(ij, 0)
                          for ij in {*solved(n).poly.coeffs, *p}})
-        assert fricke_twist(bad, d) == BivarPoly({ij: 6 ** d * c for ij, c in bad.coeffs.items()})
+        for m, swap, c in checked_twists(n, d):
+            assert mobius_twist(bad, d, m, swap) == BivarPoly(
+                {ij: c * v for ij, v in bad.coeffs.items()}), (n, m)
         assert "residual" in certificate_failure(n, bad), n
 
 
 def test_certificate_height_covers_what_the_lift_reads():
-    """The power sums read w below q^(n*(d1 + 1)).  The certificate height
-    covers that at levels prime to 6 but not at others (5 against 6 at
-    level 2, 577 against 600 at level 24), so a solve expands w to the
-    larger of the two, and a MonomialMatrix refuses a lower height."""
-    for n in range(2, 61):
-        d1, _ = predict_degrees(n)
-        if gcd(n, 6) == 1:
-            assert certificate_height(n) >= n * (d1 + 1), n
-    assert [(certificate_height(n), n * (predict_degrees(n)[0] + 1)) for n in (2, 24)] == [
-        (5, 6), (577, 600)]
+    """The power sums read w below q^(n*(d1 + 1)).  That is past the
+    certificate height at every odd level (134 against 399 at level 19)
+    and at some even ones (5 against 6 at level 2, 577 against 600 at
+    level 24), but not at others (145 against 130 at level 10), so a solve
+    expands w to the larger of the two, and a MonomialMatrix refuses a
+    lower height."""
+    for n in range(3, 61, 2):
+        assert certificate_height(n) < n * (predict_degrees(n)[0] + 1), n
+    assert [(certificate_height(n), n * (predict_degrees(n)[0] + 1))
+            for n in (2, 10, 19, 24)] == [(5, 6), (145, 130), (134, 399), (577, 600)]
     for n in (2, 5, 9):
         d1, d2 = predict_degrees(n)
         MonomialMatrix(n, d1, d2, n * (d1 + 1))
