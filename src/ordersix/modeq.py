@@ -110,7 +110,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import comb, gcd
 from operator import mul
 from types import MappingProxyType
@@ -119,7 +119,7 @@ from .arith import divisors, hecke_cosets, is_prime, moebius, primes_below
 from .eta import divisor, named_w
 # nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
 from .linalg import nullspace_exact  # noqa: F401
-from .series import QSeries, _conv_int
+from .series import QSeries, _conv_int, _pack_signed, _unpack_signed
 
 # The two normalization notes, indexed by whether the first nonzero
 # coefficient in (i, j) box order is negative.  F_n is primitive already,
@@ -248,7 +248,12 @@ def mobius_twist(poly: BivarPoly, d: int, m: tuple | None, swap: bool) -> BivarP
     (d, d).  Row k of A holds the coefficients of t^k in
     a(t)^i b(t)^(d - i), i = 0..d, so A maps g to b(t)^d g(m(t)); with C the
     coefficient matrix of P (row i for X^i), H's is A C A^T, two rounds of
-    h -> A h^T, O(d^3) products, or C itself, O(d^2), when m is None."""
+    h -> A h^T, or C itself, O(d^2), when m is None.  Each round packs
+    every column of h into one integer of signed slots (series._pack_signed)
+    and makes row r of A h^T one linear combination of them with the
+    entries of row r of A: (d + 1)^2 products of a big int by a small one.
+    A slot of 8*sb bits holds every output, whose absolute value is at most
+    max|h| times the largest absolute row sum of A."""
     coeffs = {(j, i) if swap else (i, j): c for (i, j), c in poly.coeffs.items()}
     if m is None:
         return BivarPoly(coeffs)
@@ -259,9 +264,12 @@ def mobius_twist(poly: BivarPoly, d: int, m: tuple | None, swap: bool) -> BivarP
             p = [u0 * x + u1 * y for x, y in zip(p + [0], [0] + p)]
         cols.append(p)
     a = list(zip(*cols))
+    weight = max(sum(map(abs, row)) for row in a)
     h = [[coeffs.get((i, j), 0) for j in range(d + 1)] for i in range(d + 1)]
     for _ in range(2):
-        h = [[sum(map(mul, row, line)) for line in h] for row in a]
+        sb = ((weight * max(1, max(map(abs, chain(*h))))).bit_length() + 8) // 8
+        packed = [_pack_signed(line, sb) for line in zip(*h)]
+        h = [_unpack_signed(sum(map(mul, row, packed)), d + 1, d + 1, sb) for row in a]
     return BivarPoly({(x, y): v for x, line in enumerate(h) for y, v in enumerate(line)})
 
 
@@ -339,6 +347,11 @@ class MonomialMatrix(Sequence):
 
 _PRIME_START = (1 << 20) - 1
 _MAX_PRIMES = 64
+# kernel_int_crt certifies a lift only once 2*max|c| * 2^_MARGIN_BITS < M.
+# A lift taken mod too small an M has residues spread up to M/2, so it
+# fails this at the cost of one max; with 8 bits, levels 2-40 each certify
+# the first lift they check.
+_MARGIN_BITS = 8
 
 # Outcome of kernel_int_crt: the lifted integer vector and the number of
 # primes it took.
@@ -365,22 +378,24 @@ def kernel_int_crt(matrix: MonomialMatrix) -> KernelResult:
     those of one integer vector.  They are CRT combined prime by prime and
     lifted to symmetric residues in (-M/2, M/2], M the product of the
     primes so far; once M exceeds 2*max|c| the lift is the vector.  When
-    a prime leaves the lift unchanged, certificate_failure checks it on
-    ``matrix.w``, and the lift goes on to the next prime if the check
-    fails.  Raises RuntimeError when _MAX_PRIMES primes do not suffice.
+    the lift clears the margin, 2*max|c| * 2^_MARGIN_BITS < M,
+    certificate_failure checks it on ``matrix.w``, and the lift goes on to
+    the next prime if the check fails.  The margin only decides when to
+    check: the certificate alone accepts a lift.  Raises RuntimeError when
+    _MAX_PRIMES primes do not suffice.
     """
     from . import modp  # imported at the first solve, not with the package
 
     n, order = matrix.level, matrix.order
     w = (0,) * matrix.w.val + matrix.w.coeffs
     traces, m = conjugate_traces(n), leading_exponent(n)
-    modulus, residues, lifted = 1, None, None
+    modulus, residues = 1, None
     for used, p in enumerate(islice(kernel_primes(), _MAX_PRIMES), 1):
         v = modp.conjugate_polynomial_mod(w, n, matrix.d1, matrix.d2, traces, m, p)
         residues = _crt_vector(residues or [0] * len(v), modulus, v, p)
         modulus *= p
-        previous, lifted = lifted, [r - modulus if 2 * r > modulus else r for r in residues]
-        if lifted == previous and certificate_failure(
+        lifted = [r - modulus if 2 * r > modulus else r for r in residues]
+        if (2 * max(map(abs, lifted)) << _MARGIN_BITS) < modulus and certificate_failure(
                 n, BivarPoly(dict(zip(order, lifted))), matrix.w) is None:
             return KernelResult(lifted, used)
     raise RuntimeError("kernel reconstruction did not converge")

@@ -5,11 +5,15 @@
   conjugates w((a*tau + b)/d) and Newton's identities, with no matrix.
 
 A series of residues is multiplied by Kronecker packing: the residues
-become one Python int with one 64-bit slot per coefficient (_pack), so one
-int product is the whole convolution, read back slot by slot (_unpack).  A
-slot that sums at most ``terms`` products of two residues, plus one
-residue, holds less than 2^64 when _check_slot_bound(terms, p) passes, so
-no slot carries into the next; every function checks before it allocates.
+become one Python int with one k-byte slot per coefficient (_pack), so one
+int product is the whole convolution, read back slot by slot (_unpack).
+_check_slot_bound(terms, p) returns the smallest width k, at most 8 bytes,
+with terms * (p - 1)^2 + p < 2^(8k), and raises OverflowError when there
+is none.  A slot that sums at most ``terms`` products of two residues,
+plus one residue, then holds less than 2^(8k), so no slot carries into the
+next; every function checks before it allocates.  For the first kernel
+prime, k is 6 bytes from 2 to 256 terms (level 13's power table has 195),
+7 up to 65,536 (level 19's has 399) and 8 up to 16,777,344.
 
 numpy is imported in one place, never with this module: by
 _power_table_float64, which power_table calls for a table of length
@@ -42,30 +46,44 @@ from math import comb
 # and pays the import once loses at most about 12 ms per prime.
 _NUMPY_LENGTH = 600
 
-_SLOT_BITS = 64
 
-
-def _check_slot_bound(terms: int, p: int) -> None:
-    """Raise unless a sum of ``terms`` products of two residues mod p, plus
-    one residue, fits in a 64-bit slot: terms * (p - 1)^2 + p < 2^64."""
-    if terms * (p - 1) ** 2 + p >= 1 << _SLOT_BITS:
+def _check_slot_bound(terms: int, p: int) -> int:
+    """The fewest bytes k <= 8 that hold a sum of ``terms`` products of two
+    residues mod p, plus one residue: terms * (p - 1)^2 + p < 2^(8k).
+    Raises OverflowError when 8 bytes do not."""
+    width = -(-(terms * (p - 1) ** 2 + p).bit_length() // 8)
+    if width > 8:
         raise OverflowError(f"{terms} products mod {p} overflow a 64-bit slot")
+    return width
 
 
-def _pack(residues: Sequence[int]) -> int:
-    """The int with residues[k] in its k-th 64-bit slot."""
-    return int.from_bytes(array("Q", residues).tobytes(), "little")
+def _pack(residues: Sequence[int], width: int) -> int:
+    """The int with residues[i] in its i-th slot of ``width`` bytes: the
+    8-byte array('Q') slots, narrowed by one strided copy per byte."""
+    data = array("Q", residues).tobytes()
+    if width < 8:
+        narrow = bytearray(len(residues) * width)
+        for j in range(width):
+            narrow[j::width] = data[j::8]
+        data = narrow
+    return int.from_bytes(data, "little")
 
 
-def _unpack(x: int, length: int) -> list[int]:
-    """Slots 0 .. length - 1 of a packed nonnegative int."""
-    data = x.to_bytes(max(length, -(-x.bit_length() // _SLOT_BITS)) * 8, "little")
+def _unpack(x: int, length: int, width: int) -> list[int]:
+    """Slots 0 .. length - 1, of ``width`` bytes each, of a packed
+    nonnegative int."""
+    data = x.to_bytes(max(length, -(-x.bit_length() // (8 * width))) * width, "little")
+    if width < 8:
+        wide = bytearray(8 * length)
+        for j in range(width):
+            wide[j::8] = data[j : length * width : width]
+        data = wide
     return memoryview(data).cast("Q")[:length].tolist()
 
 
-def _mul_packed(x: int, y: int, length: int, p: int) -> list[int]:
+def _mul_packed(x: int, y: int, length: int, p: int, width: int) -> list[int]:
     """The packed product x*y mod p below q^length, as residues."""
-    return [c % p for c in _unpack(x * y, length)]
+    return [c % p for c in _unpack(x * y, length, width)]
 
 
 def _exact_step(p: int) -> int:
@@ -79,20 +97,25 @@ def power_table(w: Sequence[int], top: int, length: int, p: int) -> list[list[in
     """w^0, ..., w^top mod p below q^length, as top + 1 lists of residues.
 
     ``w`` holds the exact coefficients of q^0, q^1, ... of w, at least
-    below q^length.  Each power is the previous one times w, truncated
-    below q^length: one packed product below _NUMPY_LENGTH, chunked
-    float64 convolutions in numpy from there on.  A product sums at most
-    ``length`` products of two residues, so _check_slot_bound(length, p)
-    runs first, before anything of size ``length`` is allocated.
+    below q^length.  Below _NUMPY_LENGTH, w^e for e >= 2 is
+    w^(e//2) * w^(e - e//2) truncated below q^length, one packed product,
+    so half the products are squarings, which CPython does in about 0.7
+    times the time of a general product at this size; from _NUMPY_LENGTH
+    on, each power is the previous one times w, in chunked float64
+    convolutions in numpy.  A product sums at most ``length`` products of
+    two residues, so _check_slot_bound(length, p) runs first, before
+    anything of size ``length`` is allocated, and sizes the slots.
     """
-    _check_slot_bound(length, p)
+    width = _check_slot_bound(length, p)
     wp = [c % p for c in w[:length]]
     if length >= _NUMPY_LENGTH:
         return _power_table_float64(wp, top, length, p)
-    packed = _pack(wp)
-    powers = [[1] + [0] * (length - 1)]
-    for _ in range(top):
-        powers.append(_mul_packed(_pack(powers[-1]), packed, length, p))
+    powers = [[1] + [0] * (length - 1), wp + [0] * (length - len(wp))][: top + 1]
+    packed = [0, _pack(wp, width)]  # only w^1 .. w^((top + 1)//2) are factors
+    for e in range(2, top + 1):
+        powers.append(_mul_packed(packed[e // 2], packed[e - e // 2], length, p, width))
+        if e <= (top + 1) // 2:
+            packed.append(_pack(powers[-1], width))
     return powers
 
 
@@ -143,16 +166,19 @@ def conjugate_polynomial_mod(w: Sequence[int], n: int, d1: int, d2: int,
     polynomial sum_j g_j w^j, and the coefficient of X^(d2-k) Y^j is
     (-1)^k g_j.
 
-    Every series below q^(d1 + 1) is packed.  A slot of a Newton sum adds
-    at most d2*(d1 + 1) products of two residues, and every other sum
-    fewer, so _check_slot_bound((d2 + 1)*(d1 + 1), p) runs first.  The
-    read-off of g_j from e = (1 - 3w)^m e_k works on one packed int: it
-    adds (p - g_j) w^j for j = 0, 1, ..., which keeps every slot
-    nonnegative, and since w^j = q^j + O(q^(j+1)), slot j is final, equal
-    to g_j mod p, once the terms for i < j are in.
+    Every series below q^(d1 + 1) is packed, in slots of the k bytes that
+    _check_slot_bound((d2 + 1)*(d1 + 1), p) returns: it runs first, and a
+    slot of a Newton sum adds at most d2*(d1 + 1) products of two
+    residues, every other sum fewer.  The read-off of g_j from
+    e = (1 - 3w)^m e_k works on one packed int: it adds (p - g_j) w^j for
+    j = 0, 1, ..., which keeps every slot nonnegative.  Slot r then holds a
+    residue plus at most r + 1 <= d1 + 1 products of two residues, below
+    2^(8k), so no slot carries, and slot j, bits 8*k*j up to 8*k*(j + 1),
+    is final, equal to g_j mod p, once the terms for i < j are in, since
+    w^i = q^i + O(q^(i+1)).
     """
     size = d1 + 1
-    _check_slot_bound((d2 + 1) * size, p)
+    width = _check_slot_bound((d2 + 1) * size, p)
     powers = power_table(w, max(d1, d2), n * size, p)
     if powers[1][0] or powers[1][1] != 1:
         raise ValueError("w must be q + O(q^2)")
@@ -162,24 +188,25 @@ def conjugate_polynomial_mod(w: Sequence[int], n: int, d1: int, d2: int,
         for s, t, c in traces:
             u = d1 // s + 1
             row[: s * u : s] = [x + c * y for x, y in zip(row[: s * u : s], powers[k][: t * u : t])]
-        signed_sums.append(_pack([x % p if k % 2 else -x % p for x in row]))
+        signed_sums.append(_pack([x % p if k % 2 else -x % p for x in row], width))
     elem = [1]
     for k in range(1, d2 + 1):
         acc = sum(elem[k - i] * signed_sums[i] for i in range(1, k + 1))
         inverse = pow(k, -1, p)
-        elem.append(_pack([x * inverse % p for x in _unpack(acc, size)]))
+        elem.append(_pack([x * inverse % p for x in _unpack(acc, size, width)], width))
     if m:
         # times (1 - 3w)^m = sum_i C(m, i) (-3)^i w^i, m < d2, below q^size
         lead = _pack([sum(comb(m, i) * (-3) ** i * powers[i][r] for i in range(m + 1)) % p
-                      for r in range(size)])
-        elem = [_pack(_mul_packed(e, lead, size, p)) for e in elem]
-    basis = [_pack(row[:size]) for row in powers[:size]]
-    mask = (1 << _SLOT_BITS) - 1
+                      for r in range(size)], width)
+        elem = [_pack(_mul_packed(e, lead, size, p, width), width) for e in elem]
+    basis = [_pack(row[:size], width) for row in powers[:size]]
+    bits = 8 * width
+    mask = (1 << bits) - 1
     grid = [[0] * size for _ in range(d2 + 1)]
     for k, acc in enumerate(elem):
         row = grid[d2 - k]
         for j in range(size):
-            g = (acc >> (_SLOT_BITS * j) & mask) % p
+            g = (acc >> (bits * j) & mask) % p
             if g:
                 row[j] = -g % p if k % 2 else g
                 acc += (p - g) * basis[j]

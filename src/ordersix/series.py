@@ -32,38 +32,51 @@ class PrecisionError(Exception):
     """Raised when a coefficient beyond the truncation bound is requested."""
 
 
+def _ones(sb: int, slots: int) -> int:
+    """R = sum 2^(8*sb*i) over i < slots."""
+    return int.from_bytes((1).to_bytes(sb, "little") * slots, "little")
+
+
+def _pack_signed(xs, sb: int) -> int:
+    """The exact integer sum x_i 2^(8*sb*i), for |x_i| < 2^(8*sb - 1):
+    each x_i + 2^(8*sb - 1) fills its own sb-byte slot, and
+    2^(8*sb - 1) * R, R = sum 2^(8*sb*i), is subtracted."""
+    bias = 1 << (8 * sb - 1)
+    packed = b"".join((x + bias).to_bytes(sb, "little") for x in xs)
+    return int.from_bytes(packed, "little") - bias * _ones(sb, len(xs))
+
+
+def _unpack_signed(x: int, slots: int, count: int, sb: int) -> list[int]:
+    """y_0, ..., y_(count - 1) of x = sum y_i 2^(8*sb*i), i < slots, each
+    |y_i| < 2^(8*sb - 1): adding 2^(8*sb - 1) * R leaves every slot
+    nonnegative with no carries, and each slot, less 2^(8*sb - 1), is
+    y_i."""
+    bias = 1 << (8 * sb - 1)
+    raw = (x + bias * _ones(sb, slots)).to_bytes(slots * sb, "little")
+    return [int.from_bytes(raw[k * sb : (k + 1) * sb], "little") - bias for k in range(count)]
+
+
 def _conv_int(a, b, out_len: int) -> list[int]:
     """Exact truncated integer convolution by one big-int product.
 
-    Each operand becomes the exact signed integer a(2^s): its coefficients
-    are offset by m to non-negative s-bit slots, packed, and m * R is
-    subtracted, R = sum 2^(s*i).  The slot size makes 2^(s-1) exceed every
-    product coefficient in absolute value, so adding 2^(s-1) * R to the
-    product leaves each slot non-negative with no carries; each slot read
-    back, less 2^(s-1), is one coefficient.
+    Each operand becomes the exact signed integer a(2^s), s = 8*sb
+    (_pack_signed), so their product is the product polynomial at 2^s.
+    The slot size makes 2^(s-1) exceed every product coefficient in
+    absolute value, so _unpack_signed reads each one back.
     """
     la = min(len(a), out_len)
     lb = min(len(b), out_len)
     if la <= 0 or lb <= 0:
         return [0] * out_len
     a, b = a[:la], b[:lb]
-    # both at least 1, so 2^(s-1) > ma * mb * min(la, lb) also keeps every
-    # offset coefficient x + m, at most 2 * m, inside its slot
+    # 2^(s-1) > ma * mb * min(la, lb) >= max(ma, mb), so every operand
+    # coefficient fits its signed slot too
     ma = max(1, max(map(abs, a)))
     mb = max(1, max(map(abs, b)))
     sb = ((ma * mb * min(la, lb)).bit_length() + 8) // 8  # bytes per slot
-    ones = (1).to_bytes(sb, "little")
-
-    def at_2s(xs, m: int) -> int:
-        packed = b"".join((x + m).to_bytes(sb, "little") for x in xs)
-        return int.from_bytes(packed, "little") - m * int.from_bytes(ones * len(xs), "little")
-
-    bias = 1 << (8 * sb - 1)
     slots = la + lb - 1
-    biased = at_2s(a, ma) * at_2s(b, mb) + bias * int.from_bytes(ones * slots, "little")
-    raw = biased.to_bytes(slots * sb, "little")
-    out = [int.from_bytes(raw[k * sb : (k + 1) * sb], "little") - bias
-           for k in range(min(out_len, slots))]
+    out = _unpack_signed(_pack_signed(a, sb) * _pack_signed(b, sb), slots,
+                         min(out_len, slots), sb)
     return out + [0] * (out_len - len(out))
 
 

@@ -680,10 +680,10 @@ def test_modeq_plain_and_latex_output_is_byte_stable(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, fmt)
 
 
-def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
-    """Level 19 is the first level that needs four primes: its largest
-    coefficient has 43 bits, so the lift is right after three 20-bit primes
-    and a fourth leaves it unchanged."""
+def test_modeq_level19_json_is_byte_stable_from_three_primes(capsys, monkeypatch):
+    """Level 19's largest coefficient has 43 bits, so after three 20-bit
+    primes the lift is right and clears kernel_int_crt's margin of
+    modeq._MARGIN_BITS = 8 bits, and the certificate accepts it there."""
     primes_used = []
 
     def kernel(matrix):
@@ -697,7 +697,7 @@ def test_modeq_level19_json_is_byte_stable(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "736d7442241e82491141d4aef158f0b20bc69dee0f094abed6754d408edd5741")
     assert json.loads(out)["result"]["precision_used"] == certificate_height(19)
-    assert primes_used == [4]
+    assert primes_used == [3]
 
 
 # sha256 of `python -m ordersix ARGS --no-timing` (json)

@@ -25,8 +25,10 @@ def test_ladder_on_level_5_writes_every_key(tmp_path):
         assert got["wall_s"]["median"] > 0 and got["peak_rss_mb"]["median"] > 0
         assert got["wall_s"]["iqr"] == 0
     phases = doc["phases"]["5"]
-    assert set(phases) == {"expand_w_s", "fn_mod_p_s", "twist_s", "residual_s",
-                           "certificate_s", "total_s", "primes", "height", "expansion"}
+    assert set(phases) == {"expand_w_s", "fn_mod_p_s", "power_table_s", "twist_s",
+                           "residual_s", "certificate_s", "total_s", "primes", "height",
+                           "expansion"}
     assert (phases["height"], phases["expansion"]) == (13, 35)
     assert phases["primes"] >= 1
     assert 0 < phases["residual_s"]["median"] <= phases["total_s"]["median"]
+    assert 0 < phases["power_table_s"]["median"] <= phases["fn_mod_p_s"]["median"]

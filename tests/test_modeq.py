@@ -5,7 +5,7 @@ from math import gcd, pi, sqrt
 import pytest
 
 from ordersix import modeq, modp
-from ordersix.arith import hecke_cosets, psi_index
+from ordersix.arith import hecke_cosets, primes_below, psi_index
 from ordersix.cusps import INFINITY, ZERO, Cusp, canonical, cusp_set
 from ordersix.eta import EtaQuotient, divisor, named_w
 from ordersix.linalg import nullspace_exact
@@ -113,7 +113,7 @@ def _schoolbook_powers(w, top, length, p):
 def test_power_table_matches_schoolbook_products(monkeypatch):
     """On both sides of the crossover, one length below it (packed ints)
     and at it (numpy), for w and for the largest residues p - 1, p - 2,
-    which fill a 64-bit slot the most; then in numpy with _exact_step cut
+    which fill a slot the most; then in numpy with _exact_step cut
     to 37, so every truncated product runs in several chunks."""
     p = next(kernel_primes())
     crossover = modp._NUMPY_LENGTH
@@ -127,6 +127,29 @@ def test_power_table_matches_schoolbook_products(monkeypatch):
     monkeypatch.setattr(modp, "_exact_step", lambda p: 37)
     assert modp.power_table(largest, 2, crossover, p) == _schoolbook_powers(
         largest, 2, crossover, p)
+
+
+@pytest.mark.parametrize("bits, width", [(20, 6), (24, 7), (28, 8)])
+def test_power_table_at_each_slot_width_step(bits, width):
+    """Packed slots are as wide as their bound needs.  For the largest prime
+    below 2^bits, `last` is the longest table whose slots fit in `width`
+    bytes, and both it and one coefficient more, which needs width + 1
+    bytes, match the schoolbook products, on the largest residues p - 1,
+    p - 2.  The steps 6 -> 7 (first kernel prime) and 7 -> 8 fall below
+    _NUMPY_LENGTH; past 8 bytes power_table raises OverflowError."""
+    p = next(primes_below((1 << bits) - 1))
+    last = ((1 << 8 * width) - 1 - p) // (p - 1) ** 2
+    assert last + 1 < modp._NUMPY_LENGTH
+    assert modp._check_slot_bound(last, p) == width
+    largest = [p - 1, p - 2] * last
+    assert modp.power_table(largest, 3, last, p) == _schoolbook_powers(largest, 3, last, p)
+    if width < 8:
+        assert modp._check_slot_bound(last + 1, p) == width + 1
+        assert modp.power_table(largest, 3, last + 1, p) == _schoolbook_powers(
+            largest, 3, last + 1, p)
+    else:
+        with pytest.raises(OverflowError):
+            modp.power_table(largest, 3, last + 1, p)
 
 
 def test_power_table_is_exact_past_one_float64_convolution():
@@ -235,11 +258,12 @@ def test_conjugate_traces_check_the_coset_count(monkeypatch):
         conjugate_traces(9)
 
 
-@pytest.mark.parametrize("n, primes", [(13, 3), (19, 4)])
-def test_lift_is_certified_once_a_prime_leaves_it_unchanged(monkeypatch, n, primes):
+@pytest.mark.parametrize("n, primes", [(13, 2), (19, 3)])
+def test_lift_is_certified_once_it_clears_the_margin(monkeypatch, n, primes):
     """The symmetric residues of F_n are F_n once the modulus passes
-    2*max|c|; the first prime that leaves them unchanged is followed by the
-    one exact check, and the lift is in normal form with 1 at (d2, 0)."""
+    2*max|c|; the first lift with 2*max|c| * 2^_MARGIN_BITS below the
+    modulus goes to the one exact check, which accepts it, and the lift is
+    in normal form with 1 at (d2, 0)."""
     checked, used = [], []
     failure, kernel = modeq.certificate_failure, modeq.kernel_int_crt
     d1, d2 = predict_degrees(n)
@@ -261,9 +285,10 @@ def test_lift_is_certified_once_a_prime_leaves_it_unchanged(monkeypatch, n, prim
     assert poly.coeff(d2, 0) == 1 and gcd(*poly.coeffs.values()) == 1
 
 
-def test_lift_carries_on_past_a_rejected_stable_lift(monkeypatch):
-    """A stable lift that the exact check rejects is not returned: the lift
-    takes the next prime and checks again."""
+def test_lift_carries_on_past_a_refused_lift(monkeypatch):
+    """A lift that clears the margin but that the exact check refuses is
+    not returned: the lift takes the next prime and checks again.  Level 13
+    clears the margin at two primes, so it returns after three."""
     checked = []
     failure = modeq.certificate_failure
     d1, d2 = predict_degrees(13)
@@ -275,9 +300,35 @@ def test_lift_carries_on_past_a_rejected_stable_lift(monkeypatch):
 
     monkeypatch.setattr(modeq, "certificate_failure", reject_first)
     kernel = kernel_int_crt(matrix)
-    assert kernel.primes_used == 4
+    assert kernel.primes_used == 3
     assert checked == [kernel.vector, kernel.vector]
     assert BivarPoly(dict(zip(matrix.order, kernel.vector))) == golden_poly(13)
+
+
+def test_lift_checks_once_at_the_fewest_primes_that_clear_the_margin(monkeypatch):
+    """At every pinned level 2-30, a solve calls certificate_failure once,
+    on the lift from the fewest primes whose product M exceeds
+    2*max|c| * 2^_MARGIN_BITS.  Every earlier lift, wrong or not, fails the
+    margin at no cost; a lift that went to the certificate without it
+    would be a second call."""
+    failure = modeq.certificate_failure
+    calls = []
+    monkeypatch.setattr(modeq, "certificate_failure",
+                        lambda *args: calls.append(args[0]) or failure(*args))
+    margin = 1 << modeq._MARGIN_BITS
+    for n in range(2, 31):
+        calls.clear()
+        d1, d2 = predict_degrees(n)
+        matrix = MonomialMatrix(n, d1, d2, max(certificate_height(n), n * (d1 + 1)))
+        kernel = kernel_int_crt(matrix)
+        assert calls == [n], n
+        bound = 2 * max(map(abs, kernel.vector)) * margin
+        modulus, fewest = 1, 0
+        for fewest, p in enumerate(kernel_primes(), 1):
+            modulus *= p
+            if modulus > bound:
+                break
+        assert kernel.primes_used == fewest, n
 
 
 def test_certificate_never_runs_below_its_height(solved):

@@ -18,9 +18,11 @@ By phase: in this process, with numpy imported first and the package's
 memos emptied before each solve, solve_modular_equation(N) runs --runs
 times with timers around modeq's seams: the MonomialMatrix constructor
 (expand_w_s), modp.conjugate_polynomial_mod over all primes (fn_mod_p_s),
-the twist checks (twist_s), residual_series (residual_s) and
-certificate_failure, twists and residual included (certificate_s).  A
-seam the checkout lacks reads 0.
+the power tables it builds, modp.power_table (power_table_s, part of
+fn_mod_p_s; the rest is Newton's identities and the read-off), the twist
+checks (twist_s), residual_series (residual_s) and certificate_failure,
+twists and residual included (certificate_s).  A seam the checkout lacks
+reads 0.
 
 Every timing is reported as its median and interquartile range (IQR)
 over the runs.  The JSON also records the git SHA, whether src differs
@@ -49,6 +51,7 @@ LEVELS = (5, 13, 19, 25)
 SEAMS = (
     ("expand_w_s", "ordersix.modeq", "MonomialMatrix.__init__"),
     ("fn_mod_p_s", "ordersix.modp", "conjugate_polynomial_mod"),
+    ("power_table_s", "ordersix.modp", "power_table"),
     ("twist_s", "ordersix.modeq", "mobius_twist"),
     ("twist_s", "ordersix.modeq", "fricke_twist"),
     ("residual_s", "ordersix.modeq", "residual_series"),
@@ -183,8 +186,10 @@ def main(argv: list[str] | None = None) -> int:
               f"(IQR {got['wall_s']['iqr'] * 1000:.1f})  "
               f"peak RSS {got['peak_rss_mb']['median']:.1f} MB")
     for n, got in doc["phases"].items():
-        print(f"modeq {n:>3} in process {got['total_s']['median'] * 1000:8.1f} ms, residual "
-              f"{got['residual_s']['median'] * 1000:.1f} ms, height {got['height']}")
+        print(f"modeq {n:>3} in process {got['total_s']['median'] * 1000:8.1f} ms, power "
+              f"tables {got['power_table_s']['median'] * 1000:.1f} ms, residual "
+              f"{got['residual_s']['median'] * 1000:.1f} ms, {got['primes']} primes, "
+              f"height {got['height']}")
     print(f"wrote {path}")
     return 0
 
