@@ -11,8 +11,13 @@ The coefficients are arbitrary-precision ints: every series the package builds
 (eta quotients, Euler products, E4, j) is integral, and the constructor
 raises TypeError on anything that is not an integer.  Exponents are on the
 1/h lattice and reported as Fractions.  Products go through one big-integer
-convolution and quotients through one forward substitution, which needs a
-divisor with leading coefficient +-1 so that the quotient is integral too.
+convolution, taken on the coarsest lattice gZ of stored indices that holds
+the nonzero terms of both factors: if a_i != 0 only for g | i and b_j != 0
+only for g | j, then (ab)_k != 0 only for g | k, and (ab)_(gk) =
+sum a_(gi) b_(g(k-i)).  So X = q^(1/4)(1 + ...) at h = 4, whose terms sit at
+every fourth index, multiplies a quarter of its stored slots.  Quotients go
+through one forward substitution, which needs a divisor with leading
+coefficient +-1 so that the quotient is integral too.
 Every operation is pure and every instance immutable, so values are safe to
 share across threads.
 """
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class ZeroSeriesError(ZeroDivisionError):
@@ -56,28 +61,59 @@ def _unpack_signed(x: int, slots: int, count: int, sb: int) -> list[int]:
     return [int.from_bytes(raw[k * sb : (k + 1) * sb], "little") - bias for k in range(count)]
 
 
+def _lattice(xs, g: int = 0) -> int:
+    """gcd of g and the indices of the nonzero entries of xs.  Without g,
+    the first nonzero index past 0 starts it, which ends a dense list's
+    scan at once; then each residue class mod g that holds a nonzero entry
+    cuts g to its gcd with that entry's index, at least halving it."""
+    if not g:
+        g = next((i for i in range(1, len(xs)) if xs[i]), 0)
+    while g > 1:
+        r = next((r for r in range(1, g) if any(xs[r::g])), 0)
+        if not r:
+            break
+        g = gcd(g, next(i for i in range(r, len(xs), g) if xs[i]))
+    return g
+
+
 def _conv_int(a, b, out_len: int) -> list[int]:
     """Exact truncated integer convolution by one big-int product.
 
-    Each operand becomes the exact signed integer a(2^s), s = 8*sb
-    (_pack_signed), so their product is the product polynomial at 2^s.
-    The slot size makes 2^(s-1) exceed every product coefficient in
-    absolute value, so _unpack_signed reads each one back.
+    Both operands are first taken on the coarsest lattice gZ holding every
+    nonzero entry of either (_lattice): if a_i != 0 only for g | i and
+    b_j != 0 only for g | j, then (ab)_k != 0 only for g | k, and
+    (ab)_(gk) = sum a_(gi) b_(g(k-i)); so out[::g] is the product of
+    a[::g] and b[::g], and every other entry is 0.  Each operand becomes
+    the exact signed integer a(2^s), s = 8*sb (_pack_signed), so their
+    product is the product polynomial at 2^s.  The slot size makes 2^(s-1)
+    exceed every product coefficient in absolute value, so _unpack_signed
+    reads each one back.
     """
     la = min(len(a), out_len)
     lb = min(len(b), out_len)
     if la <= 0 or lb <= 0:
         return [0] * out_len
     a, b = a[:la], b[:lb]
+    # g is 0 when both operands are constants, and any stride keeps them
+    g = _lattice(b, _lattice(a)) or out_len
+    if g > 1:
+        a, b = a[::g], b[::g]
+        la, lb = len(a), len(b)
     # 2^(s-1) > ma * mb * min(la, lb) >= max(ma, mb), so every operand
     # coefficient fits its signed slot too
     ma = max(1, max(map(abs, a)))
     mb = max(1, max(map(abs, b)))
     sb = ((ma * mb * min(la, lb)).bit_length() + 8) // 8  # bytes per slot
     slots = la + lb - 1
-    out = _unpack_signed(_pack_signed(a, sb) * _pack_signed(b, sb), slots,
-                         min(out_len, slots), sb)
-    return out + [0] * (out_len - len(out))
+    short = -(-out_len // g)
+    prod = _unpack_signed(_pack_signed(a, sb) * _pack_signed(b, sb), slots,
+                          min(short, slots), sb)
+    prod += [0] * (short - len(prod))
+    if g == 1:
+        return prod
+    out = [0] * out_len
+    out[::g] = prod
+    return out
 
 
 class QSeries:

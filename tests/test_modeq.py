@@ -640,12 +640,12 @@ FRICKE_REFUSAL = "not invariant under the Fricke involution W_18n"
 W2_REFUSAL = "not invariant under the Atkin-Lehner involution W_2"
 
 
-def test_asymmetric_stable_lift_is_refused_before_its_residual(monkeypatch, solved):
+def test_asymmetric_lift_is_refused_by_the_wn_twist_before_its_residual(monkeypatch, solved):
     """The lift accepts a vector through certificate_failure alone, shape
-    first: a stable lift of F_5 with one coefficient off the diagonal
-    changed keeps its box, bidegree and leading column, is refused as not
-    symmetric, the twist of W_n, prime after prime, and the residual never
-    runs."""
+    first: a lift of F_5 with one coefficient off the diagonal changed
+    keeps its box, bidegree and leading column.  It clears the margin at
+    every prime, and certificate_failure refuses it each time as not
+    symmetric, by the twist of W_n; the residual never runs."""
     n = 5
     d1, d2 = predict_degrees(n)
     coeffs = dict(solved(n).poly.coeffs)

@@ -320,3 +320,132 @@ def test_fast_convolution_bit_identical_to_schoolbook():
                     assert _conv_int(x, y, n) == poly_mul(x, y, n), (k, la, lb)
                     assert _conv_int(x, y, n)[-4:] == [0] * 4
 
+
+
+def _on_lattice(rng, g, length, mag=10 ** 6):
+    """A random list of the given length, nonzero only at multiples of g,
+    with a nonzero entry at g when length > g, so that its lattice is gZ."""
+    xs = [rng.randint(-mag, mag) if i % g == 0 else 0 for i in range(length)]
+    if length > g:
+        xs[g] = rng.choice([-1, 1]) * rng.randint(1, mag)
+    return xs
+
+
+def _packed_lengths(monkeypatch):
+    """Spy on series._pack_signed: the lengths of the lists it packs."""
+    from ordersix import series
+
+    lengths = []
+    pack = series._pack_signed
+    monkeypatch.setattr(series, "_pack_signed",
+                        lambda xs, sb: lengths.append(len(xs)) or pack(xs, sb))
+    return lengths
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 12, 18])
+def test_convolution_on_a_shared_lattice_packs_its_points_only(monkeypatch, g):
+    """Operands on gZ multiply as a[::g] * b[::g] into out[::g], with the
+    other entries 0, at every out_len: multiples of g and not, short of
+    la + lb - 1 and past it.  A one-term operand, whose lattice is every
+    stride, keeps the other operand's g."""
+    rng = random.Random(g)
+    lengths = _packed_lengths(monkeypatch)
+    for _ in range(40):
+        a = _on_lattice(rng, g, rng.randint(g + 1, 8 * g))
+        b = _on_lattice(rng, g, rng.randint(g + 1, 8 * g))
+        for n in (1, g, g + 1, len(a) + len(b) - 1, len(a) + len(b) + g + 2,
+                  rng.randint(1, len(a) + len(b) + 2 * g)):
+            for x, y in ((a, b), (b, a), (a, [7]), ([-3, 0, 0], b)):
+                lengths.clear()
+                got = _conv_int(x, y, n)
+                assert got == poly_mul(x, y, n), (g, n)
+                assert got[1::g] == [0] * len(got[1::g])
+                if n > g:
+                    assert lengths == [len(x[:n][::g]), len(y[:n][::g])]
+
+
+def test_convolution_across_coprime_strides_takes_the_full_path(monkeypatch):
+    """Strides 2 and 3 share only Z: once out_len reaches both entries
+    off index 0 (at 2 and 3), both operands are packed whole."""
+    rng = random.Random(23)
+    lengths = _packed_lengths(monkeypatch)
+    for _ in range(30):
+        a = _on_lattice(rng, 2, rng.randint(3, 40))
+        b = _on_lattice(rng, 3, rng.randint(4, 40))
+        n = rng.randint(4, len(a) + len(b) + 4)
+        lengths.clear()
+        assert _conv_int(a, b, n) == poly_mul(a, b, n)
+        assert lengths == [min(len(a), n), min(len(b), n)]
+
+
+def test_convolution_with_zero_constant_and_leading_zero_operands(monkeypatch):
+    """Empty and all-zero operands give zeros of out_len; constants times
+    constants stay at index 0, one slot each however many zeros pad them;
+    a leading zero, as in the [0, 1, ...] that residual_series passes for
+    w, counts from the list's start, so [0, 1, -1, ...] is on Z and
+    [0, 0, 5, 0, 7] on 2Z."""
+    rng = random.Random(5)
+    w = [0, 1, -1, 1, -2, 2, -1, 0, -1]
+    for n in (1, 2, 5, 9, 20):
+        for x, y in (([0] * 6, _on_lattice(rng, 4, 13)), ([0, 0], [0]), ([3], [-4, 0, 0]),
+                     ([5, 0, 0], [0] * 4), (w, w), ([0, 0, 5, 0, 7], [1, 0, -2]),
+                     ([0, 0, 5, 0, 7], w)):
+            assert _conv_int(x, y, n) == poly_mul(x, y, n), (x, y, n)
+            assert _conv_int(y, x, n) == poly_mul(x, y, n), (x, y, n)
+    assert _conv_int([], [1, 2], 3) == [0, 0, 0] and _conv_int([1], [2], 0) == []
+    lengths = _packed_lengths(monkeypatch)
+    assert _conv_int([5, 0, 0], [-4, 0, 0, 0], 6) == [-20, 0, 0, 0, 0, 0]
+    assert lengths == [1, 1]
+
+
+def _schoolbook(a, b):
+    """The product's terms below its precision, from the Fraction
+    exponents of the operands' terms, and that precision in q-units:
+    min(prec_a + val_b, prec_b + val_a), vals of zero series at their
+    precision."""
+    prec = min(a.precision() + Fraction(b.val, b.h), b.precision() + Fraction(a.val, a.h))
+    terms = {}
+    for e, c in a.terms():
+        for f, d in b.terms():
+            if e + f < prec:
+                terms[e + f] = terms.get(e + f, 0) + c * d
+    return {e: c for e, c in terms.items() if c}, prec
+
+
+def test_product_matches_a_fraction_exponent_schoolbook():
+    """QSeries products over h in {1, 2, 3, 4, 6}, random val and prec,
+    with coefficients on random strides, so that mixed h and sparse
+    terms reach every lattice the kernel can take."""
+    rng = random.Random(31)
+    for _ in range(400):
+        ops = []
+        for _ in range(2):
+            h = rng.choice((1, 2, 3, 4, 6))
+            val = rng.randint(-8, 8)
+            length = rng.randint(0, 30)
+            stride = rng.choice((1, 1, 2, 3, 4, 6))
+            coeffs = [rng.randint(-9, 9) if i % stride == 0 else 0 for i in range(length)]
+            ops.append(QSeries(coeffs, val=val, prec=val + length, h=h))
+        a, b = ops
+        prod = a * b
+        terms, prec = _schoolbook(a, b)
+        assert prod.h == math.lcm(a.h, b.h)
+        assert prod.precision() == prec
+        assert dict(prod.terms()) == terms
+
+
+def test_x_times_x_of_3tau_packs_a_quarter_of_the_slots(monkeypatch):
+    """X = q^(1/4)(...) has h = 4 and terms only at q^(1/4 + k), X(3tau)
+    only at q^(3/4 + 3k): both sit on 4Z relative to their valuations, so
+    their product packs a quarter of the slots the padded lists hold."""
+    from ordersix.eta import named_x
+
+    x = named_x().expand(60)
+    x3 = x.rescale(3).truncate(60)
+    out_len = min(x.prec + x3.val, x3.prec + x.val) - x.val - x3.val
+    full = [min(len(x.coeffs), out_len), min(len(x3.coeffs), out_len)]
+    lengths = _packed_lengths(monkeypatch)
+    prod = x * x3
+    assert lengths == [-(-k // 4) for k in full]
+    assert prod.coeffs == tuple(poly_mul(list(x.coeffs), list(x3.coeffs), out_len)[
+        : len(prod.coeffs)])

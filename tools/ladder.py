@@ -1,7 +1,8 @@
 """Time the modeq level ladder end to end and at modeq's seams, and write
 BENCH_<short sha>.json.
 
-    python tools/ladder.py [--levels 5 13 19 25] [--runs 7] [--out DIR]
+    python tools/ladder.py [--levels 5 13 19 24 25 27 40 45 48] [--runs 7]
+                           [--out DIR]
 
 End to end: every command, ``modeq N --no-cache --no-timing`` for each
 level and ``verify all --no-timing``, runs as ``python -m ordersix`` in a
@@ -23,6 +24,12 @@ fn_mod_p_s; the rest is Newton's identities and the read-off), the twist
 checks (twist_s), residual_series (residual_s) and certificate_failure,
 twists and residual included (certificate_s).  A seam the checkout lacks
 reads 0.
+
+By verify stage: in the same process, before the seams are wrapped, the
+checks of ``verify all`` run --runs times, with the memos emptied before
+each stage: the two X identities (x_identities_s), the j identity
+(j_identity_s), the golden tables (golden_tables_s) and the cusp lists
+(cusp_lists_s).  A stage that does not pass is an error.
 
 Every timing is reported as its median and interquartile range (IQR)
 over the runs.  The JSON also records the git SHA, whether src differs
@@ -46,7 +53,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-LEVELS = (5, 13, 19, 25)
+# the end-to-end ladder, 5, 13, 19 and 25, plus levels that name where a
+# solve spends its time: 24 and 27 (3 | n, the numpy crossover), 40 and 48
+# (even, residual-bound) and 45 (odd 3 | n)
+LEVELS = (5, 13, 19, 24, 25, 27, 40, 45, 48)
 # (key, module, attribute path) of each timed seam
 SEAMS = (
     ("expand_w_s", "ordersix.modeq", "MonomialMatrix.__init__"),
@@ -103,14 +113,17 @@ def end_to_end(levels: list[int], runs: int) -> dict[str, dict]:
             for name, got in samples.items()}
 
 
+def clear_memos() -> None:
+    """Empty every functools cache of the package's loaded modules."""
+    for module in [m for name, m in sys.modules.items() if name.startswith("ordersix")]:
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
 def phases(levels: list[int], runs: int) -> dict[str, dict]:
     """Per level: each seam's time and the solve's total, plus the primes
     used, the certificate height and the length w was expanded to."""
-    sys.path.insert(0, str(SRC))
-    try:
-        import numpy  # noqa: F401  imported first, as a solve from level 24 up would
-    except ImportError:
-        pass
     from ordersix import modeq
 
     spent: dict[str, float] = {}
@@ -138,10 +151,7 @@ def phases(levels: list[int], runs: int) -> dict[str, dict]:
         totals: dict[str, list[float]] = {key: [] for key, _, _ in SEAMS}
         totals["total_s"] = []
         for _ in range(runs):
-            for module in [m for name, m in sys.modules.items() if name.startswith("ordersix")]:
-                for value in vars(module).values():
-                    if callable(getattr(value, "cache_clear", None)):
-                        value.cache_clear()
+            clear_memos()
             spent.clear()
             calls.clear()
             start = time.perf_counter()
@@ -155,6 +165,30 @@ def phases(levels: list[int], runs: int) -> dict[str, dict]:
         out[str(n)].update(primes=calls.get("fn_mod_p_s", 0), height=result.precision_used,
                            expansion=max(result.precision_used, n * (d1 + 1)))
     return out
+
+
+def verify_stages(runs: int) -> dict[str, dict]:
+    """Each stage of ``verify all`` that computes, timed from empty memos."""
+    from ordersix import verify
+
+    stages = (
+        ("x_identities_s", lambda: [verify.check_fourth_power_identities(),
+                                    verify.check_level3_x_identity()]),
+        ("j_identity_s", lambda: [verify.check_j_identity()]),
+        ("golden_tables_s", verify.check_golden_tables),
+        ("cusp_lists_s", verify.check_cusp_lists),
+    )
+    totals: dict[str, list[float]] = {key: [] for key, _ in stages}
+    for _ in range(runs):
+        for key, stage in stages:
+            clear_memos()
+            start = time.perf_counter()
+            reports = stage()
+            totals[key].append(time.perf_counter() - start)
+            failed = [r.name for r in reports if not r.passed]
+            if failed:
+                raise RuntimeError(f"verify stage {key} failed: {failed}")
+    return {key: summary(values) for key, values in totals.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,8 +211,15 @@ def main(argv: list[str] | None = None) -> int:
         "runs": args.runs,
         "levels": args.levels,
         "end_to_end": end_to_end(args.levels, args.runs),
-        "phases": phases(args.levels, args.runs),
     }
+    sys.path.insert(0, str(SRC))
+    try:
+        import numpy  # noqa: F401  imported first, as a solve from level 24 up would
+    except ImportError:
+        pass
+    stages = verify_stages(args.runs)  # before phases() wraps modeq's seams
+    doc["phases"] = phases(args.levels, args.runs)
+    doc["verify"] = stages
     path = args.out / f"BENCH_{(sha or 'unknown')[:7]}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     for name, got in doc["end_to_end"].items():
@@ -190,6 +231,8 @@ def main(argv: list[str] | None = None) -> int:
               f"tables {got['power_table_s']['median'] * 1000:.1f} ms, residual "
               f"{got['residual_s']['median'] * 1000:.1f} ms, {got['primes']} primes, "
               f"height {got['height']}")
+    print("verify all in process " + ", ".join(
+        f"{key[:-2]} {got['median'] * 1000:.1f} ms" for key, got in doc["verify"].items()))
     print(f"wrote {path}")
     return 0
 
