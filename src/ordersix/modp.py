@@ -4,14 +4,12 @@
 * conjugate_polynomial_mod -- F_n mod p from the power sums of the
   conjugates w((a*tau + b)/d) and Newton's identities, with no matrix.
 
-A series of residues is multiplied by Kronecker packing: the residues
-become one Python int with one k-byte slot per coefficient (_pack), so one
-int product is the whole convolution, read back slot by slot (_unpack).
-_check_slot_bound(terms, p) returns the smallest width k, at most 8 bytes,
-with terms * (p - 1)^2 + p < 2^(8k), and raises OverflowError when there
-is none.  A slot that sums at most ``terms`` products of two residues,
-plus one residue, then holds less than 2^(8k), so no slot carries into the
-next; every function checks before it allocates.  For the first kernel
+A product of residue series is one int product of Kronecker-packed ints,
+in series' slot format (_pack, _unpack); the in-place read-off in
+conjugate_polynomial_mod is the format's one other reader.  The slots are
+k = _check_slot_bound(terms, p) bytes, the fewest, at most 8, that hold a
+sum of ``terms`` products of two residues plus one residue, so none
+carries; every function checks before it allocates.  For the first kernel
 prime, k is 6 bytes from 2 to 256 terms (level 13's power table has 195),
 7 up to 65,536 (level 19's has 399) and 8 up to 16,777,344.
 
@@ -31,9 +29,10 @@ p in int64 before the next.
 from __future__ import annotations
 
 import os
-from array import array
 from collections.abc import Sequence
 from math import comb
+
+from .series import _pack, _unpack
 
 # The power-table length n*(d1 + 1) from which power_table multiplies in
 # numpy.  Measured on 2 vCPUs, median of 9, F_n mod p per prime on the
@@ -55,30 +54,6 @@ def _check_slot_bound(terms: int, p: int) -> int:
     if width > 8:
         raise OverflowError(f"{terms} products mod {p} overflow a 64-bit slot")
     return width
-
-
-def _pack(residues: Sequence[int], width: int) -> int:
-    """The int with residues[i] in its i-th slot of ``width`` bytes: the
-    8-byte array('Q') slots, narrowed by one strided copy per byte."""
-    data = array("Q", residues).tobytes()
-    if width < 8:
-        narrow = bytearray(len(residues) * width)
-        for j in range(width):
-            narrow[j::width] = data[j::8]
-        data = narrow
-    return int.from_bytes(data, "little")
-
-
-def _unpack(x: int, length: int, width: int) -> list[int]:
-    """Slots 0 .. length - 1, of ``width`` bytes each, of a packed
-    nonnegative int."""
-    data = x.to_bytes(max(length, -(-x.bit_length() // (8 * width))) * width, "little")
-    if width < 8:
-        wide = bytearray(8 * length)
-        for j in range(width):
-            wide[j::8] = data[j : length * width : width]
-        data = wide
-    return memoryview(data).cast("Q")[:length].tolist()
 
 
 def _mul_packed(x: int, y: int, length: int, p: int, width: int) -> list[int]:
@@ -179,9 +154,9 @@ def conjugate_polynomial_mod(w: Sequence[int], n: int, d1: int, d2: int,
     """
     size = d1 + 1
     width = _check_slot_bound((d2 + 1) * size, p)
-    powers = power_table(w, max(d1, d2), n * size, p)
-    if powers[1][0] or powers[1][1] != 1:
+    if [c % p for c in w[:2]] != [0, 1]:
         raise ValueError("w must be q + O(q^2)")
+    powers = power_table(w, max(d1, d2), n * size, p)
     signed_sums = [0]
     for k in range(1, d2 + 1):
         row = [0] * size

@@ -18,6 +18,9 @@ sum a_(gi) b_(g(k-i)).  So X = q^(1/4)(1 + ...) at h = 4, whose terms sit at
 every fourth index, multiplies a quarter of its stored slots.  Quotients go
 through one forward substitution, which needs a divisor with leading
 coefficient +-1 so that the quotient is integral too.
+Every Kronecker-packed product in the package uses the slot codec here,
+_pack/_unpack (signed: _pack_signed/_unpack_signed); modp's in-place
+read-off of F_n mod p is the format's one other reader.
 Every operation is pure and every instance immutable, so values are safe to
 share across threads.
 """
@@ -25,6 +28,7 @@ share across threads.
 from __future__ import annotations
 
 import operator
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -42,23 +46,42 @@ def _ones(sb: int, slots: int) -> int:
     return int.from_bytes((1).to_bytes(sb, "little") * slots, "little")
 
 
+def _pack(xs, sb: int) -> int:
+    """The int sum x_i 2^(8*sb*i), 0 <= x_i < 2^(8*sb): array('Q') items
+    narrowed by one strided copy per byte, or one to_bytes each past 8 bytes."""
+    if sb > 8:
+        return int.from_bytes(b"".join(x.to_bytes(sb, "little") for x in xs), "little")
+    data = array("Q", xs).tobytes()
+    narrow = bytearray(len(xs) * sb)
+    for j in range(sb):
+        narrow[j::sb] = data[j::8]
+    return int.from_bytes(narrow, "little")
+
+
+def _unpack(x: int, count: int, sb: int) -> list[int]:
+    """Slots 0 .. count - 1, of sb bytes each, of a nonnegative packed int."""
+    data = x.to_bytes(max(count, -(-x.bit_length() // (8 * sb))) * sb, "little")
+    if sb > 8:
+        return [int.from_bytes(data[k * sb : (k + 1) * sb], "little") for k in range(count)]
+    wide = bytearray(8 * count)
+    for j in range(sb):
+        wide[j::8] = data[j : count * sb : sb]
+    return memoryview(wide).cast("Q").tolist()
+
+
 def _pack_signed(xs, sb: int) -> int:
     """The exact integer sum x_i 2^(8*sb*i), for |x_i| < 2^(8*sb - 1):
-    each x_i + 2^(8*sb - 1) fills its own sb-byte slot, and
-    2^(8*sb - 1) * R, R = sum 2^(8*sb*i), is subtracted."""
+    _pack of the x_i + 2^(8*sb - 1), less 2^(8*sb - 1) * sum 2^(8*sb*i)."""
     bias = 1 << (8 * sb - 1)
-    packed = b"".join((x + bias).to_bytes(sb, "little") for x in xs)
-    return int.from_bytes(packed, "little") - bias * _ones(sb, len(xs))
+    return _pack([x + bias for x in xs], sb) - bias * _ones(sb, len(xs))
 
 
 def _unpack_signed(x: int, slots: int, count: int, sb: int) -> list[int]:
     """y_0, ..., y_(count - 1) of x = sum y_i 2^(8*sb*i), i < slots, each
-    |y_i| < 2^(8*sb - 1): adding 2^(8*sb - 1) * R leaves every slot
-    nonnegative with no carries, and each slot, less 2^(8*sb - 1), is
-    y_i."""
+    |y_i| < 2^(8*sb - 1): adding 2^(8*sb - 1) to every slot leaves it
+    nonnegative with no carries, and _unpack less that bias is y_i."""
     bias = 1 << (8 * sb - 1)
-    raw = (x + bias * _ones(sb, slots)).to_bytes(slots * sb, "little")
-    return [int.from_bytes(raw[k * sb : (k + 1) * sb], "little") - bias for k in range(count)]
+    return [y - bias for y in _unpack(x + bias * _ones(sb, slots), count, sb)]
 
 
 def _lattice(xs, g: int = 0) -> int:
@@ -324,6 +347,7 @@ class QSeries:
             out[i] = s * lead
         return QSeries(out, val=val, prec=val + n, h=a.h)
 
+    # unused in the package; bench/tracing.py hooks it
     def invert(self) -> QSeries:
         """Multiplicative inverse, 1 / self on self's relative window."""
         return QSeries.one(self.prec - self.val, h=self.h) / self

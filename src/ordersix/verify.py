@@ -295,7 +295,7 @@ def j_identity_residual(prec: int) -> QSeries:
     """
     inner = prec + 48
     w = named_w().expand(inner)
-    f = w.invert()
+    f = QSeries.one(w.prec - w.val, h=w.h) / w
     j = named_j(inner)
     lhs = j * (f - 1) ** 2 * f ** 9 * (f - 3) ** 18
     lhs = lhs * (f * f - 3 * f + 3) * (f * f + 3) ** 2

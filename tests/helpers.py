@@ -5,10 +5,10 @@ route that the library is checked against.  monomial_matrix builds the
 solver's matrix exactly over Z from QSeries products and eta expansions
 (themselves checked against the schoolbook oracles here), and
 monomial_matrix_mod builds it mod p by numpy convolutions, never from the
-solver's arithmetic mod p.  fricke_twist and mobius_twist expand the twist
-of a polynomial term by term from binomial coefficients, never through the
-solver's matrix, and checked_twists lists the twists of a level on its
-own.
+solver's arithmetic mod p.  mobius_twist, the one twist oracle, expands
+the twist of a polynomial term by term from binomial coefficients, never
+through the solver's packed rounds, and checked_twists lists the twists
+of a level on its own.
 """
 
 from fractions import Fraction
@@ -93,27 +93,6 @@ def primitive(vec):
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-def _moebius_power(i, d):
-    """Coefficients of (1 - 3t)^i (3 - 3t)^(d - i)."""
-    a = [comb(i, k) * (-3) ** k for k in range(i + 1)]
-    b = [comb(d - i, k) * 3 ** (d - i - k) * (-3) ** k for k in range(d - i + 1)]
-    return poly_mul(a, b, d + 1)
-
-
-def fricke_twist(coeffs, d):
-    """{(i, j): c} of (3 - 3X)^d (3 - 3Y)^d F(M(Y), M(X)),
-    M(t) = (1 - 3t)/(3 - 3t), for F = {(i, j): c} of bidegree at most
-    (d, d): the term c X^i Y^j becomes
-    c (1 - 3Y)^i (3 - 3Y)^(d - i) (1 - 3X)^j (3 - 3X)^(d - j)."""
-    out = {}
-    for (i, j), c in coeffs.items():
-        ys, xs = _moebius_power(i, d), _moebius_power(j, d)
-        for a, x in enumerate(xs):
-            for b, y in enumerate(ys):
-                out[a, b] = out.get((a, b), 0) + c * x * y
-    return {ij: c for ij, c in out.items() if c}
 
 
 # Moebius maps t -> (a0 + a1*t)/(b0 + b1*t), as ((a0, a1), (b0, b1)):

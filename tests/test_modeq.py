@@ -45,7 +45,6 @@ from helpers import (
     back_substitute,
     checked_twists,
     echelon_mod,
-    fricke_twist as twist_by_binomials,
     invariant_perturbation,
     mobius_twist as twist_term_by_term,
     monomial_matrix,
@@ -189,18 +188,25 @@ def test_slot_bound_is_checked_before_allocating():
         modp.conjugate_polynomial_mod(w, 1, 1 << 40, 0, [(1, 1, 1)], 0, p)
 
 
-def test_conjugate_polynomial_refuses_w_not_q_plus_o_q2():
+def test_conjugate_polynomial_refuses_w_not_q_plus_o_q2(monkeypatch):
     """conjugate_polynomial_mod reads F_n mod p off in powers of w, which
     needs w = q + O(q^2) mod p: a constant term or a q-coefficient other
-    than 1 is refused."""
+    than 1 is refused, before the power table is built."""
     p = next(kernel_primes())
     w = [0] + list(named_w().expand(30).coeffs)
     d1, d2 = predict_degrees(2)
     args = (2, d1, d2, conjugate_traces(2), leading_exponent(2), p)
     assert modp.conjugate_polynomial_mod(w, *args)[d2 * (d1 + 1)] == 1
+    tables = []
+    power_table = modp.power_table
+    monkeypatch.setattr(modp, "power_table",
+                        lambda *a: tables.append(a) or power_table(*a))
     for bad in ([1] + w[1:], [0, 2] + w[2:]):
         with pytest.raises(ValueError, match=r"q \+ O\(q\^2\)"):
             modp.conjugate_polynomial_mod(bad, *args)
+    assert tables == []
+    modp.conjugate_polynomial_mod(w, *args)
+    assert len(tables) == 1
 
 
 def test_power_sums_agree_with_elimination_per_prime():
@@ -579,7 +585,8 @@ def test_fricke_twist_agrees_with_the_binomial_expansion(solved):
         poly = solved(n).poly
         dense = BivarPoly({(i, j): 1 + i + 2 * j for i in range(d + 1) for j in range(d + 1)})
         for f in (poly, dense):
-            assert fricke_twist(f, d) == BivarPoly(twist_by_binomials(f.coeffs, d)), n
+            assert fricke_twist(f, d) == BivarPoly(
+                twist_term_by_term(f.coeffs, d, FRICKE_MAP, True)), n
         assert fricke_twist(poly, d) == BivarPoly({ij: 6 ** d * c for ij, c in poly.coeffs.items()})
         assert fricke_twist(fricke_twist(dense, d), d) == BivarPoly(
             {ij: 36 ** d * c for ij, c in dense.coeffs.items()}), n

@@ -10,6 +10,10 @@ from ordersix.series import (
     QSeries,
     ZeroSeriesError,
     _conv_int,
+    _pack,
+    _pack_signed,
+    _unpack,
+    _unpack_signed,
     euler_product,
 )
 
@@ -320,6 +324,28 @@ def test_fast_convolution_bit_identical_to_schoolbook():
                     assert _conv_int(x, y, n) == poly_mul(x, y, n), (k, la, lb)
                     assert _conv_int(x, y, n)[-4:] == [0] * 4
 
+
+
+def test_slot_codec_round_trips_at_every_width():
+    """_pack puts each value in its own sb-byte slot, the int
+    sum x_i 2^(8*sb*i), on both sides of the 8-byte array('Q') limit, and
+    _unpack reads back any prefix, or zeros past the packed slots; the
+    signed pair does the same for |x_i| < 2^(8*sb - 1)."""
+    rng = random.Random(8)
+    for sb in range(1, 12):
+        top = 1 << (8 * sb)
+        xs = [0, top - 1] + [rng.randrange(top) for _ in range(20)]
+        x = _pack(xs, sb)
+        assert x == sum(v << (8 * sb * i) for i, v in enumerate(xs)), sb
+        assert _unpack(x, len(xs), sb) == xs, sb
+        assert _unpack(x, 5, sb) == xs[:5], sb
+        assert _unpack(x, len(xs) + 3, sb) == xs + [0] * 3, sb
+        half = top >> 1
+        ys = [1 - half, half - 1, 0] + [rng.randrange(1 - half, half) for _ in range(20)]
+        y = _pack_signed(ys, sb)
+        assert y == sum(v << (8 * sb * i) for i, v in enumerate(ys)), sb
+        assert _unpack_signed(y, len(ys), len(ys), sb) == ys, sb
+        assert _unpack_signed(y, len(ys), 4, sb) == ys[:4], sb
 
 
 def _on_lattice(rng, g, length, mag=10 ** 6):

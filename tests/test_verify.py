@@ -1,8 +1,10 @@
 import pytest
 
 import ordersix.verify as verify
+from ordersix.cusps import Cusp
 from ordersix.eta import EtaQuotient
 from ordersix.modeq import BivarPoly, CoeffPattern
+from ordersix.series import QSeries
 from ordersix.verify import (
     GOLDEN_INNER,
     check_cusp_lists,
@@ -99,6 +101,37 @@ def test_cusp_lists_reject_a_duplicated_class(monkeypatch):
     assert "1/2 and 1/4" in report.detail
 
 
+def test_cusp_lists_fail_on_a_wrong_cusp_count(monkeypatch):
+    """Representative lists one cusp short fail at every level with the
+    counts, before any class is matched."""
+    cusp_set = verify.cusp_set
+    monkeypatch.setattr(verify, "cusp_set", lambda level: cusp_set(level)[:-1])
+    reports = check_cusp_lists()
+    assert len(reports) == 7 and not any(r.passed for r in reports)
+    assert reports[0].name == "cusp-set-18"
+    assert reports[0].detail == "expected 8 cusps, got 7"
+
+
+def test_cusp_lists_fail_on_a_published_cusp_with_no_representative(monkeypatch):
+    """Representatives with infinity's replaced by a second copy of 0's
+    have the right count, and inf, the first published cusp, matches none
+    of them."""
+    cusp_set = verify.cusp_set
+
+    def tampered(level):
+        got = list(cusp_set(level))
+        inf, zero = ([x for x in got if verify.are_equivalent(level, x, c)]
+                     for c in (Cusp.make(1, 0), Cusp.make(0, 1)))
+        got[got.index(inf[0])] = zero[0]
+        return tuple(got)
+
+    monkeypatch.setattr(verify, "cusp_set", tampered)
+    reports = check_cusp_lists()
+    assert len(reports) == 7
+    assert all(not r.passed and r.detail == "published cusp inf matches 0 representatives"
+               for r in reports)
+
+
 # eta quotients with the leading term of w and of X that differ further on
 WRONG_W = EtaQuotient(18, {1: 3, 2: -3, 9: -3, 18: 3})
 WRONG_X = EtaQuotient(6, {1: 3, 2: -3, 3: -3, 6: 3})
@@ -127,6 +160,23 @@ def test_j_identity_negative_control(monkeypatch):
     monkeypatch.setattr(verify, "J_IDENTITY_P", tampered)
     r = check_j_identity()
     assert not r.passed and "identity fails" in r.detail
+
+
+def test_j_identity_fails_on_a_wrong_j_coefficient(monkeypatch):
+    """A j with constant term 745 fails on its printed coefficients,
+    before the identity is expanded."""
+    named_j = verify.named_j
+    monkeypatch.setattr(verify, "named_j", lambda prec: named_j(prec) + 1)
+    r = check_j_identity()
+    assert not r.passed and r.detail == "j coefficient at q^0: expected 744, got 745"
+
+
+def test_series_vanishes_reports_insufficient_precision():
+    """A zero residual known only below q^5 does not show vanishing below
+    q^10: the report is a precision failure, not an identity failure."""
+    r = verify._series_vanishes(QSeries.zero(5), 10, "short")
+    assert r.name == "short" and r.status == verify.FAIL
+    assert r.detail == "precision insufficient: series known below q^5, needed q^10"
 
 
 def test_golden_tables_pass(solved):

@@ -63,7 +63,6 @@ SEAMS = (
     ("fn_mod_p_s", "ordersix.modp", "conjugate_polynomial_mod"),
     ("power_table_s", "ordersix.modp", "power_table"),
     ("twist_s", "ordersix.modeq", "mobius_twist"),
-    ("twist_s", "ordersix.modeq", "fricke_twist"),
     ("residual_s", "ordersix.modeq", "residual_series"),
     ("certificate_s", "ordersix.modeq", "certificate_failure"),
 )
