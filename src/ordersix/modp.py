@@ -1,16 +1,18 @@
 """Exact arithmetic modulo 20-bit primes, on lists of Python ints.
 
 * power_table -- the powers of w mod p;
-* conjugate_polynomial_mod -- F_n mod p from the power sums of the
-  conjugates w((a*tau + b)/d) and Newton's identities, with no matrix.
+* conjugate_polynomial_mod -- F_n mod p from the power sums p_k of the
+  conjugates w((a*tau + b)/d), with no matrix: Newton's identities give
+  the coefficient C_k of X^(d2-k) by one recurrence,
+  k C_k = -sum_{i<=k} C_(k-i) p_i, seeded with C_0 = (1 - 3w)^m.
 
 A product of residue series is one int product of Kronecker-packed ints,
 in series' slot format (_pack, _unpack); the in-place read-off in
 conjugate_polynomial_mod is the format's one other reader.  The slots are
-k = _check_slot_bound(terms, p) bytes, the fewest, at most 8, that hold a
+b = _check_slot_bound(terms, p) bytes, the fewest, at most 8, that hold a
 sum of ``terms`` products of two residues plus one residue, so none
 carries; every function checks before it allocates.  For the first kernel
-prime, k is 6 bytes from 2 to 256 terms (level 13's power table has 195),
+prime, b is 6 bytes from 2 to 256 terms (level 13's power table has 195),
 7 up to 65,536 (level 19's has 399) and 8 up to 16,777,344.
 
 numpy is imported in one place, never with this module: by
@@ -56,11 +58,6 @@ def _check_slot_bound(terms: int, p: int) -> int:
     return width
 
 
-def _mul_packed(x: int, y: int, length: int, p: int, width: int) -> list[int]:
-    """The packed product x*y mod p below q^length, as residues."""
-    return [c % p for c in _unpack(x * y, length, width)]
-
-
 def _exact_step(p: int) -> int:
     """The most products of two residues mod p whose float64 sum is exact:
     each product is at most (p - 1)^2, and the sum must stay below 2^53.
@@ -88,7 +85,7 @@ def power_table(w: Sequence[int], top: int, length: int, p: int) -> list[list[in
     powers = [[1] + [0] * (length - 1), wp + [0] * (length - len(wp))][: top + 1]
     packed = [0, _pack(wp, width)]  # only w^1 .. w^((top + 1)//2) are factors
     for e in range(2, top + 1):
-        powers.append(_mul_packed(packed[e // 2], packed[e - e // 2], length, p, width))
+        powers.append([c % p for c in _unpack(packed[e // 2] * packed[e - e // 2], length, width)])
         if e <= (top + 1) // 2:
             packed.append(_pack(powers[-1], width))
     return powers
@@ -135,57 +132,54 @@ def conjugate_polynomial_mod(w: Sequence[int], n: int, d1: int, d2: int,
     is p_k = sum over traces (s, t, c) of c * sum_u c_(t*u) q^(s*u),
     needed only below q^(d1 + 1): the coefficients of F in X are
     polynomials in Y = w of degree at most d1, and w = q + O(q^2), so
-    q^0 .. q^d1 fix them.  Newton's identities
-    k e_k = sum_{i<=k} (-1)^(i-1) e_(k-i) p_i, with k <= d2 < p, give the
-    elementary symmetric functions e_k of the roots; (1 - 3w)^m e_k is a
-    polynomial sum_j g_j w^j, and the coefficient of X^(d2-k) Y^j is
-    (-1)^k g_j.
+    q^0 .. q^d1 fix them.  Newton's identities are linear in the
+    elementary symmetric functions of the roots, so C_k, the coefficient
+    of X^(d2-k) as a series in q, obeys k C_k = -sum_{i<=k} C_(k-i) p_i
+    from C_0 = (1 - 3w)^m, and k <= d2 < p is invertible mod p.  Each C_k
+    is a polynomial sum_j g_j w^j, and g_j is the coefficient of
+    X^(d2-k) Y^j.
 
-    Every series below q^(d1 + 1) is packed, in slots of the k bytes that
+    Every series below q^(d1 + 1) is packed, in slots of the b bytes that
     _check_slot_bound((d2 + 1)*(d1 + 1), p) returns: it runs first, and a
-    slot of a Newton sum adds at most d2*(d1 + 1) products of two
-    residues, every other sum fewer.  The read-off of g_j from
-    e = (1 - 3w)^m e_k works on one packed int: it adds (p - g_j) w^j for
-    j = 0, 1, ..., which keeps every slot nonnegative.  Slot r then holds a
-    residue plus at most r + 1 <= d1 + 1 products of two residues, below
-    2^(8k), so no slot carries, and slot j, bits 8*k*j up to 8*k*(j + 1),
-    is final, equal to g_j mod p, once the terms for i < j are in, since
-    w^i = q^i + O(q^(i+1)).
+    slot of a recurrence sum adds at most d2*(d1 + 1) products of two
+    residues, every other sum fewer.  The read-off of g_j from C_k works on
+    one packed int: it adds (p - g_j) w^j for j = 0, 1, ..., which keeps
+    every slot nonnegative.  Slot r then holds a residue plus at most
+    r + 1 <= d1 + 1 products of two residues, below 2^(8b), so no slot
+    carries, and slot j, bits 8*b*j up to 8*b*(j + 1), is final, equal to
+    g_j mod p, once the terms for i < j are in, since w^i = q^i + O(q^(i+1)).
     """
     size = d1 + 1
     width = _check_slot_bound((d2 + 1) * size, p)
     if [c % p for c in w[:2]] != [0, 1]:
         raise ValueError("w must be q + O(q^2)")
     powers = power_table(w, max(d1, d2), n * size, p)
-    signed_sums = [0]
+    sums = [0]
     for k in range(1, d2 + 1):
         row = [0] * size
         for s, t, c in traces:
             u = d1 // s + 1
             row[: s * u : s] = [x + c * y for x, y in zip(row[: s * u : s], powers[k][: t * u : t])]
-        signed_sums.append(_pack([x % p if k % 2 else -x % p for x in row], width))
-    elem = [1]
+        sums.append(_pack([x % p for x in row], width))
+    # C_0 = (1 - 3w)^m = sum_i C(m, i) (-3)^i w^i below q^size, m < d2; it
+    # packs to the int 1 when m = 0
+    coeffs = [_pack([sum(comb(m, i) * (-3) ** i * powers[i][r] for i in range(m + 1)) % p
+                     for r in range(size)], width)]
     for k in range(1, d2 + 1):
-        acc = sum(elem[k - i] * signed_sums[i] for i in range(1, k + 1))
-        inverse = pow(k, -1, p)
-        elem.append(_pack([x * inverse % p for x in _unpack(acc, size, width)], width))
-    if m:
-        # times (1 - 3w)^m = sum_i C(m, i) (-3)^i w^i, m < d2, below q^size
-        lead = _pack([sum(comb(m, i) * (-3) ** i * powers[i][r] for i in range(m + 1)) % p
-                      for r in range(size)], width)
-        elem = [_pack(_mul_packed(e, lead, size, p, width), width) for e in elem]
+        acc = sum(coeffs[k - i] * sums[i] for i in range(1, k + 1))
+        scale = p - pow(k, -1, p)
+        coeffs.append(_pack([x * scale % p for x in _unpack(acc, size, width)], width))
     basis = [_pack(row[:size], width) for row in powers[:size]]
     bits = 8 * width
     mask = (1 << bits) - 1
-    grid = [[0] * size for _ in range(d2 + 1)]
-    for k, acc in enumerate(elem):
-        row = grid[d2 - k]
+    out = []
+    for acc in reversed(coeffs):
         for j in range(size):
             g = (acc >> (bits * j) & mask) % p
+            out.append(g)
             if g:
-                row[j] = -g % p if k % 2 else g
                 acc += (p - g) * basis[j]
-    return [x for row in grid for x in row]
+    return out
 
 
 __all__ = ["power_table", "conjugate_polynomial_mod"]

@@ -853,6 +853,7 @@ def test_parse_quotient_spec_errors():
         cli.parse_quotient_spec("18; 4:1")
     q = cli.parse_quotient_spec("18; 1:1, 2:-2, 9:-1, 18:2")
     assert q.exponents == {1: 1, 2: -2, 9: -1, 18: 2}
+    assert cli.parse_quotient_spec("18; 1:1, , 2:-2").exponents == {1: 1, 2: -2}
 
 
 def test_module_entry_point_subprocess():

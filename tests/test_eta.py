@@ -35,6 +35,7 @@ def test_modularity_predicate():
     assert not EtaQuotient(2, {1: 1, 2: -1}).is_modular_function()
     assert EtaQuotient(18, {}).is_modular_function()
     assert not named_x().is_modular_function()
+    assert not EtaQuotient(1, {1: 1}).is_modular_function()  # eta(tau), weight 1/2
 
 
 def test_invalid_divisor_rejected():
@@ -190,6 +191,8 @@ def test_expand_is_multiplicative():
         f = EtaQuotient(lf, {d: rng.randint(-2, 2) for d in (1, 2, 3, 6) if lf % d == 0})
         g = EtaQuotient(lg, {d: rng.randint(-2, 2) for d in (1, 2, 3, 6) if lg % d == 0})
         assert (f * g).expand(30) == f.expand(30) * g.expand(30)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        named_w() * 2
 
 
 def test_order_at_infinity_matches_valuation():

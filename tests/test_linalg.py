@@ -21,6 +21,7 @@ def test_exact_nullspace_known_small_case():
 
 def test_exact_nullspace_full_rank():
     assert nullspace_exact([[1, 0], [0, 1], [3, 5]]) == []
+    assert nullspace_exact([]) == []
 
 
 def test_exact_handles_fractions():

@@ -1,6 +1,6 @@
 import cmath
 from itertools import islice
-from math import gcd, pi, sqrt
+from math import comb, gcd, pi, sqrt
 
 import pytest
 
@@ -227,6 +227,27 @@ def test_power_sums_agree_with_elimination_per_prime():
             assert conj[lead] == 1, (n, p)
             scale = pow(kern[lead], -1, p)
             assert conj == [x * scale % p for x in kern], (n, p)
+
+
+def test_conjugate_polynomial_is_the_certified_equation_mod_p(solved):
+    """At every level from 2 to 30, for the first two kernel primes,
+    conjugate_polynomial_mod is the certified F_n mod p in (i, j) box
+    order, and its row i = d2 is (1 - 3Y)^m mod p, the recurrence's seed:
+    m > 0 exactly at the even levels, and from 24 on the power table is
+    built in numpy."""
+    primes = list(islice(kernel_primes(), 2))
+    for n in range(2, 31):
+        result = solved(n)
+        d1, d2, m = result.d1, result.d2, leading_exponent(n)
+        assert (m > 0) == (n % 2 == 0), n
+        ws = named_w().expand(n * (d1 + 1))
+        w = (0,) * ws.val + ws.coeffs
+        order = [(i, j) for i in range(d2 + 1) for j in range(d1 + 1)]
+        for p in primes:
+            conj = modp.conjugate_polynomial_mod(w, n, d1, d2, conjugate_traces(n), m, p)
+            assert conj == [result.poly.coeffs.get(key, 0) % p for key in order], (n, p)
+            lead = [comb(m, j) * (-3) ** j % p for j in range(d1 + 1)]
+            assert conj[d2 * (d1 + 1):] == lead, (n, p)
 
 
 def test_route_follows_gcd_with_6(monkeypatch):

@@ -34,6 +34,12 @@ def test_leading_zeros_are_stripped_in_linear_time():
     assert (zero.val, zero.prec, zero.coeffs, zero.is_zero) == (199_997, 199_997, (), True)
 
 
+def test_repr_signs_each_term():
+    assert repr(QSeries([2, -1], val=1, prec=3)) == "2*q - q^2 + O(q^3)"
+    assert repr(QSeries([-2, 1], val=1, prec=3)) == "-2*q + q^2 + O(q^3)"
+    assert repr(QSeries.zero(3)) == "0 + O(q^3)"
+
+
 # -------------------- add --------------------
 
 def test_add_cancellation():
@@ -47,6 +53,7 @@ def test_add_zero_identity():
     z = QSeries.zero(9)
     out = f + z
     assert out.coeffs == f.coeffs and out.val == f.val and out.prec == 9
+    assert f and not z
 
 
 def test_add_constants():
@@ -213,6 +220,9 @@ def test_bad_arguments_are_refused():
         euler_product(1, 0)
     with pytest.raises(ZeroSeriesError):
         QSeries.zero(4).valuation()
+    for op in (lambda: s + 1.5, lambda: s - 1.5, lambda: s * 1.5, lambda: s ** 1.5):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
 
 
 def test_rescale_matches_quotient_construction():
