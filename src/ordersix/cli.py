@@ -35,10 +35,9 @@ from .modeq import (
     extract_inner_factor,
     format_polynomial,
     result_for,
-    signed_sum,
     solve_modular_equation,
 )
-from .series import QSeries
+from .series import QSeries, monomial, signed_sum
 from .arith import is_prime
 
 SCHEMA_VERSION = "1"
@@ -120,16 +119,8 @@ def series_payload(s: QSeries) -> dict:
 
 
 def series_latex(s: QSeries) -> str:
-    def power(e) -> str:
-        if e == 0:
-            return ""
-        if e == 1:
-            return "q"
-        if e.denominator == 1 and 0 < e < 10:
-            return f"q^{e}"
-        return f"q^{{{e}}}"
-
-    return signed_sum((c, power(e)) for e, c in s.terms())
+    """LaTeX for expand, through the series module's term renderer."""
+    return signed_sum(((c, monomial("q", e, "latex")) for e, c in s.terms()), " ")
 
 
 def poly_payload(poly) -> list[dict]:

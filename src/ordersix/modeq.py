@@ -119,7 +119,7 @@ from .arith import divisors, hecke_cosets, is_prime, moebius, primes_below
 from .eta import divisor, named_w
 # nullspace_exact is unused here; bench/tracing.py hooks it in this namespace
 from .linalg import nullspace_exact  # noqa: F401
-from .series import QSeries, _conv_int, _pack_signed, _unpack_signed
+from .series import QSeries, _conv_int, _pack_signed, _unpack_signed, monomial, signed_sum
 
 # The two normalization notes, indexed by whether the first nonzero
 # coefficient in (i, j) box order is negative.  F_n is primitive already,
@@ -573,36 +573,11 @@ def extract_inner_factor(poly: BivarPoly, p: int) -> BivarPoly:
 
 
 def format_polynomial(poly: BivarPoly, style: str = "plain") -> str:
-    """Render with terms ordered by ascending Y then X power; 'latex' braces
-    multi-digit exponents, 'plain' never does."""
-
-    def var(name: str, e: int) -> str:
-        if e == 0:
-            return ""
-        if e == 1:
-            return name
-        if style == "latex" and e >= 10:
-            return f"{name}^{{{e}}}"
-        return f"{name}^{e}"
-
+    """Render with terms ordered by ascending Y then X power, through the
+    series module's term renderer (monomial, signed_sum)."""
     items = sorted(poly.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    return signed_sum((c, " ".join(x for x in (var("X", i), var("Y", j)) if x))
-                      for (i, j), c in items)
-
-
-def signed_sum(terms) -> str:
-    """Render (coefficient, monomial) pairs as "a - b + 2 c": a coefficient
-    of magnitude one is left out before a nonempty monomial, and the empty
-    sum is "0"."""
-    out = ""
-    for c, body in terms:
-        if abs(c) != 1 or not body:
-            body = f"{abs(c)} {body}".strip()
-        if out:
-            out += f" {'-' if c < 0 else '+'} {body}"
-        else:
-            out = f"-{body}" if c < 0 else body
-    return out or "0"
+    return signed_sum(((c, f"{monomial('X', i, style)} {monomial('Y', j, style)}".strip())
+                       for (i, j), c in items), " ")
 
 
 __all__ = [
@@ -632,5 +607,4 @@ __all__ = [
     "kronecker_frame",
     "extract_inner_factor",
     "format_polynomial",
-    "signed_sum",
 ]

@@ -21,6 +21,10 @@ coefficient +-1 so that the quotient is integral too.
 Every Kronecker-packed product in the package uses the slot codec here,
 _pack/_unpack (signed: _pack_signed/_unpack_signed); modp's in-place
 read-off of F_n mod p is the format's one other reader.
+Every series and equation the package prints goes through the one term
+renderer here: monomial, the exponent rule for both styles, and signed_sum,
+the sign-joined sum of (coefficient, monomial) pairs.  QSeries.__repr__,
+LaTeX expand and modeq.format_polynomial all print through it.
 Every operation is pure and every instance immutable, so values are safe to
 share across threads.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 import operator
 from array import array
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 
@@ -139,6 +144,35 @@ def _conv_int(a, b, out_len: int) -> list[int]:
     return out
 
 
+def monomial(name: str, e, style: str = "plain") -> str:
+    """name^e for an int or Fraction e: nothing at e = 0 and name at e = 1;
+    'latex' braces every exponent but the digits 2-9, 'plain' parenthesizes
+    a fractional one."""
+    if e == 0:
+        return ""
+    if e == 1:
+        return name
+    if style == "latex":
+        return f"{name}^{e}" if e.denominator == 1 and 1 < e < 10 else f"{name}^{{{e}}}"
+    return f"{name}^{e}" if e.denominator == 1 else f"{name}^({e})"
+
+
+def signed_sum(terms, joiner: str) -> str:
+    """Render (coefficient, monomial) pairs as "a - b + 2<joiner>c": a
+    coefficient of magnitude one is left out before a nonempty monomial,
+    and the empty sum is "0".  The joiner is "*" in repr and " " in the
+    command's plain and LaTeX equations and LaTeX series."""
+    out = ""
+    for c, body in terms:
+        if abs(c) != 1 or not body:
+            body = f"{abs(c)}{joiner}{body}" if body else f"{abs(c)}"
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = f"-{body}" if c < 0 else body
+    return out or "0"
+
+
 class QSeries:
     """Truncated Laurent series; see the module docstring for conventions."""
 
@@ -217,35 +251,11 @@ class QSeries:
 
     # -------------------- representation --------------------
 
-    def _fmt_exp(self, idx: int) -> str:
-        e = Fraction(idx, self.h)
-        if e == 1:
-            return "q"
-        if e.denominator == 1:
-            return f"q^{e}"
-        return f"q^({e})"
-
     def __repr__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            e = self.val + i
-            mag = abs(c)
-            body = self._fmt_exp(e) if e else ""
-            if mag != 1 or not body:
-                body = f"{mag}*{body}" if body else f"{mag}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-            if len(parts) >= 10:
-                parts.append("+ ...")
-                break
-        lead = " ".join(parts) or "0"
-        if lead.startswith("+ "):
-            lead = lead[2:]
-        elif lead.startswith("- "):
-            lead = "-" + lead[2:]
-        tail = self._fmt_exp(self.prec)
-        return f"{lead} + O({tail})"
+        """The first ten nonzero terms, then " + ..." if more are known."""
+        terms = [(c, monomial("q", e)) for e, c in islice(self.terms(), 11)]
+        lead = signed_sum(terms[:10], "*") + (" + ..." if len(terms) > 10 else "")
+        return f"{lead} + O({monomial('q', self.precision()) or 'q^0'})"
 
     # -------------------- denominator plumbing --------------------
 
@@ -413,4 +423,5 @@ def euler_product(scale: int, prec: int) -> QSeries:
     return QSeries(coeffs, val=0, prec=prec, h=1)
 
 
-__all__ = ["QSeries", "euler_product", "ZeroSeriesError", "PrecisionError"]
+__all__ = ["QSeries", "euler_product", "monomial", "signed_sum", "ZeroSeriesError",
+           "PrecisionError"]

@@ -8,6 +8,7 @@ import sys
 import time
 from functools import lru_cache
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -698,6 +699,33 @@ def test_modeq_level19_json_is_byte_stable_from_three_primes(capsys, monkeypatch
         "736d7442241e82491141d4aef158f0b20bc69dee0f094abed6754d408edd5741")
     assert json.loads(out)["result"]["precision_used"] == certificate_height(19)
     assert primes_used == [3]
+
+
+SCHEMA_CASES = {
+    "expand-w": ("expand", "--name", "w", "--prec", "12"),
+    "expand-X": ("expand", "--name", "X", "--prec", "12"),
+    "expand-j": ("expand", "--name", "j", "--prec", "12"),
+    "expand-quotient": ("expand", "--quotient", "4; 1:-1", "--prec", "12"),
+    "cusps-18": ("cusps", "18"),
+    "cusps-18-w": ("cusps", "18", "--divisor", "w"),
+    "cusps-18-nonmodular": ("cusps", "18", "--divisor", "9; 1:1, 9:-1"),
+    "modeq-2": ("modeq", "2", "--no-cache"),
+    "modeq-5": ("modeq", "5", "--no-cache"),
+    "modeq-12": ("modeq", "12", "--no-cache"),
+    "verify-all": ("verify", "all"),
+    "verify-cusps": ("verify", "cusps"),
+}
+
+
+@pytest.mark.parametrize("argv", list(SCHEMA_CASES.values()), ids=list(SCHEMA_CASES))
+def test_json_output_conforms_to_the_schema(capsys, argv):
+    """docs/output-schema.json accepts every command's json document;
+    jsonschema is a test-only oracle."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "output-schema.json").read_text())
+    code, doc, _ = run_json(capsys, *argv, "--no-timing")
+    assert code == 0
+    jsonschema.validate(doc, schema, cls=jsonschema.Draft202012Validator)
 
 
 # sha256 of `python -m ordersix ARGS --no-timing` (json)

@@ -15,6 +15,7 @@ from ordersix.series import (
     _unpack,
     _unpack_signed,
     euler_product,
+    monomial,
 )
 
 from helpers import direct_euler, poly_mul, random_series
@@ -38,6 +39,35 @@ def test_repr_signs_each_term():
     assert repr(QSeries([2, -1], val=1, prec=3)) == "2*q - q^2 + O(q^3)"
     assert repr(QSeries([-2, 1], val=1, prec=3)) == "-2*q + q^2 + O(q^3)"
     assert repr(QSeries.zero(3)) == "0 + O(q^3)"
+    assert repr(QSeries.zero(0)) == "0 + O(q^0)"
+
+
+def test_repr_marks_left_out_terms_only():
+    """The marker " + ..." follows the tenth nonzero term only when an
+    eleventh exists."""
+    assert "..." not in repr(QSeries([1] * 10, prec=10))
+    assert repr(QSeries([1] * 11, prec=11)).endswith(" + q^9 + ... + O(q^11)")
+
+
+@pytest.mark.parametrize("name, e, plain, latex", [
+    ("q", 0, "", ""),
+    ("X", 1, "X", "X"),
+    ("q", Fraction(1), "q", "q"),
+    ("X", 2, "X^2", "X^2"),
+    ("Y", 9, "Y^9", "Y^9"),
+    ("q", Fraction(9), "q^9", "q^9"),
+    ("X", 10, "X^10", "X^{10}"),
+    ("q", 12, "q^12", "q^{12}"),
+    ("q", -1, "q^-1", "q^{-1}"),
+    ("q", -12, "q^-12", "q^{-12}"),
+    ("q", Fraction(1, 4), "q^(1/4)", "q^{1/4}"),
+    ("q", Fraction(5, 4), "q^(5/4)", "q^{5/4}"),
+    ("q", Fraction(-1, 24), "q^(-1/24)", "q^{-1/24}"),
+    ("q", Fraction(-25, 12), "q^(-25/12)", "q^{-25/12}"),
+])
+def test_monomial_exponent_rule(name, e, plain, latex):
+    assert monomial(name, e) == monomial(name, e, "plain") == plain
+    assert monomial(name, e, "latex") == latex
 
 
 # -------------------- add --------------------
